@@ -29,7 +29,7 @@ from .errors import (
 from .frames import transform, verify_transform_law
 from .metric import Metric, cross, inner, metric_from_basis, metric_from_tensor, triple
 from .minkowski import boost, rapidity
-from .objects import UP, DOWN, TensorObject, new_object
+from .objects import MIXED_SLOTS, TensorObject, new_object
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,7 +180,7 @@ def _cmd_triple(args: argparse.Namespace) -> int:
 
 
 def _cmd_boost(args: argparse.Namespace) -> int:
-    _emit_tensor(new_object(4, (UP, DOWN), 0, boost(args.beta)), args.out)
+    _emit_tensor(new_object(4, MIXED_SLOTS, 0, boost(args.beta)), args.out)
     return 0
 
 
@@ -241,3 +241,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,17 +13,15 @@ import itertools
 import numpy as np
 
 from .errors import ShapeError, SingularityError
-from .objects import DOWN, UP, TensorObject, _frozen
+from .objects import MIXED_SLOTS, TensorObject, _frozen
 from .symbols import permutation_sign
 
 # |det| <= SINGULARITY_FACTOR * max|entry| ** dim counts as singular
 SINGULARITY_FACTOR = 1e-12
 
-_MIXED = (UP, DOWN)
-
 
 def _require_mixed_matrix(t: TensorObject, what: str) -> np.ndarray:
-    if t.slots != _MIXED:
+    if t.slots != MIXED_SLOTS:
         raise ShapeError(
             f"{what} needs a rank-(1,1) object with slots (up, down), got {t!r}"
         )
@@ -64,4 +62,4 @@ def inverse(t: TensorObject) -> TensorObject:
     if abs(det) <= singularity_threshold(t):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
     inv = np.linalg.inv(m)
-    return TensorObject(t.dim, _MIXED, -t.weight, _frozen(inv))
+    return TensorObject(t.dim, MIXED_SLOTS, -t.weight, _frozen(inv))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DocumentError
 from .frames import Frame, frame_from_matrix
-from .objects import DOWN, UP, TensorObject, Variance, new_object
+from .objects import DOWN, MIXED_SLOTS, UP, TensorObject, new_object
 
 _VARIANCES = {"up": UP, "down": DOWN}
 
@@ -124,7 +124,7 @@ def parse_frame_document(obj: object) -> Frame:
     dim = _require_int(obj, "dim", minimum=1)
     rows = obj.get("c")
     matrix = _parse_matrix(rows, dim, '"c"')
-    return frame_from_matrix(new_object(dim, (UP, DOWN), 0, matrix))
+    return frame_from_matrix(new_object(dim, MIXED_SLOTS, 0, matrix))
 
 
 def _parse_matrix(rows: object, dim: int, what: str) -> np.ndarray:

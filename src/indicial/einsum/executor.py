@@ -1,10 +1,10 @@
 """Evaluate a ContractionPlan against concrete bindings.
 
-Evaluation replays each term's recorded schedule step by step, so a plan
-rewritten by ``order_contractions`` is genuinely executed in the new order.
-All work happens on numpy views and fresh arrays; bindings are never
-mutated, and independent output cells vectorize internally, so evaluation
-is safe to run concurrently.
+The plan holds every numpy argument, so ``execute`` only replays it: index
+and trace each factor, one ``np.tensordot`` per step, transpose and scale
+each term, sum the terms.  A plan rescheduled by ``order_contractions`` runs
+in its new order.  Bindings are never mutated, so evaluation is safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..objects import TensorObject, new_object
-from .planner import ContractionPlan, FactorPlan, Mode
+from .planner import ContractionPlan, Mode
 
 
 def _check_bindings(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> None:
@@ -44,42 +44,6 @@ def _check_bindings(plan: ContractionPlan, bindings: dict[str, TensorObject]) ->
             )
 
 
-def _prepare_factor(
-    fp: FactorPlan, bindings: dict[str, TensorObject]
-) -> tuple[np.ndarray, list[str]]:
-    """Slice fixed axes, sum self-contracted pairs, return open-letter axes."""
-    arr = bindings[fp.name].components
-    letters: list[str | None] = list(fp.axis_letters)
-
-    for slot, value in sorted(fp.fixed, reverse=True):
-        arr = np.take(arr, value - 1, axis=slot)
-        del letters[slot]
-
-    # self pairs were recorded as slot positions; axes have shifted after
-    # slicing, so locate repeated letters afresh and trace them out
-    while True:
-        pair = None
-        for a in range(len(letters)):
-            if letters[a] is None:
-                continue
-            for b in range(a + 1, len(letters)):
-                if letters[b] == letters[a]:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        a, b = pair
-        arr = np.trace(arr, axis1=a, axis2=b)
-        del letters[b]
-        del letters[a]
-
-    open_letters = [l for l in letters if l is not None]
-    assert tuple(open_letters) == fp.open_letters
-    return np.asarray(arr), open_letters
-
-
 def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorObject:
     """Run the plan and return the result object.
 
@@ -88,28 +52,18 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
     """
     _check_bindings(plan, bindings)
     total: np.ndarray | None = None
-
     for term in plan.terms:
-        items = [_prepare_factor(fp, bindings) for fp in term.factors]
+        items = []
+        for fp in term.factors:
+            arr = bindings[fp.name].components[fp.index]
+            for a, b in fp.traces:
+                arr = np.trace(arr, axis1=a, axis2=b)
+            items.append(arr)
         for step in term.steps:
-            left_arr, left_letters = items[step.left]
-            right_arr, right_letters = items[step.right]
-            ax_left = [left_letters.index(l) for l in step.shared]
-            ax_right = [right_letters.index(l) for l in step.shared]
-            merged = np.tensordot(left_arr, right_arr, axes=(ax_left, ax_right))
-            letters = [l for l in left_letters if l not in step.shared] + [
-                l for l in right_letters if l not in step.shared
-            ]
-            assert tuple(letters) == step.result_letters
-            items[step.left] = (merged, letters)
-            del items[step.right]
-
-        arr, letters = items[0]
-        if plan.free_letters:
-            arr = np.transpose(arr, [letters.index(l) for l in plan.free_letters])
+            right = items.pop(step.right)
+            items[step.left] = np.tensordot(items[step.left], right, axes=step.axes)
+        arr = np.transpose(items[0], term.output_axes)
         if term.coefficient != 1.0:
             arr = arr * term.coefficient
-        total = np.asarray(arr) if total is None else total + arr
-
-    assert total is not None
+        total = arr if total is None else total + arr
     return new_object(plan.dim, plan.result_slots, plan.weight, total)

@@ -1,10 +1,13 @@
-"""Validation of parsed statements and contraction scheduling.
+"""Validation of parsed statements and their lowering to numpy operations.
 
-``validate`` checks a statement against the bound signatures and produces a
-ContractionPlan whose per-term schedule contracts factors pairwise left to
-right.  ``order_contractions`` rewrites each schedule greedily, always
-merging the pair with the smallest result first (ties broken by position),
-which never changes values, only cost.
+``validate`` checks a statement against the bound signatures and lowers it
+into a ContractionPlan holding only what execution reads: per factor, the
+index tuple that pins fixed digits and the axis pairs to trace; per term,
+the pairwise ``tensordot`` schedule with each step's axes and the transpose
+into target order.  The default schedule contracts left to right;
+``order_contractions`` reschedules greedily, always merging the pair with
+the smallest result first (ties broken by position), which never changes
+values, only cost.
 
 Index-to-slot matching: in strict mode the written upper indices bind the
 upper slots in order and the written lower indices bind the lower slots in
@@ -17,7 +20,9 @@ written ones.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from ..errors import AddressingError, ConventionError, ShapeError
 from ..objects import DOWN, UP, TensorObject, Variance
@@ -34,19 +39,18 @@ Signature = tuple[int, tuple[Variance, ...], int]  # (dim, slots, weight)
 
 @dataclass(frozen=True)
 class FactorPlan:
-    """One factor occurrence resolved against its binding.
+    """One factor occurrence lowered against its binding.
 
-    ``axis_letters`` annotates every slot of the bound object with the
-    symbolic letter addressing it, or None for a slot fixed by a digit.
-    ``fixed`` lists (slot, 1-based value) pairs; ``self_pairs`` lists slot
-    pairs contracted inside this factor; ``open_letters`` are the letters
-    left open after slicing and self-contraction, in slot order.
+    ``index`` pins the fixed digits by basic indexing: ``value - 1`` in a
+    pinned slot, ``slice(None)`` in every other one, or ``()`` when no
+    digit is fixed.  ``traces`` are the axis pairs contracted inside the
+    factor, numbered after slicing and after the earlier traces.
+    ``open_letters`` name the axes that remain, in order.
     """
 
     name: str
-    axis_letters: tuple[str | None, ...]
-    fixed: tuple[tuple[int, int], ...]
-    self_pairs: tuple[tuple[int, int], ...]
+    index: tuple[int | slice, ...]
+    traces: tuple[tuple[int, int], ...]
     open_letters: tuple[str, ...]
 
 
@@ -54,23 +58,25 @@ class FactorPlan:
 class ScheduleStep:
     """Contract working items ``left`` and ``right`` (left < right).
 
-    The result replaces position ``left`` and position ``right`` is
-    removed.  ``cost`` is the multiply-add estimate dim ** |letter union|.
+    ``axes`` are the ``tensordot`` axes of the shared letters.  The result
+    replaces position ``left`` and position ``right`` is removed.  ``cost``
+    is the multiply-add estimate dim ** |letter union|.
     """
 
     left: int
     right: int
-    shared: tuple[str, ...]
-    result_letters: tuple[str, ...]
+    axes: tuple[tuple[int, ...], tuple[int, ...]]
     cost: int
 
 
 @dataclass(frozen=True)
 class TermPlan:
+    """``output_axes`` transposes the last working item into target order."""
+
     coefficient: float
     factors: tuple[FactorPlan, ...]
-    dummy_letters: tuple[str, ...]
     steps: tuple[ScheduleStep, ...]
+    output_axes: tuple[int, ...]
     prep_cost: int
     naive_cost: int
 
@@ -81,7 +87,6 @@ class TermPlan:
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    statement: Statement
     mode: Mode
     dim: int
     result_slots: tuple[Variance, ...]
@@ -141,6 +146,29 @@ def _resolve_slots(factor: FactorRef, slots: tuple[Variance, ...], mode: Mode) -
     return mapping
 
 
+def _lower_factor(
+    name: str, slot_letters: list[str | None], index: tuple[int | slice, ...], dim: int
+) -> tuple[FactorPlan, int]:
+    """Number one factor's self-contractions; return its plan and their cost.
+
+    ``slot_letters`` is None where a digit pins the slot.  A letter written
+    twice in the factor is traced, leftmost pair first.
+    """
+    letters = [l for l in slot_letters if l is not None]
+    traces: list[tuple[int, int]] = []
+    cost = 0
+    a = 0
+    while a < len(letters):
+        if letters.count(letters[a]) == 1:
+            a += 1
+            continue
+        b = letters.index(letters[a], a + 1)
+        traces.append((a, b))
+        cost += dim ** len(letters)
+        del letters[b], letters[a]
+    return FactorPlan(name, index, tuple(traces), tuple(letters)), cost
+
+
 def validate(
     statement: Statement,
     signatures: dict[str, object],
@@ -176,21 +204,20 @@ def validate(
                 )
     assert dim is not None  # the grammar guarantees at least one factor
 
-    term_plans: list[TermPlan] = []
+    lowered: list[tuple[float, tuple[FactorPlan, ...], int, int]] = []
     term_free: list[dict[str, Variance]] = []
     term_weights: list[int] = []
 
     for term in statement.terms:
-        # letter -> list of (factor position, slot, written variance)
-        occurrences: dict[str, list[tuple[int, int, Variance]]] = {}
-        axis_letters_all: list[list[str | None]] = []
-        fixed_all: list[list[tuple[int, int]]] = []
-
-        for fpos, factor in enumerate(term.factors):
+        # letter -> written variance of each occurrence
+        occurrences: dict[str, list[Variance]] = {}
+        factor_plans: list[FactorPlan] = []
+        prep_cost = 0
+        for factor in term.factors:
             _, slots, _ = lookup(factor.name)
             mapping = _resolve_slots(factor, slots, mode)
-            axis_letters: list[str | None] = [None] * len(slots)
-            fixed: list[tuple[int, int]] = []
+            slot_letters: list[str | None] = [None] * len(slots)
+            index: list[int | slice] = [slice(None)] * len(slots)
             for spec, slot in zip(factor.indices, mapping):
                 if spec.is_fixed:
                     value = int(spec.letter)
@@ -199,80 +226,35 @@ def validate(
                             f"fixed index {value} outside 1..{dim} "
                             f"in factor {factor.name!r}"
                         )
-                    fixed.append((slot, value))
+                    index[slot] = value - 1
                 else:
-                    axis_letters[slot] = spec.letter
-                    occurrences.setdefault(spec.letter, []).append(
-                        (fpos, slot, spec.variance)
-                    )
-            axis_letters_all.append(axis_letters)
-            fixed_all.append(sorted(fixed))
+                    slot_letters[slot] = spec.letter
+                    occurrences.setdefault(spec.letter, []).append(spec.variance)
+            pinned = tuple(index) if None in slot_letters else ()
+            fp, cost = _lower_factor(factor.name, slot_letters, pinned, dim)
+            factor_plans.append(fp)
+            prep_cost += cost
 
         free: dict[str, Variance] = {}
-        dummies: list[str] = []
-        self_pairs_all: list[list[tuple[int, int]]] = [[] for _ in term.factors]
-        for letter, occ in occurrences.items():
-            if len(occ) > 2:
+        for letter, variances in occurrences.items():
+            if len(variances) > 2:
                 raise ConventionError(
-                    f"index {letter!r} appears {len(occ)} times in one term; "
+                    f"index {letter!r} appears {len(variances)} times in one term; "
                     "an index may appear at most twice"
                 )
-            if len(occ) == 1:
-                free[letter] = occ[0][2]
-                continue
-            (f1, s1, v1), (f2, s2, v2) = occ
-            if mode is Mode.STRICT and {v1, v2} != {UP, DOWN}:
+            if len(variances) == 1:
+                free[letter] = variances[0]
+            elif mode is Mode.STRICT and set(variances) != {UP, DOWN}:
+                v1, v2 = variances
                 raise ConventionError(
                     f"summed index {letter!r} must appear once as an upper and "
                     f"once as a lower index, got {v1.value} and {v2.value}"
                 )
-            dummies.append(letter)
-            if f1 == f2:
-                self_pairs_all[f1].append((s1, s2))
-                axis_letters_all[f1][s1] = letter
-                axis_letters_all[f1][s2] = letter
-
-        factor_plans: list[FactorPlan] = []
-        prep_cost = 0
-        for fpos, factor in enumerate(term.factors):
-            axis_letters = axis_letters_all[fpos]
-            closed = {s for s, _ in fixed_all[fpos]}
-            for s1, s2 in self_pairs_all[fpos]:
-                closed.add(s1)
-                closed.add(s2)
-            open_letters = tuple(
-                letter
-                for s, letter in enumerate(axis_letters)
-                if s not in closed and letter is not None
-            )
-            axes = len(axis_letters) - len(fixed_all[fpos])
-            for _ in self_pairs_all[fpos]:
-                prep_cost += dim ** axes
-                axes -= 2
-            factor_plans.append(
-                FactorPlan(
-                    name=factor.name,
-                    axis_letters=tuple(axis_letters),
-                    fixed=tuple(fixed_all[fpos]),
-                    self_pairs=tuple(self_pairs_all[fpos]),
-                    open_letters=open_letters,
-                )
-            )
-
-        steps = _left_to_right_steps([f.open_letters for f in factor_plans], dim)
-        weight = sum(lookup(f.name)[2] for f in term.factors)
-        term_plans.append(
-            TermPlan(
-                coefficient=term.coefficient,
-                factors=tuple(factor_plans),
-                dummy_letters=tuple(dummies),
-                steps=tuple(steps),
-                prep_cost=prep_cost,
-                naive_cost=dim ** len(occurrences),
-            )
+        lowered.append(
+            (term.coefficient, tuple(factor_plans), prep_cost, dim ** len(occurrences))
         )
         term_free.append(free)
-        term_weights.append(weight)
+        term_weights.append(sum(lookup(f.name)[2] for f in term.factors))
 
     first_free = term_free[0]
     for k, free in enumerate(term_free[1:], start=2):
@@ -324,72 +306,54 @@ def validate(
         free_letters = tuple(target_letters)
         result_slots = tuple(spec.variance for spec in target.indices)
 
+    terms = []
+    for coeff, factors, prep, naive in lowered:
+        steps, output_axes = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
+        terms.append(TermPlan(coeff, factors, steps, output_axes, prep, naive))
     return ContractionPlan(
-        statement=statement,
-        mode=mode,
-        dim=dim,
-        result_slots=result_slots,
-        weight=term_weights[0],
-        free_letters=free_letters,
-        signatures=resolved,
-        terms=tuple(term_plans),
+        mode, dim, result_slots, term_weights[0], free_letters, resolved, tuple(terms)
     )
 
 
-def _merge(
-    items: list[tuple[str, ...]], i: int, j: int, dim: int
-) -> tuple[ScheduleStep, list[tuple[str, ...]]]:
-    left, right = items[i], items[j]
-    shared = tuple(l for l in left if l in right)
-    result = tuple(l for l in left if l not in shared) + tuple(
-        l for l in right if l not in shared
-    )
-    cost = dim ** (len(result) + len(shared))
-    step = ScheduleStep(i, j, shared, result, cost)
-    items = items[:i] + [result] + items[i + 1 : j] + items[j + 1 :]
-    return step, items
+def _smallest_pair(items: list[tuple[str, ...]], dim: int) -> tuple[int, int]:
+    """The pair whose result has the fewest components; ties go to the first."""
+    def size(pair: tuple[int, int]) -> int:
+        left, right = items[pair[0]], items[pair[1]]
+        shared = sum(1 for l in left if l in right)
+        return dim ** (len(left) + len(right) - 2 * shared)
+
+    return min(itertools.combinations(range(len(items)), 2), key=size)
 
 
-def _left_to_right_steps(
-    open_letters: list[tuple[str, ...]], dim: int
-) -> list[ScheduleStep]:
-    items = list(open_letters)
+def _schedule(
+    factors: tuple[FactorPlan, ...],
+    free_letters: tuple[str, ...],
+    dim: int,
+    pick: Callable[[list[tuple[str, ...]], int], tuple[int, int]],
+) -> tuple[tuple[ScheduleStep, ...], tuple[int, ...]]:
+    """Contract the pairs ``pick`` chooses; return the steps and output transpose."""
+    items = [f.open_letters for f in factors]
     steps: list[ScheduleStep] = []
     while len(items) > 1:
-        step, items = _merge(items, 0, 1, dim)
-        steps.append(step)
-    return steps
-
-
-def _greedy_steps(
-    open_letters: list[tuple[str, ...]], dim: int
-) -> list[ScheduleStep]:
-    items = list(open_letters)
-    steps: list[ScheduleStep] = []
-    while len(items) > 1:
-        best: tuple[int, int, int] | None = None
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                shared = sum(1 for l in items[i] if l in items[j])
-                size = dim ** (len(items[i]) + len(items[j]) - 2 * shared)
-                if best is None or size < best[0]:
-                    best = (size, i, j)
-        assert best is not None
-        step, items = _merge(items, best[1], best[2], dim)
-        steps.append(step)
-    return steps
+        i, j = pick(items, dim)
+        left, right = items[i], items[j]
+        shared = [l for l in left if l in right]
+        result = tuple(l for l in left + right if l not in shared)
+        axes = tuple(tuple(item.index(l) for l in shared) for item in (left, right))
+        steps.append(ScheduleStep(i, j, axes, dim ** (len(result) + len(shared))))
+        items[i] = result
+        del items[j]
+    return tuple(steps), tuple(items[0].index(l) for l in free_letters)
 
 
 def order_contractions(plan: ContractionPlan) -> ContractionPlan:
-    """Reorder every term's schedule by the greedy smallest-result rule.
+    """Reschedule every term by the greedy smallest-result rule.
 
     Pure: returns a new plan; values are unchanged, only the cost model.
     """
-    new_terms = tuple(
-        replace(
-            term,
-            steps=tuple(_greedy_steps([f.open_letters for f in term.factors], plan.dim)),
-        )
-        for term in plan.terms
-    )
-    return replace(plan, terms=new_terms)
+    free_letters, dim = plan.free_letters, plan.dim
+    terms = []
+    for term in plan.terms:
+        steps, output_axes = _schedule(term.factors, free_letters, dim, _smallest_pair)
+        terms.append(replace(term, steps=steps, output_axes=output_axes))
+    return replace(plan, terms=tuple(terms))

@@ -1438,10 +1438,6 @@ def _core_dot(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 # ---------------------------------------------------------------- runner
 
-def registry() -> list[Check]:
-    return list(_REGISTRY)
-
-
 def run_checks(
     dim: int = 3,
     seed: int = 0,

@@ -15,9 +15,15 @@ import numpy as np
 
 from .determinants import determinant, inverse, singularity_threshold
 from .errors import ShapeError, SingularityError
-from .objects import DOWN, UP, TensorObject, _frozen, new_object
+from .objects import (
+    MIXED_SLOTS,
+    UP,
+    TensorObject,
+    _frozen,
+    new_object,
+    require_vector,
+)
 
-_MIXED = (UP, DOWN)
 _FRAME_CHECK_TOL = 1e-9
 
 
@@ -41,8 +47,8 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
         arr = np.asarray(c, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"frame matrix must be square, got shape {arr.shape}")
-        c = new_object(arr.shape[0], _MIXED, 0, arr)
-    elif c.slots != _MIXED:
+        c = new_object(arr.shape[0], MIXED_SLOTS, 0, arr)
+    elif c.slots != MIXED_SLOTS:
         raise ShapeError(f"frame matrix needs slots (up, down), got {c!r}")
     gamma = inverse(c)  # raises SingularityError for a degenerate mixing
     residual = float(
@@ -57,7 +63,7 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
 
 
 def identity_frame(dim: int) -> Frame:
-    return frame_from_matrix(new_object(dim, _MIXED, 0, np.eye(dim)))
+    return frame_from_matrix(new_object(dim, MIXED_SLOTS, 0, np.eye(dim)))
 
 
 def inverse_frame(f: Frame) -> Frame:
@@ -73,8 +79,8 @@ def compose(first: Frame, second: Frame) -> Frame:
     gamma = first.gamma.components @ second.gamma.components
     return Frame(
         first.dim,
-        new_object(first.dim, _MIXED, 0, c),
-        new_object(first.dim, _MIXED, 0, gamma),
+        new_object(first.dim, MIXED_SLOTS, 0, c),
+        new_object(first.dim, MIXED_SLOTS, 0, gamma),
         first.det_gamma * second.det_gamma,
     )
 
@@ -121,13 +127,8 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     """
     if len(basis) != f.dim:
         raise ShapeError(f"expected {f.dim} basis vectors, got {len(basis)}")
-    for e in basis:
-        if not isinstance(e, TensorObject) or e.slots != (UP,):
-            raise ShapeError(f"basis vectors must be rank-(0,1) objects, got {e!r}")
-        if e.dim != f.dim:
-            raise ShapeError(f"basis vector has dim {e.dim}, frame has dim {f.dim}")
-    rows = np.stack([e.components for e in basis])
-    as_matrix = new_object(f.dim, _MIXED, 0, rows)
+    rows = np.stack([require_vector(e, f.dim, "basis vector") for e in basis])
+    as_matrix = new_object(f.dim, MIXED_SLOTS, 0, rows)
     if abs(determinant(as_matrix)) <= singularity_threshold(as_matrix):
         raise SingularityError("basis vectors are linearly dependent")
     new_rows = f.gamma.components.T @ rows
@@ -163,6 +164,6 @@ def random_frame(
     """Test helper: uniform [-1, 1] entries, resampled until |det| >= min_det."""
     while True:
         arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        candidate = new_object(dim, _MIXED, 0, arr)
+        candidate = new_object(dim, MIXED_SLOTS, 0, arr)
         if abs(determinant(candidate)) >= min_det:
             return frame_from_matrix(candidate)

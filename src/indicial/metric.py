@@ -14,13 +14,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConventionError, DefinitenessError, ShapeError
-from .objects import DOWN, UP, TensorObject, Variance, _frozen, new_object
+from .objects import (
+    DEFAULT_SYMMETRY_TOL,
+    DOWN,
+    UP,
+    TensorObject,
+    Variance,
+    _frozen,
+    new_object,
+    require_vector,
+)
 from .symbols import levi_civita_symbol
 
 # leading principal minors must exceed this for positive-definiteness
 MINOR_TOL = 1e-12
-
-_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
     elif g.slots != (DOWN, DOWN):
         raise ShapeError(f"metric needs slots (down, down), got {g!r}")
     m = g.components
-    if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL:
+    if float(np.max(np.abs(m - m.T))) > DEFAULT_SYMMETRY_TOL:
         raise DefinitenessError("metric must be symmetric")
     minors = [float(np.linalg.det(m[:k, :k])) for k in range(1, g.dim + 1)]
     if any(minor <= MINOR_TOL for minor in minors):
@@ -64,13 +71,8 @@ def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
     """
     if not basis:
         raise ShapeError("empty basis")
-    dim = basis[0].dim
-    if len(basis) != dim:
-        raise ShapeError(f"expected {dim} basis vectors, got {len(basis)}")
-    for e in basis:
-        if not isinstance(e, TensorObject) or e.slots != (UP,) or e.dim != dim:
-            raise ShapeError(f"basis vectors must be rank-(0,1) dim-{dim} objects")
-    rows = np.stack([e.components for e in basis])
+    dim = len(basis)
+    rows = np.stack([require_vector(e, dim, "basis vector") for e in basis])
     return metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, rows @ rows.T))
 
 
@@ -108,18 +110,10 @@ def _move_index(
     return TensorObject(t.dim, slots, t.weight, _frozen(np.asarray(arr, order="C")))
 
 
-def _require_vector(x: TensorObject, m: Metric) -> np.ndarray:
-    if not isinstance(x, TensorObject) or x.slots != (UP,):
-        raise ShapeError(f"expected a rank-(0,1) vector, got {x!r}")
-    if x.dim != m.dim:
-        raise ShapeError(f"vector has dim {x.dim}, metric has dim {m.dim}")
-    return x.components
-
-
 def inner(x: TensorObject, y: TensorObject, m: Metric) -> float:
     """Scalar product g_rs x^r y^s of two contravariant vectors."""
-    xv = _require_vector(x, m)
-    yv = _require_vector(y, m)
+    xv = require_vector(x, m.dim)
+    yv = require_vector(y, m.dim)
     return float(xv @ m.g.components @ yv)
 
 
@@ -141,8 +135,8 @@ def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
     """Cross product z^r = eps^{rmn} g_ms g_nt x^s y^t (dim 3)."""
     if m.dim != 3:
         raise ShapeError(f"cross product is dim-3 only, got metric dim {m.dim}")
-    xl = m.g.components @ _require_vector(x, m)
-    yl = m.g.components @ _require_vector(y, m)
+    xl = m.g.components @ require_vector(x, m.dim)
+    yl = m.g.components @ require_vector(y, m.dim)
     eps_up = levi_civita_tensor(m, UP).components
     z = np.einsum("rmn,m,n->r", eps_up, xl, yl)
     return new_object(3, (UP,), x.weight + y.weight, z)
@@ -152,9 +146,9 @@ def triple(x: TensorObject, y: TensorObject, z: TensorObject, m: Metric) -> floa
     """Triple product eps^{mnp} g_mr g_ns g_pt x^r y^s z^t (dim 3)."""
     if m.dim != 3:
         raise ShapeError(f"triple product is dim-3 only, got metric dim {m.dim}")
-    xl = m.g.components @ _require_vector(x, m)
-    yl = m.g.components @ _require_vector(y, m)
-    zl = m.g.components @ _require_vector(z, m)
+    xl = m.g.components @ require_vector(x, m.dim)
+    yl = m.g.components @ require_vector(y, m.dim)
+    zl = m.g.components @ require_vector(z, m.dim)
     eps_up = levi_civita_tensor(m, UP).components
     return float(np.einsum("mnp,m,n,p->", eps_up, xl, yl, zl))
 

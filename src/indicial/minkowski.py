@@ -76,18 +76,6 @@ def eta_residual(c: Sequence[Sequence[float]]) -> float:
     return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
-def preserves_product(
-    c: Sequence[Sequence[float]], tol: float = _CONDITION_TOL
-) -> bool:
-    """eta-conjugation form of the Lorentz condition."""
-    return eta_residual(c) <= tol
-
-
-def apply_matrix(c: Sequence[Sequence[float]], x: Sequence[float]) -> np.ndarray:
-    """New components of a four-vector: x-bar^r = c^r_s x^s."""
-    return _as_matrix(c) @ _as_four_vector(x)
-
-
 def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not abs(beta) < 1.0:

@@ -10,6 +10,7 @@ is a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +33,9 @@ class Variance(enum.Enum):
 
 UP = Variance.UP
 DOWN = Variance.DOWN
+
+# slots of a mixed rank-(1,1) object: the upper slot indexes rows
+MIXED_SLOTS = (UP, DOWN)
 
 
 class Symmetry(enum.Enum):
@@ -74,7 +78,7 @@ class TensorObject:
                 f"multi-index length {len(idx)} does not match rank {self.rank}"
             )
         for v in idx:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= self.dim:
+            if not is_index_value(v) or not 1 <= v <= self.dim:
                 raise AddressingError(
                     f"index value {v!r} outside 1..{self.dim}"
                 )
@@ -181,6 +185,23 @@ def outer_product(a: TensorObject, b: TensorObject) -> TensorObject:
         )
     arr = np.multiply.outer(a.components, b.components)
     return TensorObject(a.dim, a.slots + b.slots, a.weight + b.weight, _frozen(arr))
+
+
+def is_index_value(v: object) -> bool:
+    """True for any integer (numpy integers included) except a bool."""
+    # the exact-type test is the fast path; an ABC check costs ~0.5 us
+    return type(v) is int or (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    )
+
+
+def require_vector(x: object, dim: int, what: str = "vector") -> np.ndarray:
+    """Components of ``x`` if it is a rank-(0,1) dim-``dim`` object."""
+    if not isinstance(x, TensorObject) or x.slots != (UP,):
+        raise ShapeError(f"{what} must be a rank-(0,1) object, got {x!r}")
+    if x.dim != dim:
+        raise ShapeError(f"{what} has dim {x.dim}, expected {dim}")
+    return x.components
 
 
 def _check_slot(t: TensorObject, pos: int) -> None:

@@ -9,7 +9,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AddressingError, ShapeError
-from .objects import DOWN, UP, TensorObject, Variance, new_object
+from .objects import (
+    DOWN,
+    MIXED_SLOTS,
+    UP,
+    TensorObject,
+    Variance,
+    is_index_value,
+    new_object,
+)
 
 
 class KroneckerKind(enum.Enum):
@@ -17,7 +25,7 @@ class KroneckerKind(enum.Enum):
 
     LOWER_LOWER = (DOWN, DOWN)
     UPPER_UPPER = (UP, UP)
-    MIXED = (UP, DOWN)  # upper slot first, matching the row/column convention
+    MIXED = MIXED_SLOTS  # upper slot first, matching the row/column convention
 
 
 def permutation_sign(idx: Sequence[int], dim: int | None = None) -> int:
@@ -28,7 +36,7 @@ def permutation_sign(idx: Sequence[int], dim: int | None = None) -> int:
     idx = tuple(idx)
     bound = len(idx) if dim is None else dim
     for v in idx:
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= bound:
+        if not is_index_value(v) or not 1 <= v <= bound:
             raise AddressingError(f"index value {v!r} outside 1..{bound}")
     if len(set(idx)) != len(idx):
         return 0

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import indicial
 from indicial.cli import run
 from indicial.documents import parse_tensor_document
 
@@ -295,6 +300,22 @@ def test_boost_document(capsys):
 def test_boost_superluminal_exits_two(capsys):
     code, _, err = _invoke(capsys, "boost", "--beta", "1.0")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("module", ["indicial", "indicial.cli"])
+def test_runs_as_a_module(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+
+    def invoke(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = invoke("boost", "--beta", "0.6")
+    assert done.returncode == 0
+    doc = json.loads(done.stdout)
+    assert doc["slots"] == ["up", "down"] and doc["components"][0][0] == 1.25
+    done = invoke("rapidity", "--beta", "2")
+    assert done.returncode == 2 and "error:" in done.stderr
 
 
 def test_rapidity_scalar(capsys):

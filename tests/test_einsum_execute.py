@@ -55,6 +55,23 @@ def test_self_trace_inside_a_factor():
     assert np.allclose(got.components, expected, atol=1e-14)
 
 
+def test_self_traces_after_a_fixed_digit_and_twice_in_one_factor():
+    q = _obj(3, (UP, UP, DOWN, DOWN), seed=27)
+    got = _run("y_s = q^{2r}_{rs}", {"q": q})
+    assert np.allclose(got.components, np.einsum("rrs->s", q.components[1]), atol=1e-14)
+    got = _run("s = q^{rs}_{rs}", {"q": q})
+    assert abs(got.as_scalar() - np.einsum("rsrs->", q.components)) < 1e-14
+
+
+def test_transposed_target_under_both_schedules():
+    bind = {"u": _obj(3, (UP,), seed=29), "c": _obj(3, (UP, DOWN), seed=30),
+            "z": _obj(3, (UP,), seed=31)}
+    plan = validate(parse("y^{ba} = u^a c^b_k z^k"), bind)
+    expected = np.einsum("a,bk,k->ba", *(bind[n].components for n in "ucz"))
+    for p in (plan, order_contractions(plan)):
+        assert np.allclose(execute(p, bind).components, expected, atol=1e-14)
+
+
 def test_repeated_factor_name():
     g = _obj(3, (DOWN, DOWN), seed=9)
     x = _obj(3, (UP,), seed=10)

@@ -39,8 +39,8 @@ def test_strict_buckets_match_per_variance():
     plan = validate(parse("t = e_{rst} x_1^r x_2^s x_3^t"),
                     {"e": (3, (DOWN, DOWN, DOWN), -1), "x": (3, (UP, DOWN), 0)})
     fp = plan.terms[0].factors[1]  # first x
-    assert fp.fixed == ((1, 1),)  # lower slot 1 pinned to value 1
-    assert fp.axis_letters[0] == "r"  # upper slot 0 carries the letter
+    assert fp.index == (slice(None), 0)  # lower slot 1 pinned to value 1
+    assert fp.open_letters == ("r",)  # upper slot 0 carries the letter
 
 
 def test_orthogonal_is_positional():
@@ -117,7 +117,7 @@ def test_dim_mismatch():
 
 def test_fixed_digit_bounds():
     plan = validate(parse("t = x_3^r v_r"), {"x": (3, (UP, DOWN), 0), "v": V_DOWN})
-    assert plan.terms[0].factors[0].fixed == ((1, 3),)
+    assert plan.terms[0].factors[0].index == (slice(None), 2)
     with pytest.raises(AddressingError):
         validate(parse("t = x_4^r v_r"), {"x": (3, (UP, DOWN), 0), "v": V_DOWN})
 
@@ -171,3 +171,30 @@ def test_ordering_is_letter_independent():
     assert [
         (s.left, s.right, s.cost) for s in one.terms[0].steps
     ] == [(s.left, s.right, s.cost) for s in two.terms[0].steps]
+
+
+def test_traces_are_numbered_after_slicing():
+    plan = validate(parse("y_s = q^{2r}_{rs}"), {"q": (3, (UP, UP, DOWN, DOWN), 0)})
+    fp = plan.terms[0].factors[0]
+    assert fp.index == (1, slice(None), slice(None), slice(None))
+    assert fp.traces == ((0, 1),)  # slots 1 and 2 become axes 0 and 1
+    assert fp.open_letters == ("s",)
+
+
+def test_double_self_trace():
+    plan = validate(parse("s = m^{rs}_{rs}"), {"m": (3, (UP, UP, DOWN, DOWN), 0)})
+    fp = plan.terms[0].factors[0]
+    assert fp.index == ()
+    assert fp.traces == ((0, 2), (0, 1))
+    assert fp.open_letters == ()
+    assert plan.terms[0].prep_cost == 3**4 + 3**2
+
+
+def test_output_axes_put_the_result_in_target_order():
+    sigs = {"u": (3, (UP,), 0), "c": (3, (UP, DOWN), 0), "z": (3, (UP,), 0)}
+    plan = validate(parse("y^{ba} = u^a c^b_k z^k"), sigs)
+    ordered = order_contractions(plan)
+    assert [(s.left, s.right) for s in plan.terms[0].steps] == [(0, 1), (0, 1)]
+    assert [(s.left, s.right) for s in ordered.terms[0].steps] == [(1, 2), (0, 1)]
+    for p in (plan, ordered):
+        assert p.terms[0].output_axes == (1, 0)

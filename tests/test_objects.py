@@ -68,6 +68,15 @@ def test_component_addressing_is_one_based():
         t.component((1,))
 
 
+def test_component_accepts_numpy_integers():
+    t = new_object(3, (UP, DOWN), 0, np.arange(9.0).reshape(3, 3))
+    assert t.component([np.int64(1), 2]) == 1.0
+    assert t.component(np.array([3, 2])) == 7.0
+    for bad in ([np.int64(4), 1], [True, 1], [1.0, 1], [np.float64(1.0), 1]):
+        with pytest.raises(AddressingError):
+            t.component(bad)
+
+
 def test_scalar_extraction():
     s = new_object(3, (), 0, [2.5])
     assert s.as_scalar() == 2.5

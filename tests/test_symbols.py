@@ -48,6 +48,15 @@ def test_permutation_sign_range_checks():
     assert permutation_sign((4, 1), dim=4) == -1
 
 
+def test_permutation_sign_accepts_numpy_integers():
+    assert permutation_sign([np.int64(1), 2, 3]) == 1
+    assert permutation_sign(np.array([2, 1, 3])) == -1
+    assert permutation_sign([np.int32(1), np.int32(1)]) == 0
+    for bad in ([np.int64(0), 1], [True, 2], [1.0, 2]):
+        with pytest.raises(AddressingError):
+            permutation_sign(bad)
+
+
 def test_kronecker_kinds():
     for kind, slots in [
         (KroneckerKind.MIXED, (UP, DOWN)),
