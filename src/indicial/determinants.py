@@ -9,6 +9,7 @@ elimination path, which agrees with the reference sum on small matrices.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -47,7 +48,11 @@ def determinant(t: TensorObject) -> float:
 def singularity_threshold(t: TensorObject) -> float:
     """Scale-aware cutoff: 1e-12 * (max absolute entry) ** dim."""
     m = _require_mixed_matrix(t, "singularity_threshold")
-    return SINGULARITY_FACTOR * float(np.max(np.abs(m), initial=0.0)) ** t.dim
+    scale = float(np.max(np.abs(m), initial=0.0))
+    try:
+        return SINGULARITY_FACTOR * scale ** t.dim
+    except OverflowError:  # the power is beyond float64
+        return math.inf
 
 
 def inverse(t: TensorObject) -> TensorObject:
@@ -59,7 +64,8 @@ def inverse(t: TensorObject) -> TensorObject:
     """
     m = _require_mixed_matrix(t, "inverse")
     det = determinant(t)
-    if abs(det) <= singularity_threshold(t):
+    # a NaN det (inf * 0 in an overflowing permutation sum) counts as singular
+    if not abs(det) > singularity_threshold(t):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
     inv = np.linalg.inv(m)
     return TensorObject(t.dim, MIXED_SLOTS, -t.weight, _frozen(inv))

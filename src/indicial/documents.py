@@ -12,6 +12,12 @@ read.  Basis documents list the basis vectors' ambient coordinates under
 "vectors".  A bindings file is either an object mapping names to tensor
 documents or a single tensor document bound under the file's stem name.
 
+Every number in every document passes one reader, ``_read_array``: it must
+be a JSON number (not a bool) that float64 holds as a finite value, so NaN,
+Infinity and integers beyond the float64 range are rejected at load with a
+``DocumentError``.  The nesting is checked against the declared dim before
+any array is allocated.
+
 Emission uses 17 significant digits so reading a written document
 reproduces the exact float64 values.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -30,6 +36,17 @@ from .frames import Frame, frame_from_matrix
 from .objects import DOWN, MIXED_SLOTS, UP, TensorObject, new_object
 
 _VARIANCES = {"up": UP, "down": DOWN}
+
+_T = TypeVar("_T")
+
+
+def _require_keys(obj: object, kind: str, allowed: set[str]) -> dict:
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{kind} document must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise DocumentError(f"unknown {kind} document keys: {sorted(unknown)}")
+    return obj
 
 
 def _require_int(obj: dict, key: str, minimum: int | None = None) -> int:
@@ -41,45 +58,53 @@ def _require_int(obj: dict, key: str, minimum: int | None = None) -> int:
     return value
 
 
+def _read_array(node: object, dim: int, rank: int, what: str) -> np.ndarray:
+    """Read ``rank`` levels of nested lists of length ``dim`` holding numbers.
+
+    Each level is checked and flattened in turn, so the array of shape
+    ``(dim,) * rank`` is allocated only once the input has matched it.
+    """
+    level = [node]
+    for depth in range(rank):
+        if any(not isinstance(sub, list) or len(sub) != dim for sub in level):
+            raise DocumentError(f"{what} must nest lists of length {dim} at depth {depth}")
+        level = [v for sub in level for v in sub]
+    for v in level:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise DocumentError(f"{what} must hold numbers at depth {rank}, got {v!r}")
+    try:
+        arr = np.array(level, dtype=np.float64)
+    except OverflowError:
+        raise DocumentError(f"{what} holds an integer outside the float64 range") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DocumentError(f"{what} must be finite, got {arr[~finite][0]}")
+    return arr.reshape((dim,) * rank)
+
+
 def parse_tensor_document(obj: object) -> TensorObject:
     """Validate and convert one tensor document."""
-    if not isinstance(obj, dict):
-        raise DocumentError(f"tensor document must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - {"dim", "slots", "weight", "components"}
-    if unknown:
-        raise DocumentError(f"unknown tensor document keys: {sorted(unknown)}")
+    obj = _require_keys(obj, "tensor", {"dim", "slots", "weight", "components"})
     dim = _require_int(obj, "dim", minimum=1)
     raw_slots = obj.get("slots")
-    if not isinstance(raw_slots, list) or any(s not in _VARIANCES for s in raw_slots):
+    if not isinstance(raw_slots, list) or any(
+        not isinstance(s, str) or s not in _VARIANCES for s in raw_slots
+    ):
         raise DocumentError('"slots" must be a list of "up"/"down" strings')
     slots = tuple(_VARIANCES[s] for s in raw_slots)
     weight = _require_int(obj, "weight") if "weight" in obj else 0
     if "components" not in obj:
         raise DocumentError('missing "components"')
-    arr = np.zeros((dim,) * len(slots))
-
-    def walk(node: object, depth: int, idx: tuple[int, ...]) -> None:
-        if depth == len(slots):
-            if isinstance(node, bool) or not isinstance(node, (int, float)):
-                raise DocumentError(
-                    f"component at depth {depth} must be a number, got {node!r}"
-                )
-            arr[idx] = float(node)
-            return
-        if not isinstance(node, list) or len(node) != dim:
-            raise DocumentError(
-                f"components must nest lists of length {dim} at depth {depth}"
-            )
-        for k, sub in enumerate(node):
-            walk(sub, depth + 1, idx + (k,))
-
-    walk(obj["components"], 0, ())
+    arr = _read_array(obj["components"], dim, len(slots), '"components"')
     return new_object(dim, slots, weight, arr)
 
 
 def _format_float(v: float) -> str:
     if not math.isfinite(v):
         raise DocumentError(f"cannot emit non-finite component {v!r}")
+    # ".17g" spells -0.0 as "-0", which JSON reads back as the integer 0
+    if v == 0 and math.copysign(1.0, v) < 0:
+        return "-0.0"
     return format(v, ".17g")
 
 
@@ -98,102 +123,74 @@ def format_tensor_document(t: TensorObject) -> str:
     )
 
 
-def _load_json(path: str) -> object:
+def _load(path: str, parse: Callable[[object], _T]) -> _T:
+    """Read the JSON file at ``path`` and parse it; errors name the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit;
+    # json recurses once per nesting level
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
 
 
 def load_tensor_document(path: str) -> TensorObject:
-    try:
-        return parse_tensor_document(_load_json(path))
-    except DocumentError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    return _load(path, parse_tensor_document)
 
 
 def parse_frame_document(obj: object) -> Frame:
-    if not isinstance(obj, dict):
-        raise DocumentError("frame document must be an object")
-    unknown = set(obj) - {"dim", "c"}
-    if unknown:
-        raise DocumentError(f"unknown frame document keys: {sorted(unknown)}")
+    obj = _require_keys(obj, "frame", {"dim", "c"})
     dim = _require_int(obj, "dim", minimum=1)
-    rows = obj.get("c")
-    matrix = _parse_matrix(rows, dim, '"c"')
+    matrix = _read_array(obj.get("c"), dim, 2, '"c"')
     return frame_from_matrix(new_object(dim, MIXED_SLOTS, 0, matrix))
 
 
-def _parse_matrix(rows: object, dim: int, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise DocumentError(f"{what} must be a list of {dim} rows")
-    arr = np.zeros((dim, dim))
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DocumentError(f"{what} row {r} must be a list of {dim} numbers")
-        for s, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DocumentError(f"{what}[{r}][{s}] must be a number, got {v!r}")
-            arr[r, s] = float(v)
-    return arr
-
-
 def load_frame_document(path: str) -> Frame:
-    try:
-        return parse_frame_document(_load_json(path))
-    except DocumentError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    return _load(path, parse_frame_document)
 
 
 def parse_basis_document(obj: object) -> list[TensorObject]:
-    if not isinstance(obj, dict):
-        raise DocumentError("basis document must be an object")
-    unknown = set(obj) - {"dim", "vectors"}
-    if unknown:
-        raise DocumentError(f"unknown basis document keys: {sorted(unknown)}")
+    obj = _require_keys(obj, "basis", {"dim", "vectors"})
     dim = _require_int(obj, "dim", minimum=1)
-    matrix = _parse_matrix(obj.get("vectors"), dim, '"vectors"')
-    return [new_object(dim, (UP,), 0, matrix[r]) for r in range(dim)]
+    matrix = _read_array(obj.get("vectors"), dim, 2, '"vectors"')
+    return [new_object(dim, (UP,), 0, row) for row in matrix]
 
 
 def load_basis_document(path: str) -> list[TensorObject]:
-    try:
-        return parse_basis_document(_load_json(path))
-    except DocumentError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    return _load(path, parse_basis_document)
 
 
 def _valid_name(name: str) -> bool:
     return bool(name) and name[0].isalpha() and name.isalnum()
 
 
+def _parse_bindings(obj: object, path: str) -> dict[str, TensorObject]:
+    if isinstance(obj, dict) and {"slots", "components"} <= set(obj):
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if not _valid_name(stem):
+            raise DocumentError(f"file stem {stem!r} is not a usable binding name")
+        return {stem: parse_tensor_document(obj)}
+    if not isinstance(obj, dict):
+        raise DocumentError("bindings file must be a JSON object")
+    entries = {}
+    for name, doc in obj.items():
+        if not _valid_name(name):
+            raise DocumentError(f"invalid binding name {name!r}")
+        entries[name] = parse_tensor_document(doc)
+    return entries
+
+
 def load_bindings(paths: Iterable[str]) -> dict[str, TensorObject]:
     """Merge one or more bindings files; duplicate names are an error."""
     bindings: dict[str, TensorObject] = {}
     for path in paths:
-        obj = _load_json(path)
-        try:
-            if isinstance(obj, dict) and {"slots", "components"} <= set(obj):
-                stem = os.path.splitext(os.path.basename(path))[0]
-                if not _valid_name(stem):
-                    raise DocumentError(
-                        f"file stem {stem!r} is not a usable binding name"
-                    )
-                entries = {stem: parse_tensor_document(obj)}
-            elif isinstance(obj, dict):
-                entries = {}
-                for name, doc in obj.items():
-                    if not _valid_name(name):
-                        raise DocumentError(f"invalid binding name {name!r}")
-                    entries[name] = parse_tensor_document(doc)
-            else:
-                raise DocumentError("bindings file must be a JSON object")
-        except DocumentError as exc:
-            raise DocumentError(f"{path}: {exc}") from None
-        for name, t in entries.items():
+        for name, t in _load(path, lambda obj: _parse_bindings(obj, path)).items():
             if name in bindings:
                 raise DocumentError(f"{path}: duplicate binding name {name!r}")
             bindings[name] = t

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import determinants, documents, frames, metric, minkowski, objects, symbols
+from . import determinants, frames, metric, minkowski, objects, symbols
 from .einsum import Mode, execute, order_contractions, parse, validate
 from .errors import (
     AddressingError,

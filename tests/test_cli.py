@@ -174,6 +174,55 @@ def test_transform_singular_frame_exits_two(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_transform_frame_with_overflowing_determinant_exits_two(tmp_path, capsys):
+    # det = 1e400 is beyond float64; the singularity cutoff saturates to inf
+    frame = _write(tmp_path, "big.json", {"dim": 2, "c": [[1e200, 0], [0, 1e200]]})
+    doc = _write(tmp_path, "x.json", _vec([1, 0]))
+    code, out, err = _invoke(capsys, "transform", "--frame", frame, "--input", doc)
+    assert code == 2 and out == "" and "|det| = inf" in err
+
+
+_TEXT_WITH_NUMBER = {
+    "tensor": '{{"dim": 2, "slots": ["up"], "components": [1, {}]}}',
+    "frame": '{{"dim": 2, "c": [[1, 0], [0, {}]]}}',
+    "basis": '{{"dim": 2, "vectors": [[1, 0], [0, {}]]}}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TEXT_WITH_NUMBER))
+@pytest.mark.parametrize(
+    "number",
+    # an Infinity frame used to pass the reader and exit 2 as singular
+    ["1" + "0" * 400, "1" * 5000, "NaN", "Infinity"],
+    ids=["1e400-int", "5000-digits", "nan", "inf"],
+)
+def test_numbers_float64_cannot_hold_exit_one(tmp_path, capsys, kind, number):
+    files = {
+        "tensor": _write(tmp_path, "x.json", _vec([1, 0])),
+        "frame": _write(tmp_path, "f.json", {"dim": 2, "c": [[2, 0], [0, 1]]}),
+        "basis": _write(tmp_path, "b.json", {"dim": 2, "vectors": [[1, 0], [0, 1]]}),
+    }
+    files[kind] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(_TEXT_WITH_NUMBER[kind].format(number))
+    if kind == "basis":
+        argv = ["dot", files["tensor"], files["tensor"], "--basis", files["basis"]]
+    else:
+        argv = ["transform", "--frame", files["frame"], "--input", files["tensor"]]
+    code, out, err = _invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "bad.json" in err
+
+
+def test_huge_declared_dim_exits_one(tmp_path, capsys):
+    doc = _write(
+        tmp_path,
+        "big.json",
+        {"dim": 10_000_000, "slots": ["up", "up", "up"], "components": []},
+    )
+    code, out, err = _invoke(capsys, "eval", "--bindings", doc, "y^r = big^r")
+    assert code == 1 and out == "" and "big.json" in err
+
+
 def test_verify_law_round_trip(tmp_path, capsys, stretch_frame):
     doc = _write(tmp_path, "x.json", _vec([1.0, 2.0, 3.0]))
     moved = tmp_path / "moved.json"

@@ -79,6 +79,24 @@ def test_singularity_threshold_scales_with_entries():
             inverse(t)
 
 
+def test_singularity_threshold_saturates_beyond_float64():
+    # 1e200 ** 2 overflows a Python float power
+    assert singularity_threshold(_mixed([[0.0, 0.0], [0.0, 1e200]])) == float("inf")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, 0.0], [0.0, 1e200]],
+        [[0.0, 1e300, 0.0], [1e300, 0.0, 0.0], [0.0, 0.0, 0.0]],  # inf * 0: det NaN
+        [[float("nan"), 0.0], [0.0, 1.0]],
+    ],
+)
+def test_overflowing_or_nan_matrices_are_singular(rows):
+    with pytest.raises(SingularityError):
+        inverse(_mixed(rows))
+
+
 def test_exactly_singular_is_rejected_with_value_in_message():
     t = _mixed([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
     with pytest.raises(SingularityError) as err:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indicial import (
     DOWN,
@@ -91,6 +93,7 @@ def test_integer_components_are_read_as_floats():
         {"dim": 2, "slots": ["up"], "weight": 1.5, "components": [1, 2]},
         {"dim": 2, "slots": ["up"], "weight": True, "components": [1, 2]},
         {"dim": 2, "slots": ["up"]},
+        {"dim": 2, "slots": [["up"]], "components": [1, 2]},
     ],
 )
 def test_malformed_documents_are_rejected(doc):
@@ -283,3 +286,171 @@ def test_bindings_file_must_be_an_object(tmp_path):
     path = _write(tmp_path, "arr.json", [1, 2, 3])
     with pytest.raises(DocumentError, match="must be a JSON object"):
         load_bindings([path])
+
+
+# every number passes one reader
+
+_BEYOND_FLOAT64 = "1" + "0" * 400
+_BEYOND_DIGIT_LIMIT = "1" * 5000  # json refuses integers this long
+
+_LOADERS = {
+    "tensor": load_tensor_document,
+    "bindings": lambda path: load_bindings([path]),
+    "frame": load_frame_document,
+    "basis": load_basis_document,
+}
+
+
+def _document_text(kind, number):
+    """A dim-2 document of ``kind`` with one number spelled as ``number``."""
+    if kind == "frame":
+        return f'{{"dim": 2, "c": [[1, 0], [0, {number}]]}}'
+    if kind == "basis":
+        return f'{{"dim": 2, "vectors": [[1, 0], [0, {number}]]}}'
+    return f'{{"dim": 2, "slots": ["up"], "components": [1, {number}]}}'
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "number",
+    [
+        _BEYOND_FLOAT64,
+        "-" + _BEYOND_FLOAT64,
+        _BEYOND_DIGIT_LIMIT,
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "1e400",  # parses as inf
+    ],
+    ids=["1e400-int", "-1e400-int", "5000-digits", "nan", "inf", "-inf", "1e400"],
+)
+def test_numbers_float64_cannot_hold_are_rejected_at_load(tmp_path, kind, number):
+    p = tmp_path / "doc.json"
+    p.write_text(_document_text(kind, number))
+    with pytest.raises(DocumentError, match="doc.json"):
+        _LOADERS[kind](str(p))
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), math.nan, -math.inf], ids=["big", "-big", "nan", "-inf"]
+)
+def test_parse_rejects_numbers_float64_cannot_hold(value):
+    with pytest.raises(DocumentError):
+        parse_tensor_document({"dim": 1, "slots": [], "components": value})
+    with pytest.raises(DocumentError):
+        parse_frame_document({"dim": 2, "c": [[1, 0], [0, value]]})
+    with pytest.raises(DocumentError):
+        parse_basis_document({"dim": 2, "vectors": [[1, 0], [value, 1]]})
+
+
+def test_numpy_floats_are_still_numbers():
+    t = parse_tensor_document(
+        {"dim": 2, "slots": ["up"], "components": [np.float64(0.5), 2]}
+    )
+    assert t.components.tolist() == [0.5, 2.0]
+
+
+def test_declared_dim_is_checked_against_the_components_before_allocating():
+    # np.zeros((10**7,) * 3) would refuse this shape with a ValueError
+    doc = {"dim": 10_000_000, "slots": ["up", "up", "up"], "components": []}
+    with pytest.raises(DocumentError, match="length 10000000 at depth 0"):
+        parse_tensor_document(doc)
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"dim": 2, "slots": ["\xff"]}', b"[" * 100_000], ids=["utf8", "deep"]
+)
+def test_load_rejects_undecodable_text(tmp_path, raw):
+    p = tmp_path / "odd.json"
+    p.write_bytes(raw)
+    with pytest.raises(DocumentError, match="odd.json is not valid JSON"):
+        load_tensor_document(str(p))
+
+
+def test_negative_zero_round_trips():
+    t = new_object(2, (UP,), 0, [-0.0, 0.0])
+    back = parse_tensor_document(json.loads(format_tensor_document(t)))
+    assert back.components.tobytes() == t.components.tobytes()
+
+
+# properties
+
+_BIG_INTS = st.builds(
+    lambda digits, sign: sign * 10**digits,
+    st.integers(300, 420),
+    st.sampled_from([1, -1]),
+)
+_NUMBERS = st.integers() | _BIG_INTS | st.floats()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_KEYS = {
+    parse_tensor_document: ("dim", "slots", "weight", "components"),
+    parse_frame_document: ("dim", "c"),
+    parse_basis_document: ("dim", "vectors"),
+}
+
+
+@st.composite
+def _near_valid_documents(draw, parse):
+    """Documents of the right shape with a few of their parts spoiled."""
+    dim = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, 3)) if parse is parse_tensor_document else 2
+    leaves = _NUMBERS | _JSON_VALUES if draw(st.booleans()) else _NUMBERS
+
+    def nest(depth):
+        if depth == rank:
+            return draw(leaves)
+        length = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+        return [nest(depth + 1) for _ in range(length)]
+
+    doc = {
+        "dim": dim,
+        "slots": draw(st.lists(st.sampled_from(["up", "down"]), min_size=rank, max_size=rank)),
+        "weight": draw(st.integers(-2, 2)),
+    }
+    doc = {key: doc.get(key, nest(0)) for key in _KEYS[parse]}
+    for key in draw(st.sets(st.sampled_from(_KEYS[parse] + ("extra",)), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@st.composite
+def _parse_inputs(draw):
+    parse = draw(st.sampled_from(sorted(_KEYS, key=lambda f: f.__name__)))
+    return parse, draw(_JSON_VALUES | _near_valid_documents(parse))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_parse_inputs())
+def test_any_json_value_loads_or_raises_document_error(case):
+    parse, value = case
+    allowed = (DocumentError, SingularityError) if parse is parse_frame_document else DocumentError
+    try:
+        parse(value)
+    except allowed:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_valid_documents_round_trip_bit_exactly(data):
+    dim = data.draw(st.integers(1, 4))
+    slots = data.draw(st.lists(st.sampled_from([UP, DOWN]), max_size=4))
+    values = data.draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=dim ** len(slots),
+            max_size=dim ** len(slots),
+        )
+    )
+    t = new_object(dim, slots, data.draw(st.integers(-3, 3)), values)
+    back = parse_tensor_document(json.loads(format_tensor_document(t)))
+    assert back == t
+    assert back.components.tobytes() == t.components.tobytes()
