@@ -34,15 +34,19 @@ def determinant(t: TensorObject) -> float:
     m = _require_mixed_matrix(t, "determinant")
     d = t.dim
     if d <= 4:
+        # Python floats: the same IEEE products as numpy scalars, but an
+        # overflow to inf (or inf * 0 = NaN) passes without a RuntimeWarning
+        rows = m.tolist()
         total = 0.0
         for perm in itertools.permutations(range(1, d + 1)):
             sign = permutation_sign(perm, d)
             prod = 1.0
             for col, row in enumerate(perm):
-                prod *= m[row - 1, col]
+                prod *= rows[row - 1][col]
             total += sign * prod
         return total
-    return float(np.linalg.det(m))
+    with np.errstate(over="ignore"):  # inverse counts an infinite det as singular
+        return float(np.linalg.det(m))
 
 
 def singularity_threshold(t: TensorObject) -> float:

@@ -9,6 +9,12 @@ into target order.  The default schedule contracts left to right;
 the smallest result first (ties broken by position), which never changes
 values, only cost.
 
+Both stages memoize, as ``parse`` does, in caches of ``CACHE_SIZE``
+entries: ``validate`` on the statement, the mode and the signatures of the
+names the statement references (never on the bindings themselves), and
+``order_contractions`` on the plan object.  Plans are immutable, so every
+caller shares them.
+
 Index-to-slot matching: in strict mode the written upper indices bind the
 upper slots in order and the written lower indices bind the lower slots in
 order, so ``x_1^r`` and ``x^r_1`` address the same object.  In orthogonal
@@ -20,13 +26,15 @@ written ones.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from ..errors import AddressingError, ConventionError, ShapeError
-from ..objects import DOWN, UP, TensorObject, Variance
-from .syntax import FactorRef, Statement
+from ..objects import DOWN, UP, TensorObject, Variance, require_storable
+from .syntax import CACHE_SIZE, FactorRef, Statement
 
 
 class Mode(enum.Enum):
@@ -85,14 +93,17 @@ class TermPlan:
         return self.prep_cost + sum(s.cost for s in self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionPlan:
+    """A lowered statement.  Plans are shared, so ``signatures`` is read-only
+    and a plan compares and hashes by identity."""
+
     mode: Mode
     dim: int
     result_slots: tuple[Variance, ...]
     weight: int
     free_letters: tuple[str, ...]
-    signatures: dict[str, Signature]
+    signatures: Mapping[str, Signature]
     terms: tuple[TermPlan, ...]
 
     @property
@@ -177,12 +188,43 @@ def validate(
     """Check conventions and bindings; return an executable plan.
 
     Raises ShapeError for binding mismatches (unbound name, wrong arity or
-    variance counts, conflicting dims), ConventionError for summation
-    convention violations (a letter used three times, a dummy pair that is
-    not upper+lower in strict mode, free-letter or weight mismatches across
-    terms, a missing or non-matching target layout), and AddressingError
-    for a fixed digit index outside 1..dim.
+    variance counts, conflicting dims) and for a result beyond the dense
+    storage cap, ConventionError for summation convention violations (a
+    letter used three times, a dummy pair that is not upper+lower in strict
+    mode, free-letter or weight mismatches across terms, a missing or
+    non-matching target layout), and AddressingError for a fixed digit
+    index outside 1..dim.  Plans are memoized and shared between callers.
     """
+    try:
+        key = _signatures_key(statement, signatures)
+    except Exception:  # a missing or malformed binding: the body raises its error
+        return _validate(statement, signatures, mode)
+    return _validate_cached(statement, mode, key)
+
+
+def _signatures_key(
+    statement: Statement, signatures: dict[str, object]
+) -> tuple[tuple[str, Signature], ...]:
+    """The normalized signature of each referenced name, by first appearance."""
+    key = []
+    for name in dict.fromkeys(f.name for term in statement.terms for f in term.factors):
+        if name not in signatures:
+            raise KeyError(name)
+        key.append((name, _signature(name, signatures[name])))
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _validate_cached(
+    statement: Statement, mode: Mode, key: tuple[tuple[str, Signature], ...]
+) -> ContractionPlan:
+    # every check reads only the statement, the mode and these signatures
+    return _validate(statement, dict(key), mode)
+
+
+def _validate(
+    statement: Statement, signatures: dict[str, object], mode: Mode
+) -> ContractionPlan:
     resolved: dict[str, Signature] = {}
 
     def lookup(name: str) -> Signature:
@@ -305,13 +347,15 @@ def validate(
                     )
         free_letters = tuple(target_letters)
         result_slots = tuple(spec.variance for spec in target.indices)
+    require_storable(dim, len(free_letters))
 
     terms = []
     for coeff, factors, prep, naive in lowered:
         steps, output_axes = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
         terms.append(TermPlan(coeff, factors, steps, output_axes, prep, naive))
     return ContractionPlan(
-        mode, dim, result_slots, term_weights[0], free_letters, resolved, tuple(terms)
+        mode, dim, result_slots, term_weights[0], free_letters,
+        MappingProxyType(resolved), tuple(terms),
     )
 
 
@@ -346,10 +390,12 @@ def _schedule(
     return tuple(steps), tuple(items[0].index(l) for l in free_letters)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def order_contractions(plan: ContractionPlan) -> ContractionPlan:
     """Reschedule every term by the greedy smallest-result rule.
 
     Pure: returns a new plan; values are unchanged, only the cost model.
+    Memoized on the plan object.
     """
     free_letters, dim = plan.free_letters, plan.dim
     terms = []

@@ -18,13 +18,19 @@ and fixes the output slot order; it may carry no indices for a scalar.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ExpressionSyntaxError
 from ..objects import DOWN, UP, Variance
 
 _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+
+# entries per memo of the einsum stages (parse here, validate and
+# order_contractions in the planner): enough for a working set of reused
+# statements, and under 2 MB for all three when every text is new
+CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,14 @@ class Term:
 class Statement:
     target: FactorRef | None
     terms: tuple[Term, ...]
+    # hashed once, since the planner's cache hashes the statement per call
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.target, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class _Scanner:
@@ -170,8 +184,12 @@ class _Scanner:
         return tuple(terms)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def parse(text: str) -> Statement:
-    """Parse one statement.  Raises ExpressionSyntaxError with a column."""
+    """Parse one statement.  Raises ExpressionSyntaxError with a column.
+
+    Memoized on the text; the statement is immutable, so callers share it.
+    """
     sc = _Scanner(text)
     target: FactorRef | None = None
 

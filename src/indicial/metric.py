@@ -53,6 +53,9 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
     elif g.slots != (DOWN, DOWN):
         raise ShapeError(f"metric needs slots (down, down), got {g!r}")
     m = g.components
+    # every comparison with NaN is False, so the checks below would pass it
+    if not np.isfinite(m).all():
+        raise DefinitenessError("metric components must be finite")
     if float(np.max(np.abs(m - m.T))) > DEFAULT_SYMMETRY_TOL:
         raise DefinitenessError("metric must be symmetric")
     minors = [float(np.linalg.det(m[:k, :k])) for k in range(1, g.dim + 1)]
@@ -73,7 +76,9 @@ def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
         raise ShapeError("empty basis")
     dim = len(basis)
     rows = np.stack([require_vector(e, dim, "basis vector") for e in basis])
-    return metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, rows @ rows.T))
+    with np.errstate(over="ignore"):  # an overflowing Gram matrix is rejected as non-finite
+        gram = rows @ rows.T
+    return metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, gram))
 
 
 def orthonormal_metric(dim: int = 3) -> Metric:

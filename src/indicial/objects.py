@@ -30,6 +30,10 @@ class Variance(enum.Enum):
     UP = "up"
     DOWN = "down"
 
+    # members compare by identity; Enum's own hash runs in Python, and slot
+    # tuples are hashed on every cached parse and validate
+    __hash__ = object.__hash__
+
 
 UP = Variance.UP
 DOWN = Variance.DOWN
@@ -128,11 +132,7 @@ def new_object(
             raise ShapeError(f"slot {s!r} is not a Variance")
     if not isinstance(weight, int) or isinstance(weight, bool):
         raise ShapeError(f"weight must be an integer, got {weight!r}")
-    size = dim ** len(slots)
-    if size > MAX_COMPONENTS:
-        raise ShapeError(
-            f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
-        )
+    size = require_storable(dim, len(slots))
     arr = np.asarray(components, dtype=np.float64)
     shape = (dim,) * len(slots)
     if arr.shape != shape:
@@ -178,11 +178,7 @@ def outer_product(a: TensorObject, b: TensorObject) -> TensorObject:
     """Tensor product: slots concatenate, weights add."""
     if a.dim != b.dim:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
-    size = a.dim ** (a.rank + b.rank)
-    if size > MAX_COMPONENTS:
-        raise ShapeError(
-            f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
-        )
+    require_storable(a.dim, a.rank + b.rank)
     arr = np.multiply.outer(a.components, b.components)
     return TensorObject(a.dim, a.slots + b.slots, a.weight + b.weight, _frozen(arr))
 
@@ -193,6 +189,16 @@ def is_index_value(v: object) -> bool:
     return type(v) is int or (
         isinstance(v, numbers.Integral) and not isinstance(v, bool)
     )
+
+
+def require_storable(dim: int, rank: int) -> int:
+    """``dim ** rank``; ShapeError when it exceeds the dense storage cap."""
+    size = dim ** rank
+    if size > MAX_COMPONENTS:
+        raise ShapeError(
+            f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
+        )
+    return size
 
 
 def require_vector(x: object, dim: int, what: str = "vector") -> np.ndarray:

@@ -223,6 +223,25 @@ def test_huge_declared_dim_exits_one(tmp_path, capsys):
     assert code == 1 and out == "" and "big.json" in err
 
 
+@pytest.mark.parametrize("kind", ["frame", "basis"])
+def test_overflowing_inputs_print_only_the_error_line(tmp_path, kind):
+    # numpy's overflow warnings used to reach stderr ahead of the error, and
+    # the basis used to fail only at emission (exit 1)
+    big = [[1e200, 0], [0, 1e200]]
+    vec = _write(tmp_path, "x.json", _vec([1, 0]))
+    if kind == "frame":
+        argv = ["transform", "--frame", _write(tmp_path, "f.json", {"dim": 2, "c": big}),
+                "--input", vec]
+    else:
+        argv = ["dot", vec, vec, "--basis",
+                _write(tmp_path, "b.json", {"dim": 2, "vectors": big})]
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indicial", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_verify_law_round_trip(tmp_path, capsys, stretch_frame):
     doc = _write(tmp_path, "x.json", _vec([1.0, 2.0, 3.0]))
     moved = tmp_path / "moved.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from oracles import cofactor_det, gauss_jordan_inverse
 from indicial.determinants import determinant, inverse, singularity_threshold
 from indicial.errors import ShapeError, SingularityError
 from indicial.objects import DOWN, UP, new_object
-from indicial.symbols import KroneckerKind, kronecker
+from indicial.symbols import KroneckerKind, kronecker, permutation_sign
 
 
 def _mixed(arr):
@@ -36,6 +38,22 @@ def test_determinant_matches_cofactor_expansion(dim):
         expected = cofactor_det(arr.tolist())
         got = determinant(_mixed(arr))
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_small_determinant_is_the_permutation_sum_in_python_floats(dim):
+    """Bit-identical to the same sum over numpy scalars, returned as a float."""
+    rng = np.random.default_rng(dim * 13)
+    for _ in range(30):
+        arr = rng.uniform(-2.0, 2.0, size=(dim, dim))
+        expected = 0.0
+        for perm in itertools.permutations(range(1, dim + 1)):
+            prod = 1.0
+            for col, row in enumerate(perm):
+                prod *= arr[row - 1, col]
+            expected += permutation_sign(perm, dim) * prod
+        got = determinant(_mixed(arr))
+        assert type(got) is float and got == expected
 
 
 def test_determinant_requires_mixed_slots():

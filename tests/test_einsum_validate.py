@@ -122,6 +122,18 @@ def test_fixed_digit_bounds():
         validate(parse("t = x_4^r v_r"), {"x": (3, (UP, DOWN), 0), "v": V_DOWN})
 
 
+def test_result_beyond_the_storage_cap_is_rejected_before_execution():
+    # 9**8 = 43M result components; only validate runs, nothing is allocated
+    x, y = (9, (UP,), 0), (9, (DOWN,), 0)
+    with pytest.raises(ShapeError, match="dense storage cap"):
+        validate(parse("t^{abcdefgh} = x^a x^b x^c x^d x^e x^f x^g x^h"), {"x": x})
+    # intermediates are not capped: a left-to-right run of this one would
+    # hold 9**8 components, greedy order keeps every step at one component
+    plan = validate(parse("s = x^a x^b x^c x^d x^e x^f x^g x^h "
+                          "y_a y_b y_c y_d y_e y_f y_g y_h"), {"x": x, "y": y})
+    assert plan.result_slots == ()
+
+
 def test_naive_cost_counts_distinct_letters():
     plan = validate(
         parse("t = a_{rst} x^r y^s z^t"),

@@ -59,6 +59,23 @@ def test_metric_from_basis_is_the_gram_matrix():
         assert abs(m.g.components[r, s] - dot3(rows[r], rows[s])) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_metric_is_rejected(bad, at):
+    arr = np.eye(2)
+    arr[at] = arr[at[::-1]] = bad
+    with pytest.raises(DefinitenessError, match="finite"):
+        metric_from_tensor(arr)
+    with pytest.raises(DefinitenessError, match="finite"):
+        metric_from_tensor(new_object(2, (DOWN, DOWN), 0, arr))
+
+
+def test_basis_whose_gram_matrix_overflows_is_rejected():
+    basis = [new_object(2, (UP,), 0, row) for row in ([1e200, 0.0], [0.0, 1e200])]
+    with pytest.raises(DefinitenessError, match="finite"):
+        metric_from_basis(basis)
+
+
 def test_orthonormal_metric_is_identity():
     m = orthonormal_metric(3)
     assert np.array_equal(m.g.components, np.eye(3))
