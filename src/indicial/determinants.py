@@ -8,14 +8,13 @@ elimination path, which agrees with the reference sum on small matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import ShapeError, SingularityError
 from .objects import MIXED_SLOTS, TensorObject, _frozen
-from .symbols import permutation_sign
+from .symbols import _signed_permutations
 
 # |det| <= SINGULARITY_FACTOR * max|entry| ** dim counts as singular
 SINGULARITY_FACTOR = 1e-12
@@ -38,11 +37,10 @@ def determinant(t: TensorObject) -> float:
         # overflow to inf (or inf * 0 = NaN) passes without a RuntimeWarning
         rows = m.tolist()
         total = 0.0
-        for perm in itertools.permutations(range(1, d + 1)):
-            sign = permutation_sign(perm, d)
+        for sign, perm in _signed_permutations(d):
             prod = 1.0
             for col, row in enumerate(perm):
-                prod *= rows[row - 1][col]
+                prod *= rows[row][col]
             total += sign * prod
         return total
     with np.errstate(over="ignore"):  # inverse counts an infinite det as singular

@@ -223,8 +223,7 @@ def _ex04(ctx: CheckContext, rng: np.random.Generator) -> float:
 def _ex05(ctx: CheckContext, rng: np.random.Generator) -> float:
     t = _rand(rng, 3, (DOWN, DOWN, DOWN))
     arr = np.zeros_like(t.components)
-    for perm in itertools.permutations(range(3)):
-        sign = symbols.permutation_sign(tuple(p + 1 for p in perm))
+    for sign, perm in symbols._signed_permutations(3):
         arr += sign * np.transpose(t.components, perm)
     arr /= 6.0
     dev = 0.0
@@ -282,8 +281,7 @@ def _ex08(ctx: CheckContext, rng: np.random.Generator) -> float:
 def _ex09(ctx: CheckContext, rng: np.random.Generator) -> float:
     t = _rand(rng, 3, (DOWN, DOWN, DOWN))
     arr = np.zeros_like(t.components)
-    for perm in itertools.permutations(range(3)):
-        sign = symbols.permutation_sign(tuple(p + 1 for p in perm))
+    for sign, perm in symbols._signed_permutations(3):
         arr += sign * np.transpose(t.components, perm)
     arr /= 6.0
     e = symbols.levi_civita_symbol(3, DOWN)

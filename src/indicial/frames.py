@@ -54,7 +54,8 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     residual = float(
         np.max(np.abs(gamma.components @ c.components - np.eye(c.dim)))
     )
-    if residual > _FRAME_CHECK_TOL:
+    # written so that a NaN residual fails it too
+    if not residual <= _FRAME_CHECK_TOL:
         raise SingularityError(
             f"frame matrix is too ill-conditioned to invert reliably "
             f"(residual {residual:.3e})"
@@ -103,15 +104,13 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
     if t.dim != f.dim:
         raise ShapeError(f"object has dim {t.dim}, frame has dim {f.dim}")
     arr = t.components
-    c = f.c.components
+    # x-bar^r = c^r_s x^s: an upper slot, moved last, times c.T;
+    # a-bar_r = gamma^s_r a_s: a lower slot, moved last, times gamma
+    c_t = f.c.components.T
     g = f.gamma.components
     for k, variance in enumerate(t.slots):
-        if variance is UP:
-            # x-bar^r = c^r_s x^s: sum the slot against c's column axis
-            arr = np.moveaxis(np.tensordot(arr, c, axes=([k], [1])), -1, k)
-        else:
-            # a-bar_r = gamma^s_r a_s: sum the slot against gamma's row axis
-            arr = np.moveaxis(np.tensordot(arr, g, axes=([k], [0])), -1, k)
+        m = c_t if variance is UP else g
+        arr = np.swapaxes(np.swapaxes(arr, k, -1) @ m, k, -1)
     if t.weight != 0:
         arr = arr * _int_power(f.det_gamma, t.weight)
     # asarray(order="C") rather than ascontiguousarray: the latter promotes

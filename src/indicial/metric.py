@@ -58,7 +58,12 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
         raise DefinitenessError("metric components must be finite")
     if float(np.max(np.abs(m - m.T))) > DEFAULT_SYMMETRY_TOL:
         raise DefinitenessError("metric must be symmetric")
-    minors = [float(np.linalg.det(m[:k, :k])) for k in range(1, g.dim + 1)]
+    with np.errstate(over="ignore"):  # an overflowing minor is rejected below
+        minors = [float(np.linalg.det(m[:k, :k])) for k in range(1, g.dim + 1)]
+    if not all(math.isfinite(minor) for minor in minors):
+        raise DefinitenessError(
+            f"metric leading minors overflow float64: {minors}"
+        )
     if any(minor <= MINOR_TOL for minor in minors):
         raise DefinitenessError(
             f"metric is not positive-definite: leading minors {minors}"
@@ -110,7 +115,8 @@ def _move_index(
         raise ConventionError(
             f"slot {slot} is {t.slots[slot].value}, expected {before.value}"
         )
-    arr = np.moveaxis(np.tensordot(t.components, matrix, axes=([slot], [1])), -1, slot)
+    # the slot, moved last, times matrix.T: sum it against the matrix's column axis
+    arr = np.swapaxes(np.swapaxes(t.components, slot, -1) @ matrix.T, slot, -1)
     slots = t.slots[:slot] + (after,) + t.slots[slot + 1 :]
     return TensorObject(t.dim, slots, t.weight, _frozen(np.asarray(arr, order="C")))
 

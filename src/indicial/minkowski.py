@@ -56,12 +56,15 @@ def is_lorentz(c: Sequence[Sequence[float]], tol: float = _CONDITION_TOL) -> boo
     For every column pair (s, r): c^0_s c^0_r - sum_i c^i_s c^i_r must be
     0 for s != r, 1 for s == r == 0, and -1 for s == r != 0.
     """
-    m = _as_matrix(c)
+    # Python floats: the same IEEE products as numpy scalars, without a
+    # RuntimeWarning for an inf or NaN entry
+    t, x, y, z = _as_matrix(c).tolist()
     for s in range(4):
         for r in range(4):
-            value = m[0, s] * m[0, r] - m[1, s] * m[1, r] - m[2, s] * m[2, r] - m[3, s] * m[3, r]
+            value = t[s] * t[r] - x[s] * x[r] - y[s] * y[r] - z[s] * z[r]
             expected = 0.0 if s != r else (1.0 if s == 0 else -1.0)
-            if abs(value - expected) > tol:
+            # written so that a NaN value fails it too
+            if not abs(value - expected) <= tol:
                 return False
     return True
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from typing import Sequence
 
@@ -54,19 +55,40 @@ def kronecker(dim: int, kind: KroneckerKind) -> TensorObject:
     return new_object(dim, kind.value, 0, np.eye(dim))
 
 
+@functools.lru_cache(maxsize=None)  # called with dims 1..6 only
+def _signed_permutations(dim: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(sign, zero-based permutation)`` of 1..dim, in itertools order.
+
+    The one table of permutation signs behind the symbols and the small
+    determinant.
+    """
+    return tuple(
+        (permutation_sign(perm, dim), tuple(v - 1 for v in perm))
+        for perm in itertools.permutations(range(1, dim + 1))
+    )
+
+
 def levi_civita_symbol(dim: int, variance: Variance) -> TensorObject:
     """Rank-``dim`` permutation symbol.
 
     Components are the permutation signs of the multi-index.  The all-lower
     symbol carries weight -1 and the all-upper symbol weight +1, which makes
-    both invariant under the weighted transformation law.
+    both invariant under the weighted transformation law.  Repeat calls
+    return the same immutable object.
     """
     if not isinstance(variance, Variance):
         raise ShapeError(f"{variance!r} is not a Variance")
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 6:
         raise ShapeError(f"permutation symbol supports dim 1..6, got {dim!r}")
+    return _levi_civita_symbol(dim, variance)
+
+
+# behind the checks above: True == 1 and hash(True) == hash(1), so a bool
+# dim would otherwise hit the dim-1 entry
+@functools.lru_cache(maxsize=None)
+def _levi_civita_symbol(dim: int, variance: Variance) -> TensorObject:
     arr = np.zeros((dim,) * dim)
-    for perm in itertools.permutations(range(1, dim + 1)):
-        arr[tuple(v - 1 for v in perm)] = permutation_sign(perm, dim)
+    for sign, perm in _signed_permutations(dim):
+        arr[perm] = sign
     weight = 1 if variance is UP else -1
     return new_object(dim, (variance,) * dim, weight, arr)

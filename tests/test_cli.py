@@ -242,6 +242,20 @@ def test_overflowing_inputs_print_only_the_error_line(tmp_path, kind):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_metric_whose_minors_overflow_prints_only_the_error_line(tmp_path):
+    # det_g used to overflow to inf with a numpy warning, and the cross
+    # product came out as [0, 0, 0] with exit 0
+    g = _write(tmp_path, "g.json", {"dim": 3, "slots": ["down", "down"],
+                                    "components": np.diag([1e200, 1e200, 1.0]).tolist()})
+    argv = ["cross", _write(tmp_path, "x.json", _vec([1, 0, 0])),
+            _write(tmp_path, "y.json", _vec([0, 1, 0])), "--metric", g]
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indicial", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_verify_law_round_trip(tmp_path, capsys, stretch_frame):
     doc = _write(tmp_path, "x.json", _vec([1.0, 2.0, 3.0]))
     moved = tmp_path / "moved.json"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import direct_law
 
+from indicial import frames
 from indicial.determinants import determinant
 from indicial.errors import ShapeError, SingularityError
 from indicial.frames import (
@@ -17,7 +18,16 @@ from indicial.frames import (
     transform_basis,
     verify_transform_law,
 )
-from indicial.objects import DOWN, UP, add, contract, new_object, outer_product, zeros
+from indicial.objects import (
+    DOWN,
+    MIXED_SLOTS,
+    UP,
+    add,
+    contract,
+    new_object,
+    outer_product,
+    zeros,
+)
 from indicial.symbols import KroneckerKind, kronecker, levi_civita_symbol
 
 
@@ -92,6 +102,45 @@ def test_transform_matches_direct_law(slots, weight):
     assert got.slots == slots
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(got.components - expected)) <= 1e-12 * scale
+
+
+def _tensordot_law(t, f):
+    """The per-slot ``tensordot`` law, kept as the bytes reference."""
+    arr = t.components
+    for k, variance in enumerate(t.slots):
+        if variance is UP:
+            arr = np.moveaxis(np.tensordot(arr, f.c.components, axes=([k], [1])), -1, k)
+        else:
+            arr = np.moveaxis(np.tensordot(arr, f.gamma.components, axes=([k], [0])), -1, k)
+    if t.weight != 0:
+        factor = 1.0
+        for _ in range(abs(t.weight)):
+            factor = factor * f.det_gamma if t.weight > 0 else factor / f.det_gamma
+        arr = arr * factor
+    return np.asarray(arr, order="C")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_transform_is_byte_identical_to_the_tensordot_law(dim):
+    rng = np.random.default_rng(dim + 40)
+    for rank in range(5):
+        for slots in itertools.product((UP, DOWN), repeat=rank):
+            for weight in (-1, 0, 1, 2):
+                f = random_frame(rng, dim)
+                t = new_object(dim, slots, weight, rng.normal(size=(dim,) * rank))
+                got = transform(t, f).components
+                expected = _tensordot_law(t, f)
+                assert got.shape == expected.shape and got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes(), (dim, slots, weight)
+
+
+def test_frame_with_nan_residual_is_rejected(monkeypatch):
+    def nan_inverse(c):
+        return new_object(c.dim, MIXED_SLOTS, 0, np.full((c.dim, c.dim), np.nan))
+
+    monkeypatch.setattr(frames, "inverse", nan_inverse)
+    with pytest.raises(SingularityError, match="residual nan"):
+        frame_from_matrix(np.eye(3))
 
 
 def test_transform_rejects_dim_mismatch():

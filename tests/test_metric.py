@@ -76,6 +76,16 @@ def test_basis_whose_gram_matrix_overflows_is_rejected():
         metric_from_basis(basis)
 
 
+@pytest.mark.parametrize(
+    "diagonal", [[1e200, 1e200, 1.0], [1e160, 1e160, 1e160], [1e300, 1e10]]
+)
+def test_metric_whose_leading_minors_overflow_is_rejected(diagonal):
+    # the last minor used to come back as det_g = inf, so the epsilon tensor
+    # divided by inf and cross products were silently zero
+    with pytest.raises(DefinitenessError, match="overflow"):
+        metric_from_tensor(np.diag(diagonal))
+
+
 def test_orthonormal_metric_is_identity():
     m = orthonormal_metric(3)
     assert np.array_equal(m.g.components, np.eye(3))
@@ -93,6 +103,32 @@ def test_lower_and_raise_match_explicit_sums():
         assert abs(low.components[r] - expected) <= 1e-12
     back = raise_index(low, 0, m)
     assert np.allclose(back.components, x.components, atol=1e-9)
+
+
+def _tensordot_move(t, slot, matrix):
+    """The ``tensordot`` form of raising and lowering, kept as the bytes reference."""
+    return np.asarray(
+        np.moveaxis(np.tensordot(t.components, matrix, axes=([slot], [1])), -1, slot),
+        order="C",
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_raise_and_lower_are_byte_identical_to_tensordot(dim):
+    rng = np.random.default_rng(dim + 50)
+    for rank in range(1, 5):
+        for slots in itertools.product((UP, DOWN), repeat=rank):
+            m = random_metric(rng, dim)
+            t = new_object(dim, slots, 1, rng.normal(size=(dim,) * rank))
+            for slot, variance in enumerate(slots):
+                if variance is UP:
+                    got = lower_index(t, slot, m)
+                    expected = _tensordot_move(t, slot, m.g.components)
+                else:
+                    got = raise_index(t, slot, m)
+                    expected = _tensordot_move(t, slot, m.g_inv.components)
+                assert got.weight == 1 and got.components.flags.c_contiguous
+                assert got.components.tobytes() == expected.tobytes(), (dim, slots, slot)
 
 
 def test_move_index_slot_rules():

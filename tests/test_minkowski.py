@@ -51,6 +51,14 @@ def test_is_lorentz_on_known_members():
     assert not is_lorentz(np.zeros((4, 4)))
 
 
+def test_non_finite_matrices_are_not_lorentz():
+    # NaN failed no `> tol` test, and an inf entry times 0 warned
+    with np.errstate(invalid="ignore"):
+        inf_eye = np.eye(4) * np.inf
+    for c in (np.full((4, 4), np.nan), inf_eye, np.diag([np.inf] * 4), boost(0.5) * 1e200):
+        assert is_lorentz(c) is False
+
+
 def test_eta_residual_matches_loop_oracle():
     rng = np.random.default_rng(0)
     for c in (boost(0.6), _rotation4(0.3), rng.uniform(-1, 1, (4, 4))):

@@ -8,6 +8,7 @@ from indicial.errors import AddressingError, ShapeError
 from indicial.objects import DOWN, UP
 from indicial.symbols import (
     KroneckerKind,
+    _signed_permutations,
     kronecker,
     levi_civita_symbol,
     permutation_sign,
@@ -96,3 +97,49 @@ def test_levi_civita_symbol_rejects_bad_dim():
         levi_civita_symbol(0, DOWN)
     with pytest.raises(ShapeError):
         levi_civita_symbol(7, DOWN)  # rank would explode
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_signed_permutation_table_is_permutation_sign_in_itertools_order(dim):
+    expected = [
+        (permutation_sign(perm, dim), tuple(v - 1 for v in perm))
+        for perm in itertools.permutations(range(1, dim + 1))
+    ]
+    assert list(_signed_permutations(dim)) == expected
+    assert _signed_permutations(dim) is _signed_permutations(dim)
+
+
+@pytest.mark.parametrize("variance", [UP, DOWN])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_levi_civita_symbol_is_one_shared_read_only_object(dim, variance):
+    e = levi_civita_symbol(dim, variance)
+    assert levi_civita_symbol(dim, variance) is e
+    assert not e.components.flags.writeable
+    with pytest.raises(ValueError):
+        e.components[(0,) * dim] = 2.0
+    # a table built here, from the independent inversion count
+    table = np.zeros((dim,) * dim)
+    for perm in itertools.permutations(range(dim)):
+        table[perm] = _inversion_sign(perm)
+    assert e.components.dtype == np.float64
+    assert e.components.tobytes() == table.tobytes()
+    assert e.slots == (variance,) * dim
+    assert e.weight == (1 if variance is UP else -1)
+
+
+@pytest.mark.parametrize("dim", [True, False, 0, 7, -1, 3.0, np.int64(3), "3"])
+def test_levi_civita_symbol_rejects_bad_dim_also_after_a_cache_hit(dim):
+    levi_civita_symbol(1, UP)
+    levi_civita_symbol(3, DOWN)
+    for variance in (UP, DOWN):
+        with pytest.raises(ShapeError) as err:
+            levi_civita_symbol(dim, variance)
+        assert str(err.value) == f"permutation symbol supports dim 1..6, got {dim!r}"
+
+
+@pytest.mark.parametrize("variance", ["up", None, 1, KroneckerKind.MIXED])
+def test_levi_civita_symbol_rejects_bad_variance_also_after_a_cache_hit(variance):
+    levi_civita_symbol(3, UP)
+    with pytest.raises(ShapeError) as err:
+        levi_civita_symbol(3, variance)
+    assert str(err.value) == f"{variance!r} is not a Variance"
