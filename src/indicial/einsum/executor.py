@@ -1,10 +1,17 @@
 """Evaluate a ContractionPlan against concrete bindings.
 
 The plan holds every numpy argument, so ``execute`` only replays it: index
-and trace each factor, one ``np.tensordot`` per step, transpose and scale
-each term, sum the terms.  A plan rescheduled by ``order_contractions`` runs
-in its new order.  Bindings are never mutated, so evaluation is safe to run
-concurrently.
+and trace each factor, run each step as one matrix product whose operand
+permutations and 2-D shapes the plan fixed, transpose and scale each term,
+sum the terms.  The product is ``ndarray.dot``, the product numpy's own
+pairwise tensor contraction ends in after the same transposes and
+reshapes, so the bytes equal that contraction's.  A plan rescheduled by
+``order_contractions`` runs in its new order, and a plan whose schedule has
+a step product beyond the dense storage cap is refused before anything is
+allocated.  The result
+signature was proved by ``validate``, so the result is built without
+re-validation, as a C-ordered copy that shares no memory with a binding.
+Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -12,45 +19,65 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..objects import TensorObject, new_object
-from .planner import ContractionPlan, Mode
+from ..objects import MAX_COMPONENTS, TensorObject, _frozen
+from .planner import ContractionPlan, Mode, Signature
 
 
 def _check_bindings(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> None:
-    for name, (dim, slots, weight) in plan.signatures.items():
-        if name not in bindings:
-            raise ShapeError(f"no binding for name {name!r}")
-        t = bindings[name]
-        if not isinstance(t, TensorObject):
-            raise ShapeError(f"binding for {name!r} is not a TensorObject")
-        if t.dim != dim:
+    for name, signature in plan.signatures.items():
+        t = bindings.get(name)
+        if isinstance(t, TensorObject) and (t.dim, t.slots, t.weight) == signature:
+            continue
+        _check_binding(plan.mode, name, signature, bindings)
+
+
+def _check_binding(
+    mode: Mode, name: str, signature: Signature, bindings: dict[str, TensorObject]
+) -> None:
+    """Raise the ShapeError that names how a binding differs from the plan;
+    return when the difference is an orthogonal-mode variance coercion."""
+    dim, slots, weight = signature
+    if name not in bindings:
+        raise ShapeError(f"no binding for name {name!r}")
+    t = bindings[name]
+    if not isinstance(t, TensorObject):
+        raise ShapeError(f"binding for {name!r} is not a TensorObject")
+    if t.dim != dim:
+        raise ShapeError(
+            f"binding for {name!r} has dim {t.dim}, plan expects {dim}"
+        )
+    if mode is Mode.STRICT:
+        if t.slots != slots:
             raise ShapeError(
-                f"binding for {name!r} has dim {t.dim}, plan expects {dim}"
+                f"binding for {name!r} has slots "
+                f"({', '.join(s.value for s in t.slots)}), plan expects "
+                f"({', '.join(s.value for s in slots)})"
             )
-        if plan.mode is Mode.STRICT:
-            if t.slots != slots:
-                raise ShapeError(
-                    f"binding for {name!r} has slots "
-                    f"({', '.join(s.value for s in t.slots)}), plan expects "
-                    f"({', '.join(s.value for s in slots)})"
-                )
-        elif t.rank != len(slots):
-            raise ShapeError(
-                f"binding for {name!r} has rank {t.rank}, plan expects {len(slots)}"
-            )
-        if t.weight != weight:
-            raise ShapeError(
-                f"binding for {name!r} has weight {t.weight}, plan expects {weight}"
-            )
+    elif t.rank != len(slots):
+        raise ShapeError(
+            f"binding for {name!r} has rank {t.rank}, plan expects {len(slots)}"
+        )
+    if t.weight != weight:
+        raise ShapeError(
+            f"binding for {name!r} has weight {t.weight}, plan expects {weight}"
+        )
 
 
 def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorObject:
     """Run the plan and return the result object.
 
     Bindings must match the signatures recorded in the plan (exactly in
-    strict mode; up to variance coercion in orthogonal mode).
+    strict mode; up to variance coercion in orthogonal mode).  Raises
+    ShapeError, before allocating, when a step of the plan's schedule would
+    hold more than ``MAX_COMPONENTS`` components.
     """
     _check_bindings(plan, bindings)
+    for term in plan.terms:
+        if term.largest_intermediate > MAX_COMPONENTS:
+            raise ShapeError(
+                f"dense storage cap exceeded: a contraction step holds "
+                f"{term.largest_intermediate} > {MAX_COMPONENTS} components"
+            )
     total: np.ndarray | None = None
     for term in plan.terms:
         items = []
@@ -61,9 +88,21 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
             items.append(arr)
         for step in term.steps:
             right = items.pop(step.right)
-            items[step.left] = np.tensordot(items[step.left], right, axes=step.axes)
-        arr = np.transpose(items[0], term.output_axes)
+            left = items[step.left]
+            if step.left_perm is not None:
+                left = left.transpose(step.left_perm)
+            if step.right_perm is not None:
+                right = right.transpose(step.right_perm)
+            product = left.reshape(step.left_shape).dot(right.reshape(step.right_shape))
+            items[step.left] = product.reshape(step.result_shape)
+        arr = items[0]
+        if term.output_axes is not None:
+            arr = arr.transpose(term.output_axes)
         if term.coefficient != 1.0:
             arr = arr * term.coefficient
         total = arr if total is None else total + arr
-    return new_object(plan.dim, plan.result_slots, plan.weight, total)
+    # np.array copies: the result never shares memory with a binding
+    return TensorObject(
+        plan.dim, plan.result_slots, plan.weight,
+        _frozen(np.array(total, np.float64, order="C")),
+    )

@@ -3,11 +3,15 @@
 ``validate`` checks a statement against the bound signatures and lowers it
 into a ContractionPlan holding only what execution reads: per factor, the
 index tuple that pins fixed digits and the axis pairs to trace; per term,
-the pairwise ``tensordot`` schedule with each step's axes and the transpose
-into target order.  The default schedule contracts left to right;
-``order_contractions`` reschedules greedily, always merging the pair with
-the smallest result first (ties broken by position), which never changes
-values, only cost.
+the pairwise schedule and the transpose into target order.  Each step is
+lowered to one matrix product: the permutation that moves each operand's
+shared letters inward and the 2-D shapes ``(d**m, d**k)`` and
+``(d**k, d**n)`` are fixed here, together with the result shape, and the
+term records its largest step product so that execution can refuse one
+beyond the dense storage cap before it allocates.  The default schedule
+contracts left to right; ``order_contractions`` reschedules greedily, always
+merging the pair with the smallest result first (ties broken by position),
+which never changes values, only cost.
 
 Both stages memoize, as ``parse`` does, in caches of ``CACHE_SIZE``
 entries: ``validate`` on the statement, the mode and the signatures of the
@@ -64,27 +68,40 @@ class FactorPlan:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """Contract working items ``left`` and ``right`` (left < right).
+    """Contract working items ``left`` and ``right`` (left < right) as one
+    matrix product.
 
-    ``axes`` are the ``tensordot`` axes of the shared letters.  The result
-    replaces position ``left`` and position ``right`` is removed.  ``cost``
-    is the multiply-add estimate dim ** |letter union|.
+    ``left_perm`` moves the left item's shared letters last and
+    ``right_perm`` moves the right item's shared letters first, in the same
+    order (None when the item is already in that order).  The operands are
+    then reshaped to ``left_shape`` ``(d**m, d**k)`` and ``right_shape``
+    ``(d**k, d**n)``; an outer product has ``k = 0``, so its inner axis has
+    length 1.  The product, reshaped to ``result_shape``, replaces position
+    ``left`` and position ``right`` is removed.  ``cost`` is the
+    multiply-add estimate dim ** |letter union|.
     """
 
     left: int
     right: int
-    axes: tuple[tuple[int, ...], tuple[int, ...]]
+    left_perm: tuple[int, ...] | None
+    left_shape: tuple[int, int]
+    right_perm: tuple[int, ...] | None
+    right_shape: tuple[int, int]
+    result_shape: tuple[int, ...]
     cost: int
 
 
 @dataclass(frozen=True)
 class TermPlan:
-    """``output_axes`` transposes the last working item into target order."""
+    """``output_axes`` transposes the last working item into target order
+    (None when it is already in it).  ``largest_intermediate`` counts the
+    components of the largest step product (0 when there is no step)."""
 
     coefficient: float
     factors: tuple[FactorPlan, ...]
     steps: tuple[ScheduleStep, ...]
-    output_axes: tuple[int, ...]
+    output_axes: tuple[int, ...] | None
+    largest_intermediate: int
     prep_cost: int
     naive_cost: int
 
@@ -351,8 +368,8 @@ def _validate(
 
     terms = []
     for coeff, factors, prep, naive in lowered:
-        steps, output_axes = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
-        terms.append(TermPlan(coeff, factors, steps, output_axes, prep, naive))
+        schedule = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
+        terms.append(TermPlan(coeff, factors, *schedule, prep, naive))
     return ContractionPlan(
         mode, dim, result_slots, term_weights[0], free_letters,
         MappingProxyType(resolved), tuple(terms),
@@ -369,25 +386,44 @@ def _smallest_pair(items: list[tuple[str, ...]], dim: int) -> tuple[int, int]:
     return min(itertools.combinations(range(len(items)), 2), key=size)
 
 
+def _perm(
+    letters: tuple[str, ...], order: list[str] | tuple[str, ...]
+) -> tuple[int, ...] | None:
+    """The transpose taking axes named ``letters`` into ``order``; None for
+    the identity."""
+    perm = tuple(letters.index(l) for l in order)
+    return None if perm == tuple(range(len(perm))) else perm
+
+
 def _schedule(
     factors: tuple[FactorPlan, ...],
     free_letters: tuple[str, ...],
     dim: int,
     pick: Callable[[list[tuple[str, ...]], int], tuple[int, int]],
-) -> tuple[tuple[ScheduleStep, ...], tuple[int, ...]]:
-    """Contract the pairs ``pick`` chooses; return the steps and output transpose."""
+) -> tuple[tuple[ScheduleStep, ...], tuple[int, ...] | None, int]:
+    """Contract the pairs ``pick`` chooses; return the steps, the output
+    transpose and the largest step product."""
     items = [f.open_letters for f in factors]
     steps: list[ScheduleStep] = []
     while len(items) > 1:
         i, j = pick(items, dim)
         left, right = items[i], items[j]
         shared = [l for l in left if l in right]
-        result = tuple(l for l in left + right if l not in shared)
-        axes = tuple(tuple(item.index(l) for l in shared) for item in (left, right))
-        steps.append(ScheduleStep(i, j, axes, dim ** (len(result) + len(shared))))
+        kept_left = [l for l in left if l not in shared]
+        kept_right = [l for l in right if l not in shared]
+        inner = dim ** len(shared)
+        result = tuple(kept_left + kept_right)
+        steps.append(ScheduleStep(
+            i, j,
+            _perm(left, kept_left + shared), (dim ** len(kept_left), inner),
+            _perm(right, shared + kept_right), (inner, dim ** len(kept_right)),
+            (dim,) * len(result),
+            dim ** (len(result) + len(shared)),
+        ))
         items[i] = result
         del items[j]
-    return tuple(steps), tuple(items[0].index(l) for l in free_letters)
+    largest = max((dim ** len(s.result_shape) for s in steps), default=0)
+    return tuple(steps), _perm(items[0], free_letters), largest
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -400,6 +436,10 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
     free_letters, dim = plan.free_letters, plan.dim
     terms = []
     for term in plan.terms:
-        steps, output_axes = _schedule(term.factors, free_letters, dim, _smallest_pair)
-        terms.append(replace(term, steps=steps, output_axes=output_axes))
+        steps, output_axes, largest = _schedule(
+            term.factors, free_letters, dim, _smallest_pair
+        )
+        terms.append(replace(
+            term, steps=steps, output_axes=output_axes, largest_intermediate=largest
+        ))
     return replace(plan, terms=tuple(terms))

@@ -68,6 +68,7 @@ class CheckResult:
     limit: float | None
     covered_by: str | None
     elapsed_ms: float
+    error: str | None = None  # the exception class when the check crashed
 
 
 _REGISTRY: list[Check] = []
@@ -1456,16 +1457,18 @@ def run_checks(
         ctx = CheckContext(use_dim, seed, tol)
         rng = np.random.default_rng([seed, zlib.crc32(check.check_id.encode())])
         limit = tol if check.limit is None else check.limit
+        error = None
         start = time.perf_counter()
         try:
             deviation = float(check.fn(ctx, rng))
-        except Exception:
+        except Exception as exc:  # a crash fails the check and is named
             deviation = INF
+            error = type(exc).__name__
         elapsed = (time.perf_counter() - start) * 1000.0
         status = "pass" if deviation <= limit else "fail"
         results.append(
             CheckResult(check.check_id, check.title, status, deviation, limit,
-                        None, elapsed)
+                        None, elapsed, error)
         )
     return results
 
@@ -1496,6 +1499,7 @@ def format_report(
                     "limit": r.limit,
                     "covered_by": r.covered_by,
                     **({"elapsed_ms": round(r.elapsed_ms, 3)} if timings else {}),
+                    **({"error": r.error} if r.error else {}),
                 }
                 for r in results
             ],
@@ -1513,6 +1517,8 @@ def format_report(
         title = r.title
         if r.covered_by:
             title += f" [covered-by: {r.covered_by}]"
+        if r.error:
+            title += f" [error: {r.error}]"
         line = f"{r.check_id:<22} {r.status:<8} {dev:<12} {title}"
         if timings:
             line += f"  [{r.elapsed_ms:.1f}]"

@@ -8,6 +8,7 @@ contract with c and lower slots with gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -60,7 +61,18 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
             f"frame matrix is too ill-conditioned to invert reliably "
             f"(residual {residual:.3e})"
         )
-    return Frame(c.dim, c, gamma, determinant(gamma))
+    return _frame(c.dim, c, gamma, determinant(gamma))
+
+
+def _frame(dim: int, c: TensorObject, gamma: TensorObject, det_gamma: float) -> Frame:
+    """A Frame; SingularityError when det(gamma) overflowed or underflowed
+    float64, since ``transform`` scales by its powers."""
+    # written so that a NaN determinant fails it too
+    if not 0.0 < abs(det_gamma) < math.inf:
+        raise SingularityError(
+            f"frame determinant is outside float64: det(gamma) = {det_gamma}"
+        )
+    return Frame(dim, c, gamma, det_gamma)
 
 
 def identity_frame(dim: int) -> Frame:
@@ -69,7 +81,7 @@ def identity_frame(dim: int) -> Frame:
 
 def inverse_frame(f: Frame) -> Frame:
     """The frame mapping new coordinates back to old ones."""
-    return Frame(f.dim, f.gamma, f.c, determinant(f.c))
+    return _frame(f.dim, f.gamma, f.c, determinant(f.c))
 
 
 def compose(first: Frame, second: Frame) -> Frame:
@@ -78,7 +90,7 @@ def compose(first: Frame, second: Frame) -> Frame:
         raise ShapeError(f"dim mismatch: {first.dim} vs {second.dim}")
     c = second.c.components @ first.c.components
     gamma = first.gamma.components @ second.gamma.components
-    return Frame(
+    return _frame(
         first.dim,
         new_object(first.dim, MIXED_SLOTS, 0, c),
         new_object(first.dim, MIXED_SLOTS, 0, gamma),

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: documents in, documents out, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import indicial
+from indicial import exercises
 from indicial.cli import run
 from indicial.documents import parse_tensor_document
 
@@ -181,6 +183,19 @@ def test_transform_frame_with_overflowing_determinant_exits_two(tmp_path, capsys
     code, out, err = _invoke(capsys, "transform", "--frame", frame, "--input", doc)
     assert code == 2 and out == "" and "|det| = inf" in err
 
+
+
+def test_transform_frame_whose_det_gamma_overflows_exits_two(tmp_path):
+    # det(gamma) = 1e320: the frame used to load, and a weight-1 scalar then
+    # failed at emission ("cannot emit non-finite component inf", exit 1)
+    frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[1e-160, 0], [0, 1e-160]]})
+    doc = _write(tmp_path, "s.json", {"dim": 2, "slots": [], "weight": 1, "components": [1.0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indicial", "transform", "--frame", frame,
+                           "--input", doc], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "det(gamma)" in done.stderr
 
 _TEXT_WITH_NUMBER = {
     "tensor": '{{"dim": 2, "slots": ["up"], "components": [1, {}]}}',
@@ -475,3 +490,36 @@ def test_check_exercises_other_dims_and_seeds(capsys):
             capsys, "check-exercises", "--dim", str(dim), "--seed", str(seed)
         )
         assert code == 0
+
+
+def _crashing_catalogue(monkeypatch):
+    def crash(ctx, rng):
+        raise ZeroDivisionError("float division by zero")
+
+    crashed = dataclasses.replace(exercises._REGISTRY[0], fn=crash)
+    monkeypatch.setattr(exercises, "_REGISTRY", [crashed] + exercises._REGISTRY[1:3])
+    return crashed.check_id
+
+
+def test_check_exercises_names_a_crashing_check(capsys, monkeypatch):
+    check_id = _crashing_catalogue(monkeypatch)
+    code, out, _ = _invoke(capsys, "check-exercises")
+    assert code == 1
+    (line,) = [l for l in out.splitlines() if l.startswith(check_id)]
+    assert line.split()[1:3] == ["fail", "inf"]
+    assert line.endswith(" [error: ZeroDivisionError]")
+    assert sum("[error:" in l for l in out.splitlines()) == 1
+    code, out, _ = _invoke(capsys, "check-exercises", "--json")
+    assert code == 1
+    entries = json.loads(out)["checks"]
+    assert entries[0]["error"] == "ZeroDivisionError"
+    assert entries[0]["status"] == "fail" and entries[0]["max_deviation"] == math.inf
+    assert all("error" not in e for e in entries[1:])
+
+
+def test_a_numeric_miss_carries_no_error(monkeypatch):
+    check = exercises._REGISTRY[0]
+    monkeypatch.setattr(exercises, "_REGISTRY",
+                        [dataclasses.replace(check, fn=lambda ctx, rng: 1.0)])
+    (result,) = exercises.run_checks()
+    assert result.status == "fail" and result.error is None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,178 @@ def test_oracle_agrees_in_orthogonal_mode():
     got = execute(validate(stmt, {"a": a, "x": x}, Mode.ORTHOGONAL), {"a": a, "x": x})
     expected, _ = naive_eval(stmt, {"a": a, "x": x}, 3, orthogonal=True)
     assert np.allclose(got.components, expected, atol=1e-14)
+
+
+# ------------------------------------------- the matmul replay, byte for byte
+
+def _tensordot_execute(plan, bindings):
+    """``execute`` written with one ``np.tensordot`` per step: the reference.
+
+    It derives each step's axes from the factors' letters and reads only
+    ``left`` and ``right`` from the schedule, so none of the plan's
+    permutations or shapes reach it.
+    """
+    total = None
+    for term in plan.terms:
+        items, letters = [], []
+        for fp in term.factors:
+            arr = bindings[fp.name].components[fp.index]
+            for a, b in fp.traces:
+                arr = np.trace(arr, axis1=a, axis2=b)
+            items.append(arr)
+            letters.append(fp.open_letters)
+        for step in term.steps:
+            left, right = letters[step.left], letters.pop(step.right)
+            shared = [l for l in left if l in right]
+            axes = ([left.index(l) for l in shared], [right.index(l) for l in shared])
+            other = items.pop(step.right)
+            items[step.left] = np.tensordot(items[step.left], other, axes=axes)
+            letters[step.left] = tuple(l for l in left + right if l not in shared)
+        arr = np.transpose(items[0], [letters[0].index(l) for l in plan.free_letters])
+        if term.coefficient != 1.0:
+            arr = arr * term.coefficient
+        total = arr if total is None else total + arr
+    return np.array(total, dtype=np.float64)
+
+
+def _assert_replay_matches_tensordot(plan, bindings):
+    for p in (plan, order_contractions(plan)):
+        got = execute(p, bindings)
+        want = _tensordot_execute(p, bindings)
+        assert got.components.shape == want.shape
+        assert got.components.tobytes() == want.tobytes()
+        assert got.components.flags.c_contiguous
+        assert not got.components.flags.writeable
+        for t in bindings.values():
+            assert not np.shares_memory(got.components, t.components)
+
+
+@pytest.mark.parametrize("seed", [2024, 44], ids=["oracle-corpus", "cache-corpus"])
+def test_replay_is_byte_identical_to_tensordot_on_the_corpus(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        text, bindings, _ = random_statement(rng)
+        for mode in Mode:
+            _assert_replay_matches_tensordot(validate(parse(text), bindings, mode), bindings)
+
+
+def test_replay_is_byte_identical_to_tensordot_at_dims_one_and_five():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        text, bindings, _ = random_statement(rng, max_dim=5)
+        stmt = parse(text)
+        _assert_replay_matches_tensordot(validate(stmt, bindings), bindings)
+        # the same statement at dim 1, unless it pins a digit above 1
+        if all(not spec.is_fixed or spec.letter == "1"
+               for term in stmt.terms for f in term.factors for spec in f.indices):
+            one = {n: _obj(1, t.slots, t.weight) for n, t in bindings.items()}
+            _assert_replay_matches_tensordot(validate(stmt, one), one)
+
+
+def test_outer_product_is_one_product_over_a_unit_inner_axis():
+    bind = {"u": _obj(3, (UP,), seed=40), "v": _obj(3, (DOWN,), seed=41)}
+    plan = validate(parse("t^r_s = u^r v_s"), bind)
+    (step,) = plan.terms[0].steps
+    assert (step.left_shape, step.right_shape, step.result_shape) == ((3, 1), (1, 3), (3, 3))
+    assert step.left_perm is None and step.right_perm is None
+    _assert_replay_matches_tensordot(plan, bind)
+    assert np.array_equal(execute(plan, bind).components,
+                          np.multiply.outer(bind["u"].components, bind["v"].components))
+
+
+def test_rank_zero_factors_multiply_as_one_by_one_products():
+    # a factor is rank 0 after indexing when digits pin every slot, or
+    # when its letters are all traced
+    bind = {"x": _obj(3, (DOWN,), seed=42), "m": _obj(3, (UP, DOWN), seed=43),
+            "v": _obj(3, (UP,), seed=44)}
+    plan = validate(parse("t^r = x_2 m^s_s v^r"), bind)
+    assert [(s.left_shape, s.right_shape, s.result_shape) for s in plan.terms[0].steps] == [
+        ((1, 1), (1, 1), ()), ((1, 1), (1, 3), (3,))]
+    _assert_replay_matches_tensordot(plan, bind)
+    for text in ("s = x_2 m^s_s", "s = x_1 x_3", "s = -2 * x_2 m^1_3 + m^r_r"):
+        _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
+
+
+def test_single_factor_transpose_has_no_step_and_copies():
+    g = _obj(3, (DOWN, DOWN), seed=45)
+    plan = validate(parse("w_{ts} = g_{st}"), {"g": g})
+    term = plan.terms[0]
+    assert term.steps == () and term.output_axes == (1, 0)
+    _assert_replay_matches_tensordot(plan, {"g": g})
+    same = validate(parse("w_{st} = g_{st}"), {"g": g})
+    assert same.terms[0].output_axes is None
+    got = execute(same, {"g": g})
+    assert got.components.tobytes() == g.components.tobytes()
+    assert not np.shares_memory(got.components, g.components)
+
+
+def test_coefficient_only_terms_scale_one_number():
+    bind = {"x": _obj(3, (DOWN,), seed=47), "m": _obj(3, (UP, DOWN), seed=46)}
+    for text in ("t = 2 * x_2", "t = -0.5 * m^r_r", "t = 3 * x_1 + 0.5 * m^2_1 - x_3"):
+        plan = validate(parse(text), bind)
+        assert all(term.steps == () for term in plan.terms)
+        _assert_replay_matches_tensordot(plan, bind)
+    got = execute(validate(parse("t = -0.5 * x_2"), bind), bind)
+    assert got.as_scalar() == -0.5 * bind["x"].components[1]
+
+
+def test_dim_one_runs_the_same_replay():
+    bind = {"m": _obj(1, (UP, DOWN), seed=48), "v": _obj(1, (UP,), seed=49)}
+    for text in ("y^r = m^r_s v^s", "t = m^r_r", "t^{rs} = v^r v^s", "t^r = m^s_s v^r",
+                 "y^r = 2 * m^r_1 v^1 - m^1_1 v^r", "y^r = v^r"):
+        _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
+
+
+def test_intermediate_beyond_the_storage_cap_is_rejected_before_allocating():
+    # left to right, the seventh step holds x^a..x^h: 9**8 = 43M components
+    x = new_object(9, (UP,), 0, np.full(9, 0.5))
+    y = new_object(9, (DOWN,), 0, np.full(9, 0.25))
+    bind = {"x": x, "y": y}
+    plan = validate(parse("s = x^a x^b x^c x^d x^e x^f x^g x^h "
+                          "y_a y_b y_c y_d y_e y_f y_g y_h"), bind)
+    assert plan.terms[0].largest_intermediate == 9**8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="dense storage cap exceeded"):
+            execute(plan, bind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # greedy order pairs each x with its y: no step holds more than 9 values
+    greedy = order_contractions(plan)
+    assert greedy.terms[0].largest_intermediate == 1
+    assert execute(greedy, bind).as_scalar() == pytest.approx((9 * 0.5 * 0.25) ** 8, rel=1e-12)
+
+
+def test_largest_intermediate_is_the_biggest_step_product():
+    sigs = {"a": (4, (UP, DOWN), 0), "u": (4, (UP,), 0), "w": (4, (DOWN,), 0)}
+    plan = validate(parse("t^{rs} = u^r u^s w_k u^k"), sigs)
+    assert [s.result_shape for s in plan.terms[0].steps] == [(4, 4), (4, 4, 4), (4, 4)]
+    assert plan.terms[0].largest_intermediate == 64
+    assert order_contractions(plan).terms[0].largest_intermediate == 16
+    assert validate(parse("y^r = u^r"), sigs).terms[0].largest_intermediate == 0
+
+
+@pytest.mark.parametrize("mode, bind, message", [
+    (Mode.STRICT, {"a": (3, (DOWN,)), "v": (4, (UP,))},
+     "binding for 'v' has dim 4, plan expects 3"),
+    (Mode.STRICT, {"a": (3, (UP,)), "v": (3, (UP,))},
+     "binding for 'a' has slots (up), plan expects (down)"),
+    (Mode.STRICT, {"a": (3, (DOWN,), 1), "v": (3, (UP,))},
+     "binding for 'a' has weight 1, plan expects 0"),
+    (Mode.STRICT, {"a": (3, (DOWN,))}, "no binding for name 'v'"),
+    (Mode.STRICT, {"a": None, "v": (3, (UP,))}, "binding for 'a' is not a TensorObject"),
+    (Mode.ORTHOGONAL, {"a": (3, (DOWN, DOWN)), "v": (3, (UP,))},
+     "binding for 'a' has rank 2, plan expects 1"),
+    (Mode.ORTHOGONAL, {"a": (3, (DOWN,), 1), "v": (3, (UP,))},
+     "binding for 'a' has weight 1, plan expects 0"),
+])
+def test_binding_drift_names_the_difference(mode, bind, message):
+    plan = validate(parse("t = a_r v^r"), {"a": (3, (DOWN,), 0), "v": (3, (UP,), 0)}, mode)
+    bindings = {n: None if sig is None else _obj(sig[0], sig[1], *sig[2:])
+                for n, sig in bind.items()}
+    with pytest.raises(ShapeError) as exc:
+        execute(plan, bindings)
+    assert str(exc.value) == message
+

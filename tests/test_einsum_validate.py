@@ -127,8 +127,9 @@ def test_result_beyond_the_storage_cap_is_rejected_before_execution():
     x, y = (9, (UP,), 0), (9, (DOWN,), 0)
     with pytest.raises(ShapeError, match="dense storage cap"):
         validate(parse("t^{abcdefgh} = x^a x^b x^c x^d x^e x^f x^g x^h"), {"x": x})
-    # intermediates are not capped: a left-to-right run of this one would
-    # hold 9**8 components, greedy order keeps every step at one component
+    # validate does not cap intermediates: a left-to-right run of this one
+    # would hold 9**8 components (execute refuses it), greedy order keeps
+    # every step at one component
     plan = validate(parse("s = x^a x^b x^c x^d x^e x^f x^g x^h "
                           "y_a y_b y_c y_d y_e y_f y_g y_h"), {"x": x, "y": y})
     assert plan.result_slots == ()

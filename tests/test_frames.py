@@ -143,6 +143,33 @@ def test_frame_with_nan_residual_is_rejected(monkeypatch):
         frame_from_matrix(np.eye(3))
 
 
+
+def test_frame_whose_det_gamma_overflows_is_singular():
+    # det(c) = 1e-320 clears the singularity cutoff, det(gamma) = 1e320 is inf;
+    # a weight-1 scalar used to transform to inf, a weight -1 one to 0.0
+    with pytest.raises(SingularityError, match="det\\(gamma\\) = inf"):
+        frame_from_matrix(np.diag([1e-160, 1e-160]))
+
+
+def test_inverse_frame_whose_det_c_overflows_is_singular():
+    a = 1.2e154  # det(c) = 2 * a**2 overflows, while a**2 (the cutoff scale) does not
+    f = frame_from_matrix([[a, -a], [a, a]])
+    assert 0.0 < f.det_gamma < 1e-300
+    with pytest.raises(SingularityError, match="det\\(gamma\\) = inf"):
+        inverse_frame(f)
+
+
+def test_compose_whose_det_gamma_leaves_float64_is_singular():
+    big = frame_from_matrix(np.diag([1e-100, 1e-100]))  # det(gamma) = 1e200
+    with pytest.raises(SingularityError, match="det\\(gamma\\) = inf"):
+        compose(big, big)
+    # 1e-200 * 1e-200 underflows to 0.0, and a weight -1 transform would
+    # then divide by zero
+    small = frame_from_matrix(np.diag([1e100, 1e100]))
+    with pytest.raises(SingularityError, match="det\\(gamma\\) = 0.0"):
+        compose(small, small)
+    assert compose(big, small).det_gamma == pytest.approx(1.0)
+
 def test_transform_rejects_dim_mismatch():
     f = identity_frame(3)
     with pytest.raises(ShapeError):
