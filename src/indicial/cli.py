@@ -8,8 +8,11 @@ domain failures (singular matrices, non-metrics, superluminal speeds).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from . import exercises
 from .documents import (
@@ -146,7 +149,19 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _bad_tol(tol: float) -> bool:
+    # written so that a NaN tolerance is bad too
+    return not 0.0 <= tol < math.inf
+
+
 def _cmd_verify_law(args: argparse.Namespace) -> int:
+    if _bad_tol(args.tol):
+        return _usage_error(f"--tol must be finite and non-negative, got {args.tol}")
     f = load_frame_document(args.frame)
     old = load_tensor_document(args.old)
     new = load_tensor_document(args.new)
@@ -191,8 +206,11 @@ def _cmd_rapidity(args: argparse.Namespace) -> int:
 
 def _cmd_check_exercises(args: argparse.Namespace) -> int:
     if not 2 <= args.dim <= 6:
-        print("error: --dim must be between 2 and 6", file=sys.stderr)
-        return 1
+        return _usage_error("--dim must be between 2 and 6")
+    if args.seed < 0:
+        return _usage_error(f"--seed must be non-negative, got {args.seed}")
+    if _bad_tol(args.tol):
+        return _usage_error(f"--tol must be finite and non-negative, got {args.tol}")
     results = exercises.run_checks(
         dim=args.dim, seed=args.seed, tol=args.tol, pattern=args.filter
     )
@@ -227,7 +245,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         # caller mistakes, same class as bad documents
         return 0 if exc.code == 0 else 1
     try:
-        return _HANDLERS[args.command](args)
+        # numpy's floating-point warnings never reach stderr: a result that
+        # overflowed is refused when it is emitted, with one error line
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args)
     except (SingularityError, SuperluminalError, DefinitenessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

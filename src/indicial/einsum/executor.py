@@ -8,10 +8,12 @@ pairwise tensor contraction ends in after the same transposes and
 reshapes, so the bytes equal that contraction's.  A plan rescheduled by
 ``order_contractions`` runs in its new order, and a plan whose schedule has
 a step product beyond the dense storage cap is refused before anything is
-allocated.  The result
-signature was proved by ``validate``, so the result is built without
-re-validation, as a C-ordered copy that shares no memory with a binding.
-Bindings are never mutated, so evaluation is safe to run concurrently.
+allocated.  The result signature was proved by ``validate``, so the result
+is built without re-validation.  It is C-ordered and shares no memory with
+a binding: only a lone factor that is neither traced, multiplied nor
+scaled can be a view of its binding, and only that result is copied; every
+other one is already a fresh array and is frozen in place.  Bindings are
+never mutated, so evaluation is safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .planner import ContractionPlan, Mode, Signature
 def _check_bindings(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> None:
     for name, signature in plan.signatures.items():
         t = bindings.get(name)
-        if isinstance(t, TensorObject) and (t.dim, t.slots, t.weight) == signature:
+        if type(t) is TensorObject and (t.dim, t.slots, t.weight) == signature:
             continue
         _check_binding(plan.mode, name, signature, bindings)
 
@@ -79,10 +81,13 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
                 f"{term.largest_intermediate} > {MAX_COMPONENTS} components"
             )
     total: np.ndarray | None = None
+    shared = False  # whether total may be a view of a binding's components
     for term in plan.terms:
         items = []
         for fp in term.factors:
-            arr = bindings[fp.name].components[fp.index]
+            arr = bindings[fp.name].components
+            if fp.index != ():
+                arr = arr[fp.index]
             for a, b in fp.traces:
                 arr = np.trace(arr, axis1=a, axis2=b)
             items.append(arr)
@@ -100,9 +105,21 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
             arr = arr.transpose(term.output_axes)
         if term.coefficient != 1.0:
             arr = arr * term.coefficient
-        total = arr if total is None else total + arr
-    # np.array copies: the result never shares memory with a binding
-    return TensorObject(
-        plan.dim, plan.result_slots, plan.weight,
-        _frozen(np.array(total, np.float64, order="C")),
-    )
+        if total is None:
+            # only a lone factor, neither traced, multiplied nor scaled,
+            # reaches here as a view: indexing and transposing do not copy
+            total = arr
+            shared = (
+                not term.steps and term.coefficient == 1.0 and not term.factors[0].traces
+            )
+        else:
+            total = total + arr
+            shared = False
+    if shared:
+        # np.array copies: the result never shares memory with a binding
+        total = np.array(total, np.float64, order="C")
+    else:
+        # already a fresh array; asarray copies only a non-C-ordered one
+        # (or boxes a numpy scalar) and otherwise returns it as it is
+        total = np.asarray(total, np.float64, order="C")
+    return TensorObject(plan.dim, plan.result_slots, plan.weight, _frozen(total))

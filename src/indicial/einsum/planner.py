@@ -224,10 +224,14 @@ def _signatures_key(
 ) -> tuple[tuple[str, Signature], ...]:
     """The normalized signature of each referenced name, by first appearance."""
     key = []
-    for name in dict.fromkeys(f.name for term in statement.terms for f in term.factors):
+    for name in statement.names:
         if name not in signatures:
             raise KeyError(name)
-        key.append((name, _signature(name, signatures[name])))
+        t = signatures[name]
+        if type(t) is TensorObject:
+            key.append((name, (t.dim, t.slots, t.weight)))
+        else:
+            key.append((name, _signature(name, t)))
     return tuple(key)
 
 

@@ -63,9 +63,15 @@ class Statement:
     terms: tuple[Term, ...]
     # hashed once, since the planner's cache hashes the statement per call
     _hash: int = field(init=False, repr=False, compare=False)
+    # the referenced names in order of first appearance, which the
+    # planner's cache key reads per call
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.target, self.terms)))
+        object.__setattr__(self, "names", tuple(
+            dict.fromkeys(f.name for term in self.terms for f in term.factors)
+        ))
 
     def __hash__(self) -> int:
         return self._hash

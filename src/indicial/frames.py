@@ -9,7 +9,7 @@ contract with c and lower slots with gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -111,10 +111,19 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
     """Apply the weighted transformation law to every slot of t.
 
     Upper slots contract with c, lower slots with gamma, and the result is
-    scaled by det(gamma) ** t.weight.
+    scaled by det(gamma) ** t.weight.  Raises SingularityError when that
+    power overflows float64, although det(gamma) itself is finite.
     """
     if t.dim != f.dim:
         raise ShapeError(f"object has dim {t.dim}, frame has dim {f.dim}")
+    if t.weight != 0:
+        factor = _int_power(f.det_gamma, t.weight)
+        # written so that a NaN factor fails it too
+        if not abs(factor) < math.inf:
+            raise SingularityError(
+                f"frame determinant power is outside float64: "
+                f"det(gamma) ** {t.weight} with det(gamma) = {f.det_gamma}"
+            )
     arr = t.components
     # x-bar^r = c^r_s x^s: an upper slot, moved last, times c.T;
     # a-bar_r = gamma^s_r a_s: a lower slot, moved last, times gamma
@@ -124,7 +133,7 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
         m = c_t if variance is UP else g
         arr = np.swapaxes(np.swapaxes(arr, k, -1) @ m, k, -1)
     if t.weight != 0:
-        arr = arr * _int_power(f.det_gamma, t.weight)
+        arr = arr * factor
     # asarray(order="C") rather than ascontiguousarray: the latter promotes
     # rank-0 results to shape (1,)
     return TensorObject(t.dim, t.slots, t.weight, _frozen(np.asarray(arr, order="C")))
@@ -161,8 +170,10 @@ def verify_transform_law(
     """
     if old.dim != new.dim or old.slots != new.slots or old.weight != new.weight:
         raise ShapeError(f"signature mismatch: {old!r} vs {new!r}")
-    forward = transform(replace(old, weight=weight), f)
-    backward = transform(replace(new, weight=weight), inverse_frame(f))
+    forward = transform(TensorObject(old.dim, old.slots, weight, old.components), f)
+    backward = transform(
+        TensorObject(new.dim, new.slots, weight, new.components), inverse_frame(f)
+    )
     return bool(
         np.allclose(new.components, forward.components, rtol=tol, atol=tol)
         and np.allclose(old.components, backward.components, rtol=tol, atol=tol)

@@ -3,15 +3,18 @@
 Components are float64 in a numpy array of shape ``(dim,) * rank`` in C
 order, so the flat layout is lexicographic with slot 0 outermost.  Index
 values are 1-based at the API surface; slot positions are 0-based.  Objects
-are immutable (the backing array is marked read-only) and every operation
-is a pure function, so values can be shared freely across threads.
+are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
+refuses assignment and deletion, and the backing array is marked read-only.
+``new_object`` always copies its input, so an object never shares memory
+with the caller's array.  Every operation is a pure function, so values can
+be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,19 +51,45 @@ class Symmetry(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, eq=False)
 class TensorObject:
     """An immutable dense object with a fixed slot signature and weight.
 
     ``slots`` fixes the number, order and variance of the index slots;
     ``weight`` is the integer pseudotensor weight used by frame
     transformations.  ``components`` has shape ``(dim,) * len(slots)``.
+    The constructor trusts its arguments; ``new_object`` validates them.
     """
+
+    # fixed fields, set once in __init__ through the slot descriptors;
+    # assigning or deleting one afterwards raises FrozenInstanceError
+    __slots__ = ("dim", "slots", "weight", "components", "__weakref__")
 
     dim: int
     slots: tuple[Variance, ...]
     weight: int
     components: np.ndarray
+
+    def __init__(
+        self,
+        dim: int,
+        slots: tuple[Variance, ...],
+        weight: int,
+        components: np.ndarray,
+    ) -> None:
+        _set_dim(self, dim)
+        _set_slots(self, slots)
+        _set_weight(self, weight)
+        _set_components(self, components)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # pickle and copy rebuild through __init__, not through setattr
+        return (type(self), (self.dim, self.slots, self.weight, self.components))
 
     @property
     def rank(self) -> int:
@@ -113,27 +142,38 @@ class TensorObject:
         )
 
 
+_set_dim = TensorObject.dim.__set__  # type: ignore[attr-defined]
+_set_slots = TensorObject.slots.__set__  # type: ignore[attr-defined]
+_set_weight = TensorObject.weight.__set__  # type: ignore[attr-defined]
+_set_components = TensorObject.components.__set__  # type: ignore[attr-defined]
+
+
 def new_object(
     dim: int,
     slots: Iterable[Variance],
     weight: int,
     components: object,
 ) -> TensorObject:
-    """Build a TensorObject, validating shape and freezing the array.
+    """Build a TensorObject, validating shape and freezing a private copy.
 
     ``components`` may be a flat sequence of length ``dim ** rank``, a
-    nested structure, or an ndarray of the target shape.
+    nested structure, or an ndarray of the target shape.  It is always
+    copied, so the object never shares memory with the caller's array.
     """
     slots = tuple(slots)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ShapeError(f"dim must be a positive integer, got {dim!r}")
+    # the exact-type tests are the fast path; the isinstance checks behind
+    # them decide and word every rejection
+    if type(dim) is not int or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ShapeError(f"dim must be a positive integer, got {dim!r}")
     for s in slots:
-        if not isinstance(s, Variance):
+        if s is not UP and s is not DOWN and not isinstance(s, Variance):
             raise ShapeError(f"slot {s!r} is not a Variance")
-    if not isinstance(weight, int) or isinstance(weight, bool):
-        raise ShapeError(f"weight must be an integer, got {weight!r}")
+    if type(weight) is not int:
+        if not isinstance(weight, int) or isinstance(weight, bool):
+            raise ShapeError(f"weight must be an integer, got {weight!r}")
     size = require_storable(dim, len(slots))
-    arr = np.asarray(components, dtype=np.float64)
+    arr = np.array(components, dtype=np.float64, order="C")
     shape = (dim,) * len(slots)
     if arr.shape != shape:
         if arr.ndim == 1 and arr.size == size:
@@ -143,8 +183,6 @@ def new_object(
                 f"expected {size} components for dim {dim} rank {len(slots)}, "
                 f"got shape {arr.shape} ({arr.size} values)"
             )
-    else:
-        arr = arr.copy()
     arr.setflags(write=False)
     return TensorObject(dim, slots, weight, arr)
 

@@ -197,6 +197,38 @@ def test_transform_frame_whose_det_gamma_overflows_exits_two(tmp_path):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "det(gamma)" in done.stderr
 
+
+def test_transform_whose_determinant_power_overflows_exits_two(tmp_path):
+    # det(gamma) = 3.5e-309 is finite, but its -2nd power is not: the scalar
+    # used to transform to inf and fail at emission (exit 1)
+    a = 1.2e154
+    frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[a, -a], [a, a]]})
+    doc = _write(tmp_path, "s.json", {"dim": 2, "slots": [], "weight": -2, "components": 1.0})
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indicial", "transform", "--frame", frame,
+                           "--input", doc], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "det(gamma) ** -2" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "transform", "dot"])
+def test_a_result_that_overflows_prints_only_the_error_line(tmp_path, capsys, command):
+    # numpy's overflow warnings used to reach stderr ahead of the error
+    big = _write(tmp_path, "big.json", _vec([1e308, 1e308]))
+    if command == "eval":
+        argv = ["eval", "--bindings", big, "y^r = 2 * big^r"]
+    elif command == "transform":
+        frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[2, 0], [0, 2]]})
+        argv = ["transform", "--frame", frame, "--input", big]
+    else:
+        metric = _write(tmp_path, "g.json", {"dim": 2, "slots": ["down", "down"],
+                                             "components": [[1, 0], [0, 1]]})
+        argv = ["dot", big, big, "--metric", metric]
+    code, out, err = _invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: cannot emit non-finite component inf\n"
+
 _TEXT_WITH_NUMBER = {
     "tensor": '{{"dim": 2, "slots": ["up"], "components": [1, {}]}}',
     "frame": '{{"dim": 2, "c": [[1, 0], [0, {}]]}}',
@@ -307,6 +339,15 @@ def test_verify_law_weight_flag_changes_the_verdict(tmp_path, capsys, stretch_fr
         capsys, "verify-law", "--frame", stretch_frame, "--old", old, "--new", new
     )
     assert code == 1
+
+
+def test_verify_law_rejects_a_bad_tolerance(tmp_path, capsys, stretch_frame):
+    old = _write(tmp_path, "s.json", {"dim": 3, "slots": [], "components": 3.0})
+    for tol in ("nan", "-1", "inf"):
+        code, out, err = _invoke(capsys, "verify-law", "--frame", stretch_frame,
+                                 "--old", old, "--new", old, f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
 
 
 # metric products
@@ -454,6 +495,14 @@ def test_check_exercises_passes_and_reproduces(capsys):
     assert code == 0
     assert first == second  # byte-for-byte
     assert "fail" not in [line.split()[1] for line in first.splitlines()[2:-1]]
+
+
+@pytest.mark.parametrize("flag", ["--seed=-1", "--tol=nan", "--tol=-1", "--tol=inf"])
+def test_check_exercises_rejects_a_bad_seed_or_tolerance(capsys, flag):
+    # a negative seed used to crash numpy's generator with a traceback
+    code, out, err = _invoke(capsys, "check-exercises", "--filter", "ex01", flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
 
 
 def test_check_exercises_json(capsys):

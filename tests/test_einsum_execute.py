@@ -7,7 +7,7 @@ from oracles import naive_eval, random_statement
 
 from indicial.einsum import Mode, execute, order_contractions, parse, validate
 from indicial.errors import ShapeError
-from indicial.objects import DOWN, UP, new_object
+from indicial.objects import DOWN, UP, TensorObject, new_object
 from indicial.symbols import KroneckerKind, kronecker, levi_civita_symbol
 
 
@@ -291,6 +291,23 @@ def test_single_factor_transpose_has_no_step_and_copies():
     got = execute(same, {"g": g})
     assert got.components.tobytes() == g.components.tobytes()
     assert not np.shares_memory(got.components, g.components)
+
+
+@pytest.mark.parametrize("text, name, slots", [
+    ("y^r = x^r", "x", (UP,)),              # a pure copy
+    ("D_s_r = M_r_s", "M", (DOWN, DOWN)),   # a pure transpose
+    ("P^r = A^r_1", "A", (UP, DOWN)),       # a pinned digit
+    ("y^r = 1 * x^r", "x", (UP,)),          # a unit coefficient
+])
+def test_result_never_shares_memory_with_a_writeable_binding(text, name, slots):
+    source = np.arange(3.0 ** len(slots)).reshape((3,) * len(slots))
+    binding = TensorObject(3, slots, 0, source)  # built directly: not copied
+    got = execute(validate(parse(text), {name: binding}), {name: binding})
+    expected = got.components.copy()
+    assert not np.shares_memory(got.components, source)
+    assert got.components.flags.c_contiguous and not got.components.flags.writeable
+    source[...] = -1.0
+    assert np.array_equal(got.components, expected)
 
 
 def test_coefficient_only_terms_scale_one_number():

@@ -266,6 +266,29 @@ def test_verify_transform_law_both_directions():
         verify_transform_law(t, zeros(3, (UP, UP), weight=2), f, weight=2)
 
 
+def test_verify_transform_law_at_a_weight_other_than_the_objects():
+    # c = diag(2, 1, 1): det(gamma) = 1/2 scales the weight-1 law
+    f = frame_from_matrix(np.diag([2.0, 1.0, 1.0]))
+    x = new_object(3, (UP,), 0, [1.0, 2.0, 3.0])
+    at_zero = new_object(3, (UP,), 0, [2.0, 2.0, 3.0])
+    at_one = new_object(3, (UP,), 0, [1.0, 1.0, 1.5])
+    assert verify_transform_law(x, at_one, f, weight=1)
+    assert not verify_transform_law(x, at_one, f, weight=0)
+    assert verify_transform_law(x, at_zero, f, weight=0)
+    assert not verify_transform_law(x, at_zero, f, weight=1)
+    assert x.weight == 0 and at_one.weight == 0
+
+
+def test_transform_raises_when_the_determinant_power_overflows():
+    # det(gamma) is finite but subnormal, so det(gamma) ** -2 is not
+    a = 1.2e154
+    f = frame_from_matrix([[a, -a], [a, a]])
+    assert 0.0 < f.det_gamma < 1e-300
+    with pytest.raises(SingularityError, match="outside float64"):
+        transform(new_object(2, (), -2, [1.0]), f)
+    assert transform(new_object(2, (), 0, [1.0]), f).as_scalar() == 1.0
+
+
 def test_weight_arithmetic_is_exact():
     rng = np.random.default_rng(6)
     f = random_frame(rng, 3)

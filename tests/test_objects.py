@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from indicial.objects import (
     DOWN,
     UP,
     Symmetry,
+    TensorObject,
     add,
     contract,
     new_object,
@@ -48,6 +52,59 @@ def test_new_object_rejects_bad_arguments():
         new_object(3, (UP,), True, [1.0, 2.0, 3.0])  # bool is not an int here
     with pytest.raises(ShapeError):
         new_object(200, (UP, UP, UP, UP), 0, [])  # over the component cap
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(9.0),                # flat: reshaped to (3, 3)
+    lambda: np.arange(9.0).reshape(3, 3),  # already of the target shape
+    lambda: np.arange(9.0).reshape(3, 3).T.copy().T,  # target shape, F-ordered
+], ids=["flat", "shaped", "f-ordered"])
+def test_new_object_copies_an_ndarray(make):
+    source = make()
+    t = new_object(3, (UP, DOWN), 0, source)
+    assert not np.shares_memory(t.components, source)
+    assert t.components.flags.c_contiguous and not t.components.flags.writeable
+    assert np.array_equal(t.components, np.arange(9.0).reshape(3, 3))
+    source[(0,) * source.ndim] = 99.0
+    assert t.components[0, 0] == 0.0
+
+
+def test_new_object_copies_a_nested_list():
+    rows = [[0.0, 1.0], [2.0, 3.0]]
+    t = new_object(2, (UP, DOWN), 0, rows)
+    rows[0][0] = 99.0
+    assert t.components[0, 0] == 0.0
+
+
+def test_tensor_object_fields_cannot_be_assigned_or_deleted():
+    t = new_object(2, (UP, DOWN), 1, [1.0, 2.0, 3.0, 4.0])
+    for name in ("dim", "slots", "weight", "components"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert (t.dim, t.slots, t.weight) == (2, (UP, DOWN), 1)
+
+
+def test_tensor_object_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(zeros(2, (UP,)))
+
+
+def test_tensor_object_equality_and_repr():
+    a = new_object(3, (UP, DOWN), 1, np.arange(9.0))
+    assert a == TensorObject(3, (UP, DOWN), 1, np.arange(9.0).reshape(3, 3))
+    assert a.__eq__(np.arange(9.0)) is NotImplemented
+    assert repr(a) == "TensorObject(dim=3, slots=ud, weight=1)"
+    assert repr(new_object(2, (), 0, [1.0])) == "TensorObject(dim=2, slots=scalar, weight=0)"
+
+
+def test_tensor_object_survives_pickle_and_copy():
+    a = new_object(2, (DOWN,), -1, [1.5, -2.0])
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is TensorObject and b == a
 
 
 def test_components_are_read_only():
