@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exercises
 from .documents import (
     format_tensor_document,
     load_basis_document,
@@ -43,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a summation-convention expression")
+    p.set_defaults(handler=_cmd_eval)
     p.add_argument("expression", help="e.g. 'y^r = a^r_s x^s'")
     p.add_argument(
         "--bindings",
@@ -60,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the result document here")
 
     p = sub.add_parser("transform", help="push a tensor document through a frame")
+    p.set_defaults(handler=_cmd_transform)
     p.add_argument("--frame", required=True, metavar="FILE")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument(
@@ -73,14 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-law", help="check the transformation law between two documents"
     )
+    p.set_defaults(handler=_cmd_verify_law)
     p.add_argument("--frame", required=True, metavar="FILE")
     p.add_argument("--old", required=True, metavar="FILE")
     p.add_argument("--new", required=True, metavar="FILE")
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    for name, nvec in (("dot", 2), ("cross", 2), ("triple", 3)):
+    products = (("dot", 2, inner), ("cross", 2, cross), ("triple", 3, triple))
+    for name, nvec, product in products:
         p = sub.add_parser(name, help=f"metric {name} product of {nvec} vectors")
+        p.set_defaults(handler=_cmd_product, product=product)
         p.add_argument("vectors", nargs=nvec, metavar="VEC")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--metric", metavar="FILE")
@@ -88,14 +92,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("boost", help="velocity boost matrix as a tensor document")
+    p.set_defaults(handler=_cmd_boost)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("rapidity", help="rapidity of a velocity as a scalar document")
+    p.set_defaults(handler=_cmd_rapidity)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("check-exercises", help="run the built-in check catalogue")
+    p.set_defaults(handler=_cmd_check_exercises)
     p.add_argument("--dim", type=int, default=3, help="dimension for generic checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -110,43 +117,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_tensor(t: TensorObject, out: str | None) -> None:
-    _emit(format_tensor_document(t), out)
-
-
-def _scalar_doc(dim: int, value: float) -> TensorObject:
-    return new_object(dim, (), 0, [value])
-
-
 def _load_metric(args: argparse.Namespace) -> Metric:
     if args.metric:
         return metric_from_tensor(load_tensor_document(args.metric))
     return metric_from_basis(load_basis_document(args.basis))
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> TensorObject:
     bindings = load_bindings(args.bindings)
     mode = Mode.STRICT if args.mode == "strict" else Mode.ORTHOGONAL
     plan = order_contractions(validate(parse(args.expression), bindings, mode))
-    _emit_tensor(execute(plan, bindings), args.out)
-    return 0
+    return execute(plan, bindings)
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> TensorObject:
     f = load_frame_document(args.frame)
     t = load_tensor_document(args.input)
     if args.weight is not None and args.weight != t.weight:
         t = new_object(t.dim, t.slots, args.weight, t.components)
-    _emit_tensor(transform(t, f), args.out)
-    return 0
+    return transform(t, f)
 
 
 def _usage_error(message: str) -> int:
@@ -173,35 +162,20 @@ def _cmd_verify_law(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
-    m = _load_metric(args)
-    x, y = (load_tensor_document(p) for p in args.vectors)
-    _emit_tensor(_scalar_doc(m.dim, inner(x, y, m)), args.out)
-    return 0
+def _cmd_product(args: argparse.Namespace) -> TensorObject:
+    m = _load_metric(args)  # before the vectors, so its errors come first
+    value = args.product(*(load_tensor_document(p) for p in args.vectors), m)
+    if isinstance(value, TensorObject):
+        return value
+    return new_object(m.dim, (), 0, [value])
 
 
-def _cmd_cross(args: argparse.Namespace) -> int:
-    m = _load_metric(args)
-    x, y = (load_tensor_document(p) for p in args.vectors)
-    _emit_tensor(cross(x, y, m), args.out)
-    return 0
+def _cmd_boost(args: argparse.Namespace) -> TensorObject:
+    return new_object(4, MIXED_SLOTS, 0, boost(args.beta))
 
 
-def _cmd_triple(args: argparse.Namespace) -> int:
-    m = _load_metric(args)
-    x, y, z = (load_tensor_document(p) for p in args.vectors)
-    _emit_tensor(_scalar_doc(m.dim, triple(x, y, z, m)), args.out)
-    return 0
-
-
-def _cmd_boost(args: argparse.Namespace) -> int:
-    _emit_tensor(new_object(4, MIXED_SLOTS, 0, boost(args.beta)), args.out)
-    return 0
-
-
-def _cmd_rapidity(args: argparse.Namespace) -> int:
-    _emit_tensor(_scalar_doc(4, rapidity(args.beta)), args.out)
-    return 0
+def _cmd_rapidity(args: argparse.Namespace) -> TensorObject:
+    return new_object(4, (), 0, [rapidity(args.beta)])
 
 
 def _cmd_check_exercises(args: argparse.Namespace) -> int:
@@ -211,6 +185,9 @@ def _cmd_check_exercises(args: argparse.Namespace) -> int:
         return _usage_error(f"--seed must be non-negative, got {args.seed}")
     if _bad_tol(args.tol):
         return _usage_error(f"--tol must be finite and non-negative, got {args.tol}")
+    # the catalogue is large; only this command pays for importing it
+    from . import exercises
+
     results = exercises.run_checks(
         dim=args.dim, seed=args.seed, tol=args.tol, pattern=args.filter
     )
@@ -223,23 +200,13 @@ def _cmd_check_exercises(args: argparse.Namespace) -> int:
     return 0 if exercises.all_passed(results) else 1
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "transform": _cmd_transform,
-    "verify-law": _cmd_verify_law,
-    "dot": _cmd_dot,
-    "cross": _cmd_cross,
-    "triple": _cmd_triple,
-    "boost": _cmd_boost,
-    "rapidity": _cmd_rapidity,
-    "check-exercises": _cmd_check_exercises,
-}
+# built once: parse_args reads it and returns a fresh namespace per call
+_PARSER = _build_parser()
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; usage errors are
         # caller mistakes, same class as bad documents
@@ -248,14 +215,20 @@ def run(argv: Sequence[str] | None = None) -> int:
         # numpy's floating-point warnings never reach stderr: a result that
         # overflowed is refused when it is emitted, with one error line
         with np.errstate(all="ignore"):
-            return _HANDLERS[args.command](args)
+            result = args.handler(args)
+            if not isinstance(result, TensorObject):
+                return result
+            text = format_tensor_document(result)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    print(text, file=fh)
+            else:
+                print(text)
+            return 0
     except (SingularityError, SuperluminalError, DefinitenessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TensorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TensorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

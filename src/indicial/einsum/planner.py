@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ..errors import AddressingError, ConventionError, ShapeError
-from ..objects import DOWN, UP, TensorObject, Variance, require_storable
+from ..objects import DOWN, UP, TensorObject, Variance, require_signature, require_storable
 from .syntax import CACHE_SIZE, FactorRef, Statement
 
 
@@ -142,9 +142,9 @@ def _signature(name: str, value: object) -> Signature:
         raise ShapeError(
             f"signature for {name!r} must be a TensorObject or (dim, slots, weight)"
         ) from None
-    if not all(isinstance(s, Variance) for s in slots):
-        raise ShapeError(f"signature for {name!r} has non-Variance slots")
-    return (int(dim), slots, int(weight))
+    # the rules and messages of new_object: no coercion of 3.7, "3" or True
+    require_signature(dim, slots, weight)
+    return (dim, slots, weight)
 
 
 def _resolve_slots(factor: FactorRef, slots: tuple[Variance, ...], mode: Mode) -> list[int]:

@@ -1,10 +1,10 @@
 """Built-in verification catalogue behind the check-exercises command.
 
-Every check draws its randomness from a generator seeded by (seed,
-crc32(check id)), so results are independent of filtering and ordering and
-the rendered report is byte-identical across runs with the same seed, dim
-and tolerance (timings are opt-in because wall-clock time is not
-reproducible).
+Every check is called with its dimension (--dim, or the one it is fixed
+to) and a generator seeded by (seed, crc32(check id)), so results are
+independent of filtering and ordering and the rendered report is
+byte-identical across runs with the same seed, dim and tolerance (timings
+are opt-in because wall-clock time is not reproducible).
 
 Checks return a max deviation compared against a limit: ``limit=0.0``
 marks identities that are exact in double precision, a pinned float keeps
@@ -43,17 +43,10 @@ INF = float("inf")
 
 
 @dataclass(frozen=True)
-class CheckContext:
-    dim: int
-    seed: int
-    tol: float
-
-
-@dataclass(frozen=True)
 class Check:
     check_id: str
     title: str
-    fn: Callable[[CheckContext, np.random.Generator], float] | None
+    fn: Callable[[int, np.random.Generator], float] | None
     limit: float | None
     covered_by: str | None
     fixed_dim: int | None
@@ -172,56 +165,52 @@ def _law_oracle(t: TensorObject, f: frames.Frame, weight: int) -> np.ndarray:
 # ------------------------------------------------------------- exercises
 
 @_check("ex01", "expanded linear index equation matches the evaluator")
-def _ex01(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    a = _rand(rng, d, (DOWN, DOWN))
-    x = _rand(rng, d, (UP,))
+def _ex01(dim: int, rng: np.random.Generator) -> float:
+    a = _rand(rng, dim, (DOWN, DOWN))
+    x = _rand(rng, dim, (UP,))
     got = _eval("b_r = a_{rs} x^s", {"a": a, "x": x})
     dev = 0.0
-    for r in range(1, d + 1):
-        manual = sum(a.component((r, s)) * x.component((s,)) for s in range(1, d + 1))
+    for r in range(1, dim + 1):
+        manual = sum(a.component((r, s)) * x.component((s,)) for s in range(1, dim + 1))
         dev = max(dev, abs(got.component((r,)) - manual))
     return dev
 
 
 @_check("ex02", "a triple contraction sums dim**3 products", limit=0.0)
-def _ex02(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    a = _rand(rng, d, (DOWN, DOWN, DOWN))
-    x, y, z = (_rand(rng, d, (UP,)) for _ in range(3))
+def _ex02(dim: int, rng: np.random.Generator) -> float:
+    a = _rand(rng, dim, (DOWN, DOWN, DOWN))
+    x, y, z = (_rand(rng, dim, (UP,)) for _ in range(3))
     plan = validate(parse("t = a_{rst} x^r y^s z^t"), {"a": a, "x": x, "y": y, "z": z})
-    return float(abs(plan.naive_cost - d ** 3))
+    return float(abs(plan.naive_cost - dim ** 3))
 
 
 @_check("ex03", "contracting a mixed object with a vector is first order")
-def _ex03(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    x = _rand(rng, d, (UP, DOWN))
-    y = _rand(rng, d, (UP,))
+def _ex03(dim: int, rng: np.random.Generator) -> float:
+    x = _rand(rng, dim, (UP, DOWN))
+    y = _rand(rng, dim, (UP,))
     got = _eval("z^r = x^r_s y^s", {"x": x, "y": y})
-    if got.slots != (UP,) or got.components.shape != (d,):
+    if got.slots != (UP,) or got.components.shape != (dim,):
         return INF
     return _max_abs(got.components - x.components @ y.components)
 
 
 @_check("ex04", "fully symmetric rank-3 objects have C(d+2,3) distinct entries", limit=1e-12)
-def _ex04(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    t = _rand(rng, d, (DOWN, DOWN, DOWN))
+def _ex04(dim: int, rng: np.random.Generator) -> float:
+    t = _rand(rng, dim, (DOWN, DOWN, DOWN))
     arr = np.zeros_like(t.components)
     for perm in itertools.permutations(range(3)):
         arr += np.transpose(t.components, perm)
     arr /= 6.0
     orbits: dict[tuple[int, ...], list[float]] = {}
-    for idx in itertools.product(range(d), repeat=3):
+    for idx in itertools.product(range(dim), repeat=3):
         orbits.setdefault(tuple(sorted(idx)), []).append(float(arr[idx]))
-    if len(orbits) != math.comb(d + 2, 3):
+    if len(orbits) != math.comb(dim + 2, 3):
         return INF
     return max(max(vals) - min(vals) for vals in orbits.values())
 
 
 @_check("ex05", "fully antisymmetric rank-3 entries: six equal magnitudes", limit=1e-12, fixed_dim=3)
-def _ex05(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex05(dim: int, rng: np.random.Generator) -> float:
     t = _rand(rng, 3, (DOWN, DOWN, DOWN))
     arr = np.zeros_like(t.components)
     for sign, perm in symbols._signed_permutations(3):
@@ -241,45 +230,43 @@ def _ex05(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex06", "antisymmetric forms vanish on repeated vectors, and conversely", limit=1e-12)
-def _ex06(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    raw = rng.uniform(-1.0, 1.0, size=(d, d))
-    anti = new_object(d, (DOWN, DOWN), 0, 0.5 * (raw - raw.T))
-    x = _rand(rng, d, (UP,))
+def _ex06(dim: int, rng: np.random.Generator) -> float:
+    raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    anti = new_object(dim, (DOWN, DOWN), 0, 0.5 * (raw - raw.T))
+    x = _rand(rng, dim, (UP,))
     form = float(x.components @ anti.components @ x.components)
     dev = abs(form)
     # converse: the quadratic form determines the symmetric part
-    b = _rand(rng, d, (DOWN, DOWN))
+    b = _rand(rng, dim, (DOWN, DOWN))
 
     def q(v: np.ndarray) -> float:
         return float(v @ b.components @ v)
 
-    recovered = np.zeros((d, d))
-    basis = np.eye(d)
-    for i in range(d):
-        for j in range(d):
+    recovered = np.zeros((dim, dim))
+    basis = np.eye(dim)
+    for i in range(dim):
+        for j in range(dim):
             recovered[i, j] = 0.5 * (q(basis[i] + basis[j]) - q(basis[i]) - q(basis[j]))
     dev = max(dev, _max_abs(recovered - 0.5 * (b.components + b.components.T)))
     return dev
 
 
 @_check("ex07", "trace of the mixed Kronecker delta equals the dimension", limit=0.0)
-def _ex07(ctx: CheckContext, rng: np.random.Generator) -> float:
-    delta = symbols.kronecker(ctx.dim, symbols.KroneckerKind.MIXED)
-    return abs(objects.contract(delta, 0, 1).as_scalar() - ctx.dim)
+def _ex07(dim: int, rng: np.random.Generator) -> float:
+    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
+    return abs(objects.contract(delta, 0, 1).as_scalar() - dim)
 
 
 @_check("ex08", "contracting with the mixed delta returns the operand exactly", limit=0.0)
-def _ex08(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    delta = symbols.kronecker(d, symbols.KroneckerKind.MIXED)
-    x = _rand(rng, d, (UP,))
+def _ex08(dim: int, rng: np.random.Generator) -> float:
+    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
+    x = _rand(rng, dim, (UP,))
     got = _eval("y^r = d^r_s x^s", {"d": delta, "x": x})
     return _max_abs(got.components - x.components)
 
 
 @_check("ex09", "a fully antisymmetric rank-3 object is its (1,2,3) entry times the symbol", limit=1e-12, fixed_dim=3)
-def _ex09(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex09(dim: int, rng: np.random.Generator) -> float:
     t = _rand(rng, 3, (DOWN, DOWN, DOWN))
     arr = np.zeros_like(t.components)
     for sign, perm in symbols._signed_permutations(3):
@@ -290,7 +277,7 @@ def _ex09(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex10", "closed polynomial form of the rank-3 symbol", limit=0.0, fixed_dim=3)
-def _ex10(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex10(dim: int, rng: np.random.Generator) -> float:
     e = symbols.levi_civita_symbol(3, DOWN)
     dev = 0.0
     for r, s, t in itertools.product(range(1, 4), repeat=3):
@@ -300,13 +287,13 @@ def _ex10(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex11", "the identity matrix has determinant one", limit=0.0)
-def _ex11(ctx: CheckContext, rng: np.random.Generator) -> float:
-    delta = symbols.kronecker(ctx.dim, symbols.KroneckerKind.MIXED)
+def _ex11(dim: int, rng: np.random.Generator) -> float:
+    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
     return abs(determinants.determinant(delta) - 1.0)
 
 
 @_check("ex12", "self-inverse and orthogonal matrices have determinant +-1", fixed_dim=3)
-def _ex12(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex12(dim: int, rng: np.random.Generator) -> float:
     dev = 0.0
     q = _rotation_matrix(rng, 3)
     dev = max(dev, _max_abs(q @ q.T - np.eye(3)))
@@ -326,7 +313,7 @@ def _ex12(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex13", "row expansion of the determinant and row-swap sign", limit=1e-12, fixed_dim=3)
-def _ex13(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex13(dim: int, rng: np.random.Generator) -> float:
     e_up = symbols.levi_civita_symbol(3, UP)
     delta = symbols.kronecker(3, symbols.KroneckerKind.MIXED)
     bindings = {"e": e_up, "x": delta}
@@ -343,7 +330,7 @@ def _ex13(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex14", "contracting three mixed factors with the symbol scales it by det", limit=1e-12, fixed_dim=3)
-def _ex14(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex14(dim: int, rng: np.random.Generator) -> float:
     x = _rand(rng, 3, (UP, DOWN))
     e_up = symbols.levi_civita_symbol(3, UP)
     got = _eval("f^{mnp} = e^{rst} x^m_r x^n_s x^p_t", {"e": e_up, "x": x})
@@ -352,7 +339,7 @@ def _ex14(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex15", "double-symbol product equals the delta determinant (729 cases)", limit=0.0, fixed_dim=3)
-def _ex15(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex15(dim: int, rng: np.random.Generator) -> float:
     e = symbols.levi_civita_symbol(3, DOWN)
     dev = 0.0
     for m, n, p in itertools.product(range(1, 4), repeat=3):
@@ -371,7 +358,7 @@ def _ex15(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex16", "one-index symbol contraction gives a delta difference (81 cases)", limit=0.0, fixed_dim=3)
-def _ex16(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex16(dim: int, rng: np.random.Generator) -> float:
     e = symbols.levi_civita_symbol(3, DOWN)
     dev = 0.0
     for m, n, r, s in itertools.product(range(1, 4), repeat=4):
@@ -384,7 +371,7 @@ def _ex16(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex17", "two-index symbol contraction gives twice the delta", limit=0.0, fixed_dim=3)
-def _ex17(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex17(dim: int, rng: np.random.Generator) -> float:
     e = symbols.levi_civita_symbol(3, DOWN)
     dev = 0.0
     for m, r in itertools.product(range(1, 4), repeat=2):
@@ -398,24 +385,24 @@ def _ex17(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex18", "full symbol contraction counts the permutations", limit=0.0, fixed_dim=3)
-def _ex18(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex18(dim: int, rng: np.random.Generator) -> float:
     e = symbols.levi_civita_symbol(3, DOWN)
     total = float(np.sum(e.components * e.components))
     return abs(total - 6.0)
 
 
 @_check("ex19", "covariant components pull back through the mixing matrix")
-def _ex19(ctx: CheckContext, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, ctx.dim)
-    a = _rand(rng, ctx.dim, (DOWN,))
+def _ex19(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (DOWN,))
     a_new = frames.transform(a, f)
     return _max_abs(a.components - f.c.components.T @ a_new.components)
 
 
 @_check("ex20", "the mixing matrix and its inverse multiply to the identity")
-def _ex20(ctx: CheckContext, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, ctx.dim)
-    eye = np.eye(ctx.dim)
+def _ex20(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    eye = np.eye(dim)
     return max(
         _max_abs(f.gamma.components @ f.c.components - eye),
         _max_abs(f.c.components @ f.gamma.components - eye),
@@ -423,45 +410,42 @@ def _ex20(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex21", "new basis vectors are gamma-combinations of the old ones")
-def _ex21(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
+def _ex21(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
     while True:
-        rows = rng.uniform(-1.0, 1.0, size=(d, d))
+        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
         if abs(np.linalg.det(rows)) >= 0.1:
             break
-    basis = [new_object(d, (UP,), 0, rows[r]) for r in range(d)]
+    basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_basis = frames.transform_basis(f, basis)
     dev = 0.0
-    for r in range(d):
+    for r in range(dim):
         expected = sum(
-            f.gamma.components[s, r] * rows[s] for s in range(d)
+            f.gamma.components[s, r] * rows[s] for s in range(dim)
         )
         dev = max(dev, _max_abs(new_basis[r].components - expected))
     return dev
 
 
 @_check("ex22", "written-out laws for twice-upper and mixed third-rank objects")
-def _ex22(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
+def _ex22(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
     c = f.c.components
     g = f.gamma.components
-    x2 = _rand(rng, d, (UP, UP))
+    x2 = _rand(rng, dim, (UP, UP))
     expected2 = np.einsum("rm,sn,mn->rs", c, c, x2.components)
     dev = _max_abs(frames.transform(x2, f).components - expected2)
-    x3 = _rand(rng, d, (UP, DOWN, DOWN))
+    x3 = _rand(rng, dim, (UP, DOWN, DOWN))
     expected3 = np.einsum("rp,ms,nt,pmn->rst", c, g, g, x3.components)
     dev = max(dev, _max_abs(frames.transform(x3, f).components - expected3))
     return dev
 
 
 @_check("ex23", "an outer-product relation holds in every frame")
-def _ex23(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    y = _rand(rng, d, (UP, DOWN))
-    z = _rand(rng, d, (DOWN,))
+def _ex23(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    y = _rand(rng, dim, (UP, DOWN))
+    z = _rand(rng, dim, (DOWN,))
     x = objects.outer_product(y, z)
     lhs = frames.transform(x, f)
     rhs = objects.outer_product(frames.transform(y, f), frames.transform(z, f))
@@ -469,10 +453,9 @@ def _ex23(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex24", "slot symmetry survives a change of frame")
-def _ex24(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _sym_rand(rng, d)
+def _ex24(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _sym_rand(rng, dim)
     a_new = frames.transform(a, f)
     if objects.symmetry_check(a_new, 0, 1, tol=1e-9) is not objects.Symmetry.SYMMETRIC:
         return INF
@@ -480,14 +463,14 @@ def _ex24(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex25", "the mixed delta is frame-invariant", limit=1e-12)
-def _ex25(ctx: CheckContext, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, ctx.dim)
-    delta = symbols.kronecker(ctx.dim, symbols.KroneckerKind.MIXED)
-    return _max_abs(frames.transform(delta, f).components - np.eye(ctx.dim))
+def _ex25(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
+    return _max_abs(frames.transform(delta, f).components - np.eye(dim))
 
 
 @_check("ex26", "the twice-lower delta moves under a stretch", limit=1e-12, fixed_dim=3)
-def _ex26(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex26(dim: int, rng: np.random.Generator) -> float:
     f = frames.frame_from_matrix(np.diag([2.0, 1.0, 1.0]))
     delta = symbols.kronecker(3, symbols.KroneckerKind.LOWER_LOWER)
     got = frames.transform(delta, f)
@@ -495,7 +478,7 @@ def _ex26(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex27", "the twice-upper delta moves under a stretch", limit=1e-12, fixed_dim=3)
-def _ex27(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex27(dim: int, rng: np.random.Generator) -> float:
     f = frames.frame_from_matrix(np.diag([2.0, 1.0, 1.0]))
     delta = symbols.kronecker(3, symbols.KroneckerKind.UPPER_UPPER)
     got = frames.transform(delta, f)
@@ -503,11 +486,10 @@ def _ex27(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex28", "products and contractions of tensors are tensors")
-def _ex28(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP,))
-    b = _rand(rng, d, (DOWN, DOWN))
+def _ex28(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP,))
+    b = _rand(rng, dim, (DOWN, DOWN))
     prod = objects.outer_product(a, b)
     dev = _max_abs(
         frames.transform(prod, f).components
@@ -525,11 +507,10 @@ def _ex28(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex29", "a product contracted over one pair transforms as rank (2,1)")
-def _ex29(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    x = _rand(rng, d, (UP, DOWN, DOWN))
-    y = _rand(rng, d, (UP, DOWN))
+def _ex29(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    x = _rand(rng, dim, (UP, DOWN, DOWN))
+    y = _rand(rng, dim, (UP, DOWN))
     old = _eval("w^p_{st} = x^r_{st} y^p_r", {"x": x, "y": y})
     new = _eval(
         "w^p_{st} = x^r_{st} y^p_r",
@@ -539,12 +520,11 @@ def _ex29(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex30", "a summed index equation holds in every frame")
-def _ex30(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, DOWN, DOWN))
-    b = _rand(rng, d, (UP, DOWN, DOWN))
-    x = _rand(rng, d, (UP,))
+def _ex30(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN, DOWN))
+    b = _rand(rng, dim, (UP, DOWN, DOWN))
+    x = _rand(rng, dim, (UP,))
     text = "d^r_s = a^r_{st} x^t + b^r_{st} x^t"
     old = _eval(text, {"a": a, "b": b, "x": x})
     new = _eval(
@@ -564,26 +544,25 @@ _covered("ex33", "quotient rule for a quadratic form", "frames.verify_transform_
 
 
 @_check("ex34", "the Gram matrix of an orthonormal basis is the identity")
-def _ex34(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    q = _rotation_matrix(rng, d)
-    basis = [new_object(d, (UP,), 0, q[r]) for r in range(d)]
-    dev = _max_abs(metric.metric_from_basis(basis).g.components - np.eye(d))
+def _ex34(dim: int, rng: np.random.Generator) -> float:
+    q = _rotation_matrix(rng, dim)
+    basis = [new_object(dim, (UP,), 0, q[r]) for r in range(dim)]
+    dev = _max_abs(metric.metric_from_basis(basis).g.components - np.eye(dim))
     while True:
-        rows = rng.uniform(-1.0, 1.0, size=(d, d))
+        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
         if abs(np.linalg.det(rows)) >= 0.1:
             skew = metric.metric_from_basis(
-                [new_object(d, (UP,), 0, rows[r]) for r in range(d)]
+                [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
             )
-            if _max_abs(skew.g.components - np.eye(d)) > 1e-3:
+            if _max_abs(skew.g.components - np.eye(dim)) > 1e-3:
                 break
     return dev
 
 
 @_check("ex35", "the metric and its inverse contract to the delta")
-def _ex35(ctx: CheckContext, rng: np.random.Generator) -> float:
-    m = metric.random_metric(rng, ctx.dim)
-    eye = np.eye(ctx.dim)
+def _ex35(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
+    eye = np.eye(dim)
     return max(
         _max_abs(m.g.components @ m.g_inv.components - eye),
         _max_abs(m.g_inv.components @ m.g.components - eye),
@@ -591,10 +570,9 @@ def _ex35(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex36", "the squared length agrees in raised and lowered form")
-def _ex36(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.random_metric(rng, d)
-    x = _rand(rng, d, (UP,))
+def _ex36(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
+    x = _rand(rng, dim, (UP,))
     lowered = metric.lower_index(x, 0, m)
     direct = float(x.components @ m.g.components @ x.components)
     via_inverse = float(
@@ -604,11 +582,10 @@ def _ex36(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex37", "scalar products of lowered vectors use the inverse metric")
-def _ex37(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.random_metric(rng, d)
-    x = _rand(rng, d, (UP,))
-    y = _rand(rng, d, (UP,))
+def _ex37(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
+    x = _rand(rng, dim, (UP,))
+    y = _rand(rng, dim, (UP,))
     xl = metric.lower_index(x, 0, m)
     yl = metric.lower_index(y, 0, m)
     direct = metric.inner(x, y, m)
@@ -618,23 +595,21 @@ def _ex37(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex38", "both fixed-variance deltas are invariant under rotations")
-def _ex38(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.frame_from_matrix(_rotation_matrix(rng, d))
-    lower = symbols.kronecker(d, symbols.KroneckerKind.LOWER_LOWER)
-    upper = symbols.kronecker(d, symbols.KroneckerKind.UPPER_UPPER)
+def _ex38(dim: int, rng: np.random.Generator) -> float:
+    f = frames.frame_from_matrix(_rotation_matrix(rng, dim))
+    lower = symbols.kronecker(dim, symbols.KroneckerKind.LOWER_LOWER)
+    upper = symbols.kronecker(dim, symbols.KroneckerKind.UPPER_UPPER)
     return max(
-        _max_abs(frames.transform(lower, f).components - np.eye(d)),
-        _max_abs(frames.transform(upper, f).components - np.eye(d)),
+        _max_abs(frames.transform(lower, f).components - np.eye(dim)),
+        _max_abs(frames.transform(upper, f).components - np.eye(dim)),
     )
 
 
 @_check("ex39", "with the identity metric, raising and lowering change nothing")
-def _ex39(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.orthonormal_metric(d)
-    x = _rand(rng, d, (UP,))
-    t = _rand(rng, d, (DOWN, DOWN))
+def _ex39(dim: int, rng: np.random.Generator) -> float:
+    m = metric.orthonormal_metric(dim)
+    x = _rand(rng, dim, (UP,))
+    t = _rand(rng, dim, (DOWN, DOWN))
     return max(
         _max_abs(metric.lower_index(x, 0, m).components - x.components),
         _max_abs(metric.raise_index(t, 1, m).components - t.components),
@@ -642,14 +617,13 @@ def _ex39(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex40", "dividing by a power of a reference density yields a tensor")
-def _ex40(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
+def _ex40(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
     value = float(rng.uniform(0.5, 2.0))
-    density = new_object(d, (), 1, [value])
-    y = _rand(rng, d, (UP, DOWN, DOWN), weight=2)
+    density = new_object(dim, (), 1, [value])
+    y = _rand(rng, dim, (UP, DOWN, DOWN), weight=2)
     normalized = objects.outer_product(
-        new_object(d, (), -2, [value ** -2]), y
+        new_object(dim, (), -2, [value ** -2]), y
     )
     if normalized.weight != 0:
         return INF
@@ -661,11 +635,10 @@ def _ex40(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex41", "equal-weight sums transform term by term")
-def _ex41(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, DOWN), weight=2)
-    b = _rand(rng, d, (UP, DOWN), weight=2)
+def _ex41(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN), weight=2)
+    b = _rand(rng, dim, (UP, DOWN), weight=2)
     lhs = frames.transform(objects.add(a, b), f)
     rhs = objects.add(frames.transform(a, f), frames.transform(b, f))
     if lhs.weight != 2:
@@ -674,11 +647,10 @@ def _ex41(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex42", "weights add under outer products")
-def _ex42(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP,), weight=1)
-    b = _rand(rng, d, (DOWN,), weight=-2)
+def _ex42(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP,), weight=1)
+    b = _rand(rng, dim, (DOWN,), weight=-2)
     prod = objects.outer_product(a, b)
     if prod.weight != -1:
         return INF
@@ -688,10 +660,9 @@ def _ex42(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex43", "contraction preserves the weight")
-def _ex43(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    t = _rand(rng, d, (UP, DOWN, DOWN), weight=3)
+def _ex43(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    t = _rand(rng, dim, (UP, DOWN, DOWN), weight=3)
     c = objects.contract(t, 0, 1)
     if c.weight != 3:
         return INF
@@ -704,8 +675,8 @@ _covered("ex44", "quotient rule at nonzero weight", "frames.verify_transform_law
 
 
 @_check("ex45", "both permutation symbols are invariant at their declared weights")
-def _ex45(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = min(ctx.dim, 4)
+def _ex45(dim: int, rng: np.random.Generator) -> float:
+    d = min(dim, 4)
     f = frames.random_frame(rng, d)
     e_low = symbols.levi_civita_symbol(d, DOWN)
     e_up = symbols.levi_civita_symbol(d, UP)
@@ -716,30 +687,27 @@ def _ex45(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex46", "the zero object stays zero in every frame", limit=0.0)
-def _ex46(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    z = objects.zeros(d, (UP, DOWN, DOWN), weight=2)
+def _ex46(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    z = objects.zeros(dim, (UP, DOWN, DOWN), weight=2)
     return _max_abs(frames.transform(z, f).components)
 
 
 @_check("ex47", "equal objects stay equal in every frame", limit=0.0)
-def _ex47(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    arr = rng.uniform(-1.0, 1.0, size=(d, d))
-    a = new_object(d, (DOWN, DOWN), 1, arr)
-    b = new_object(d, (DOWN, DOWN), 1, arr.copy())
+def _ex47(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    a = new_object(dim, (DOWN, DOWN), 1, arr)
+    b = new_object(dim, (DOWN, DOWN), 1, arr.copy())
     return _max_abs(
         frames.transform(a, f).components - frames.transform(b, f).components
     )
 
 
 @_check("ex48", "the law inverts with the opposite matrices and weight power")
-def _ex48(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    t = _rand(rng, d, (UP, DOWN), weight=-2)
+def _ex48(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    t = _rand(rng, dim, (UP, DOWN), weight=-2)
     t_new = frames.transform(t, f)
     if not frames.verify_transform_law(t, t_new, f, weight=-2):
         return INF
@@ -751,10 +719,9 @@ def _ex48(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex49", "the determinant of a mixed tensor is frame-invariant")
-def _ex49(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, DOWN))
+def _ex49(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN))
     return _rel(
         determinants.determinant(frames.transform(a, f)),
         determinants.determinant(a),
@@ -762,27 +729,25 @@ def _ex49(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex50", "the determinant of a twice-lower tensor scales as weight two")
-def _ex50(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (DOWN, DOWN))
+def _ex50(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (DOWN, DOWN))
     new_det = float(np.linalg.det(frames.transform(a, f).components))
     expected = f.det_gamma ** 2 * float(np.linalg.det(a.components))
     return _rel(new_det, expected)
 
 
 @_check("ex51", "the determinant of a twice-upper tensor scales as weight minus two")
-def _ex51(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, UP))
+def _ex51(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, UP))
     new_det = float(np.linalg.det(frames.transform(a, f).components))
     expected = f.det_gamma ** -2 * float(np.linalg.det(a.components))
     return _rel(new_det, expected)
 
 
 @_check("ex52", "the scaled symbols are weight-0 tensors (orientation preserved)", fixed_dim=3)
-def _ex52(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex52(dim: int, rng: np.random.Generator) -> float:
     f = _oriented_frame(rng, 3)
     m = metric.random_metric(rng, 3)
     g_new = metric.metric_from_tensor(frames.transform(m.g, f))
@@ -795,7 +760,7 @@ def _ex52(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex53", "roots of the pencil determinant are frame-invariant", fixed_dim=3)
-def _ex53(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex53(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, 3)
     x = _sym_rand(rng, 3)
     y = metric.random_metric(rng, 3).g
@@ -809,7 +774,7 @@ def _ex53(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex54", "the upper symbol tensor is the thrice-raised lower one", fixed_dim=3)
-def _ex54(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex54(dim: int, rng: np.random.Generator) -> float:
     m = metric.random_metric(rng, 3)
     eps_low = metric.levi_civita_tensor(m, DOWN)
     eps_up = metric.levi_civita_tensor(m, UP)
@@ -820,7 +785,7 @@ def _ex54(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex55", "triple products of the basis vectors reproduce the epsilon tensor", fixed_dim=3)
-def _ex55(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex55(dim: int, rng: np.random.Generator) -> float:
     while True:
         rows = rng.uniform(-1.0, 1.0, size=(3, 3))
         if np.linalg.det(rows) >= 0.1:  # right-handed, well-conditioned
@@ -840,7 +805,7 @@ def _ex55(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex56", "the double cross product expands into scalar products", fixed_dim=3)
-def _ex56(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex56(dim: int, rng: np.random.Generator) -> float:
     m = metric.random_metric(rng, 3)
     x, y, z = (_rand(rng, 3, (UP,)) for _ in range(3))
     lhs = metric.cross(x, metric.cross(y, z, m), m)
@@ -849,7 +814,7 @@ def _ex56(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex57", "velocity boosts satisfy the interval-preservation condition", fixed_dim=4)
-def _ex57(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex57(dim: int, rng: np.random.Generator) -> float:
     dev = 0.0
     for beta in rng.uniform(-0.95, 0.95, size=8):
         b = minkowski.boost(float(beta))
@@ -860,7 +825,7 @@ def _ex57(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex58", "the componentwise condition is exactly interval preservation", fixed_dim=4)
-def _ex58(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex58(dim: int, rng: np.random.Generator) -> float:
     candidates = [
         np.eye(4),
         minkowski.boost(0.5),
@@ -890,7 +855,7 @@ def _ex58(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex59", "the 0.6c boost has entries 1.25 and -0.75", limit=1e-12, fixed_dim=4)
-def _ex59(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex59(dim: int, rng: np.random.Generator) -> float:
     expected = np.eye(4)
     expected[0, 0] = expected[1, 1] = 1.25
     expected[0, 1] = expected[1, 0] = -0.75
@@ -898,7 +863,7 @@ def _ex59(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("ex60", "rapidity form of the boost and additive composition", fixed_dim=4)
-def _ex60(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _ex60(dim: int, rng: np.random.Generator) -> float:
     dev = abs(minkowski.rapidity(0.6) - math.log(2.0))
     for beta in rng.uniform(-0.9, 0.9, size=6):
         beta = float(beta)
@@ -919,7 +884,7 @@ def _ex60(ctx: CheckContext, rng: np.random.Generator) -> float:
 # ------------------------------------------------------- equation checks
 
 @_check("eq01", "the determinant is the signed symbol contraction", limit=1e-12, fixed_dim=3)
-def _eq01(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _eq01(dim: int, rng: np.random.Generator) -> float:
     x = _rand(rng, 3, (UP, DOWN))
     e_low = symbols.levi_civita_symbol(3, DOWN)
     got = _eval("t = e_{rst} x_1^r x_2^s x_3^t", {"e": e_low, "x": x}).as_scalar()
@@ -927,7 +892,7 @@ def _eq01(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq02", "contracting three factors into the lower symbol scales it by det", limit=1e-12, fixed_dim=3)
-def _eq02(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _eq02(dim: int, rng: np.random.Generator) -> float:
     x = _rand(rng, 3, (UP, DOWN))
     e_low = symbols.levi_civita_symbol(3, DOWN)
     got = _eval("f_{mnp} = e_{rst} x^r_m x^s_n x^t_p", {"e": e_low, "x": x})
@@ -936,29 +901,28 @@ def _eq02(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq04", "contravariant components mix through the matrix")
-def _eq04(ctx: CheckContext, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, ctx.dim)
-    x = _rand(rng, ctx.dim, (UP,))
+def _eq04(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    x = _rand(rng, dim, (UP,))
     return _max_abs(
         frames.transform(x, f).components - f.c.components @ x.components
     )
 
 
 @_check("eq07", "covariant components mix through the inverse transpose")
-def _eq07(ctx: CheckContext, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, ctx.dim)
-    a = _rand(rng, ctx.dim, (DOWN,))
+def _eq07(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (DOWN,))
     return _max_abs(
         frames.transform(a, f).components - f.gamma.components.T @ a.components
     )
 
 
 @_check("eq10", "quadratic form coefficients transform contragrediently")
-def _eq10(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _sym_rand(rng, d)
-    x = _rand(rng, d, (UP,))
+def _eq10(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _sym_rand(rng, dim)
+    x = _rand(rng, dim, (UP,))
     a_new = frames.transform(a, f)
     x_new = frames.transform(x, f)
     expected = np.einsum("rm,sn,rs->mn", f.gamma.components, f.gamma.components, a.components)
@@ -969,23 +933,21 @@ def _eq10(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq13", "old basis vectors are mixing-matrix combinations of the new")
-def _eq13(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
+def _eq13(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
     while True:
-        rows = rng.uniform(-1.0, 1.0, size=(d, d))
+        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
         if abs(np.linalg.det(rows)) >= 0.1:
             break
-    basis = [new_object(d, (UP,), 0, rows[r]) for r in range(d)]
+    basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_rows = np.stack([e.components for e in frames.transform_basis(f, basis)])
     return _max_abs(f.c.components.T @ new_rows - rows)
 
 
 @_check("eq14", "linear operators conjugate under a change of frame")
-def _eq14(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, DOWN))
+def _eq14(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN))
     expected = np.einsum(
         "ts,rm,mt->rs", f.gamma.components, f.c.components, a.components
     )
@@ -993,14 +955,13 @@ def _eq14(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq15", "the general weighted law matches direct summation")
-def _eq15(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
+def _eq15(dim: int, rng: np.random.Generator) -> float:
     dev = 0.0
     shapes = [(), (UP,), (DOWN,), (UP, DOWN), (DOWN, DOWN), (UP, UP, DOWN)]
     for k, slots in enumerate(shapes):
-        f = frames.random_frame(rng, d)
+        f = frames.random_frame(rng, dim)
         weight = int(rng.integers(-2, 3))
-        t = _rand(rng, d, slots, weight=weight)
+        t = _rand(rng, dim, slots, weight=weight)
         got = frames.transform(t, f)
         if got.weight != weight or got.slots != t.slots:
             return INF
@@ -1009,12 +970,11 @@ def _eq15(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq18", "the scalar product is frame-invariant")
-def _eq18(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    m = metric.random_metric(rng, d)
-    x = _rand(rng, d, (UP,))
-    y = _rand(rng, d, (UP,))
+def _eq18(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    m = metric.random_metric(rng, dim)
+    x = _rand(rng, dim, (UP,))
+    y = _rand(rng, dim, (UP,))
     m_new = metric.metric_from_tensor(frames.transform(m.g, f))
     return _rel(
         metric.inner(x, y, m),
@@ -1023,10 +983,9 @@ def _eq18(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq19", "lowering contracts with the metric")
-def _eq19(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.random_metric(rng, d)
-    x = _rand(rng, d, (UP,))
+def _eq19(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
+    x = _rand(rng, dim, (UP,))
     lowered = metric.lower_index(x, 0, m)
     if lowered.slots != (DOWN,):
         return INF
@@ -1034,15 +993,14 @@ def _eq19(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq20", "a positive-definite metric annihilates only the zero vector")
-def _eq20(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.random_metric(rng, d)
+def _eq20(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
     if m.det_g <= 1e-12:
         return INF
-    solved = np.linalg.solve(m.g.components, np.zeros(d))
+    solved = np.linalg.solve(m.g.components, np.zeros(dim))
     dev = _max_abs(solved)
     for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, size=d)
+        x = rng.uniform(-1.0, 1.0, size=dim)
         x /= max(1e-3, _max_abs(x))
         if _max_abs(m.g.components @ x) == 0.0:
             return INF
@@ -1050,12 +1008,11 @@ def _eq20(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq21", "raising undoes lowering")
-def _eq21(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    m = metric.random_metric(rng, d)
-    x = _rand(rng, d, (UP,))
+def _eq21(dim: int, rng: np.random.Generator) -> float:
+    m = metric.random_metric(rng, dim)
+    x = _rand(rng, dim, (UP,))
     back = metric.raise_index(metric.lower_index(x, 0, m), 0, m)
-    t = _rand(rng, d, (DOWN, DOWN))
+    t = _rand(rng, dim, (DOWN, DOWN))
     back2 = metric.lower_index(metric.raise_index(t, 0, m), 0, m)
     return max(
         _max_abs(back.components - x.components),
@@ -1064,7 +1021,7 @@ def _eq21(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq22", "the skew-frame cross product is the conjugated orthonormal one", fixed_dim=3)
-def _eq22(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _eq22(dim: int, rng: np.random.Generator) -> float:
     f = _oriented_frame(rng, 3)
     delta_lower = symbols.kronecker(3, symbols.KroneckerKind.LOWER_LOWER)
     g_new = metric.metric_from_tensor(frames.transform(delta_lower, f))
@@ -1078,7 +1035,7 @@ def _eq22(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("eq25", "the Minkowski product is bilinear, symmetric, and nondegenerate", fixed_dim=4)
-def _eq25(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _eq25(dim: int, rng: np.random.Generator) -> float:
     x = rng.uniform(-1.0, 1.0, size=4)
     y = rng.uniform(-1.0, 1.0, size=4)
     z = rng.uniform(-1.0, 1.0, size=4)
@@ -1100,10 +1057,9 @@ def _eq25(ctx: CheckContext, rng: np.random.Generator) -> float:
 # ------------------------------------------------------------ tag checks
 
 @_check("det-product", "determinants multiply under matrix products")
-def _det_product(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    x = _rand(rng, d, (UP, DOWN))
-    y = _rand(rng, d, (UP, DOWN))
+def _det_product(dim: int, rng: np.random.Generator) -> float:
+    x = _rand(rng, dim, (UP, DOWN))
+    y = _rand(rng, dim, (UP, DOWN))
     z = _eval("z^r_s = x^r_m y^m_s", {"x": x, "y": y})
     return _rel(
         determinants.determinant(z),
@@ -1112,7 +1068,7 @@ def _det_product(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("det-paths", "the elimination path matches the signed-sum path", limit=1e-12, fixed_dim=4)
-def _det_paths(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _det_paths(dim: int, rng: np.random.Generator) -> float:
     dev = 0.0
     for _ in range(5):
         x = _rand(rng, 4, (UP, DOWN))
@@ -1124,12 +1080,11 @@ def _det_paths(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("det-singular", "singular matrices are rejected with the determinant value", limit=0.0)
-def _det_singular(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    arr = rng.uniform(-1.0, 1.0, size=(d, d))
+def _det_singular(dim: int, rng: np.random.Generator) -> float:
+    arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
     arr[-1] = arr[0]  # dependent rows
     try:
-        determinants.inverse(new_object(d, (UP, DOWN), 0, arr))
+        determinants.inverse(new_object(dim, (UP, DOWN), 0, arr))
     except SingularityError:
         pass
     else:
@@ -1142,13 +1097,12 @@ def _det_singular(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("scalar-invariance", "weight-0 scalars do not change under frames")
-def _scalar_invariance(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    s = new_object(d, (), 0, [float(rng.uniform(-2.0, 2.0))])
+def _scalar_invariance(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    s = new_object(dim, (), 0, [float(rng.uniform(-2.0, 2.0))])
     dev = abs(frames.transform(s, f).as_scalar() - s.as_scalar())
-    a = _rand(rng, d, (DOWN,))
-    x = _rand(rng, d, (UP,))
+    a = _rand(rng, dim, (DOWN,))
+    x = _rand(rng, dim, (UP,))
     old = _eval("t = a_r x^r", {"a": a, "x": x}).as_scalar()
     new = _eval(
         "t = a_r x^r",
@@ -1158,10 +1112,9 @@ def _scalar_invariance(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("trace-invariance", "the trace of a mixed tensor is frame-invariant")
-def _trace_invariance(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    f = frames.random_frame(rng, d)
-    a = _rand(rng, d, (UP, DOWN))
+def _trace_invariance(dim: int, rng: np.random.Generator) -> float:
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN))
     return _rel(
         objects.contract(frames.transform(a, f), 0, 1).as_scalar(),
         objects.contract(a, 0, 1).as_scalar(),
@@ -1169,11 +1122,10 @@ def _trace_invariance(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("conv1-renaming", "renaming a summed letter is bit-identical", limit=0.0)
-def _conv1_renaming(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    a = _rand(rng, d, (DOWN, DOWN))
-    x = _rand(rng, d, (UP,))
-    y = _rand(rng, d, (UP,))
+def _conv1_renaming(dim: int, rng: np.random.Generator) -> float:
+    a = _rand(rng, dim, (DOWN, DOWN))
+    x = _rand(rng, dim, (UP,))
+    y = _rand(rng, dim, (UP,))
     bind = {"a": a, "x": x, "y": y}
     first = _eval("t = a_{rs} x^r y^s", bind)
     second = _eval("t = a_{mn} x^m y^n", bind)
@@ -1181,16 +1133,15 @@ def _conv1_renaming(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("conv-violations", "convention violations raise the documented errors", limit=0.0)
-def _conv_violations(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    v = _rand(rng, d, (UP,))
-    w = _rand(rng, d, (DOWN,))
-    a2 = _rand(rng, d, (DOWN, DOWN))
-    m2 = _rand(rng, d, (UP, DOWN))
-    w1 = _rand(rng, d, (DOWN,), weight=1)
-    other = _rand(rng, d + 1, (DOWN,))
+def _conv_violations(dim: int, rng: np.random.Generator) -> float:
+    v = _rand(rng, dim, (UP,))
+    w = _rand(rng, dim, (DOWN,))
+    a2 = _rand(rng, dim, (DOWN, DOWN))
+    m2 = _rand(rng, dim, (UP, DOWN))
+    w1 = _rand(rng, dim, (DOWN,), weight=1)
+    other = _rand(rng, dim + 1, (DOWN,))
     cases = [
-        ("x_{rrr}", {"x": _rand(rng, d, (DOWN, DOWN, DOWN))}, Mode.STRICT, ConventionError),
+        ("x_{rrr}", {"x": _rand(rng, dim, (DOWN, DOWN, DOWN))}, Mode.STRICT, ConventionError),
         ("a_{rs} x_r", {"a": a2, "x": w}, Mode.STRICT, ConventionError),
         ("y_{st} = x^t_s", {"x": m2}, Mode.STRICT, ConventionError),
         ("z_r = a_r + b_s", {"a": w, "b": w}, Mode.STRICT, ConventionError),
@@ -1225,11 +1176,10 @@ def _conv_violations(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("einsum-weights", "result weights add per term and must agree across terms", limit=0.0)
-def _einsum_weights(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    a = _rand(rng, d, (DOWN,), weight=1)
-    b = _rand(rng, d, (DOWN,), weight=1)
-    x = _rand(rng, d, (UP,), weight=-1)
+def _einsum_weights(dim: int, rng: np.random.Generator) -> float:
+    a = _rand(rng, dim, (DOWN,), weight=1)
+    b = _rand(rng, dim, (DOWN,), weight=1)
+    x = _rand(rng, dim, (UP,), weight=-1)
     plan = validate(parse("t = a_r x^r"), {"a": a, "x": x})
     if plan.weight != 0:
         return INF
@@ -1237,7 +1187,7 @@ def _einsum_weights(ctx: CheckContext, rng: np.random.Generator) -> float:
     if plan2.weight != 1:
         return INF
     try:
-        validate(parse("s_r = a_r + b_r"), {"a": a, "b": _rand(rng, d, (DOWN,))})
+        validate(parse("s_r = a_r + b_r"), {"a": a, "b": _rand(rng, dim, (DOWN,))})
     except ConventionError:
         return 0.0
     return INF
@@ -1271,18 +1221,17 @@ def _naive_eval(statement, bindings: dict[str, TensorObject], dim: int) -> np.nd
 
 
 @_check("einsum-oracle", "the evaluator matches naive summation", limit=1e-12)
-def _einsum_oracle(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
+def _einsum_oracle(dim: int, rng: np.random.Generator) -> float:
     bindings = {
-        "a": _rand(rng, d, (DOWN,)),
-        "x": _rand(rng, d, (UP,)),
-        "m": _rand(rng, d, (UP, DOWN)),
-        "n": _rand(rng, d, (UP, DOWN)),
-        "g": _rand(rng, d, (DOWN, DOWN)),
-        "c": _rand(rng, d, (UP, UP)),
-        "u": _rand(rng, d, (UP,)),
-        "p": _rand(rng, d, (UP, DOWN, DOWN)),
-        "q": _rand(rng, d, (UP, DOWN)),
+        "a": _rand(rng, dim, (DOWN,)),
+        "x": _rand(rng, dim, (UP,)),
+        "m": _rand(rng, dim, (UP, DOWN)),
+        "n": _rand(rng, dim, (UP, DOWN)),
+        "g": _rand(rng, dim, (DOWN, DOWN)),
+        "c": _rand(rng, dim, (UP, UP)),
+        "u": _rand(rng, dim, (UP,)),
+        "p": _rand(rng, dim, (UP, DOWN, DOWN)),
+        "q": _rand(rng, dim, (UP, DOWN)),
     }
     texts = [
         "s = a_r x^r",
@@ -1294,21 +1243,21 @@ def _einsum_oracle(ctx: CheckContext, rng: np.random.Generator) -> float:
         "f^{rs} = x^r u^s + 0.5 * c^{rs}",
         "w = g_{rs} x^r x^s",
     ]
-    if d == 3:
+    if dim == 3:
         bindings["e"] = symbols.levi_civita_symbol(3, DOWN)
         texts.append("v = e_{rst} x^r u^s x^t")
     dev = 0.0
     for text in texts:
         stmt = parse(text)
         got = execute(validate(stmt, bindings), bindings)
-        expected = _naive_eval(stmt, bindings, d)
+        expected = _naive_eval(stmt, bindings, dim)
         scale = max(1.0, _max_abs(expected))
         dev = max(dev, _max_abs(got.components - expected) / scale)
     return dev
 
 
 @_check("plan-cost", "pairwise scheduling beats single-loop summation", limit=0.0)
-def _plan_cost(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _plan_cost(dim: int, rng: np.random.Generator) -> float:
     chain = {
         "a": _rand(rng, 8, (UP, DOWN)),
         "b": _rand(rng, 8, (UP, DOWN)),
@@ -1337,14 +1286,13 @@ def _plan_cost(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("plan-order-invariance", "reordering the schedule never changes values", limit=1e-12)
-def _plan_order_invariance(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
+def _plan_order_invariance(dim: int, rng: np.random.Generator) -> float:
     bindings = {
-        "a": _rand(rng, d, (DOWN, DOWN)),
-        "u": _rand(rng, d, (UP,)),
-        "v": _rand(rng, d, (UP,)),
-        "w": _rand(rng, d, (DOWN,)),
-        "z": _rand(rng, d, (UP,)),
+        "a": _rand(rng, dim, (DOWN, DOWN)),
+        "u": _rand(rng, dim, (UP,)),
+        "v": _rand(rng, dim, (UP,)),
+        "w": _rand(rng, dim, (DOWN,)),
+        "z": _rand(rng, dim, (UP,)),
     }
     plan = validate(parse("s = a_{rm} u^r v^m w_k z^k"), bindings)
     ordered = order_contractions(plan)
@@ -1354,9 +1302,8 @@ def _plan_order_invariance(ctx: CheckContext, rng: np.random.Generator) -> float
 
 
 @_check("frame-singular", "degenerate mixing matrices are rejected", limit=0.0)
-def _frame_singular(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    arr = rng.uniform(-1.0, 1.0, size=(d, d))
+def _frame_singular(dim: int, rng: np.random.Generator) -> float:
+    arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
     arr[:, -1] = 0.0
     try:
         frames.frame_from_matrix(arr)
@@ -1366,34 +1313,33 @@ def _frame_singular(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("metric-definite", "non-metrics are rejected", limit=0.0)
-def _metric_definite(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    asym = rng.uniform(-1.0, 1.0, size=(d, d))
+def _metric_definite(dim: int, rng: np.random.Generator) -> float:
+    asym = rng.uniform(-1.0, 1.0, size=(dim, dim))
     asym[0, -1] += 1.0  # force asymmetry
     try:
-        metric.metric_from_tensor(new_object(d, (DOWN, DOWN), 0, asym))
+        metric.metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, asym))
     except TensorError:
         pass
     else:
         return INF
-    indefinite = -np.eye(d)
+    indefinite = -np.eye(dim)
     try:
-        metric.metric_from_tensor(new_object(d, (DOWN, DOWN), 0, indefinite))
+        metric.metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, indefinite))
     except TensorError:
         pass
     else:
         return INF
-    rows = rng.uniform(-1.0, 1.0, size=(d, d))
+    rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
     rows[-1] = rows[0]  # dependent basis
     try:
-        metric.metric_from_basis([new_object(d, (UP,), 0, rows[r]) for r in range(d)])
+        metric.metric_from_basis([new_object(dim, (UP,), 0, rows[r]) for r in range(dim)])
     except TensorError:
         return 0.0
     return INF
 
 
 @_check("superluminal", "boosts at or beyond the speed of light are rejected", limit=0.0, fixed_dim=4)
-def _superluminal(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _superluminal(dim: int, rng: np.random.Generator) -> float:
     for beta in (1.0, -1.0, 1.5):
         try:
             minkowski.boost(beta)
@@ -1410,7 +1356,7 @@ def _superluminal(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("lorentz-closure", "boost and rotation compositions stay in the group", fixed_dim=4)
-def _lorentz_closure(ctx: CheckContext, rng: np.random.Generator) -> float:
+def _lorentz_closure(dim: int, rng: np.random.Generator) -> float:
     dev = 0.0
     for _ in range(10):
         m = np.eye(4)
@@ -1426,12 +1372,11 @@ def _lorentz_closure(ctx: CheckContext, rng: np.random.Generator) -> float:
 
 
 @_check("core-dot", "outer product plus contraction is the dot product")
-def _core_dot(ctx: CheckContext, rng: np.random.Generator) -> float:
-    d = ctx.dim
-    a = _rand(rng, d, (DOWN,))
-    x = _rand(rng, d, (UP,))
+def _core_dot(dim: int, rng: np.random.Generator) -> float:
+    a = _rand(rng, dim, (DOWN,))
+    x = _rand(rng, dim, (UP,))
     got = objects.contract(objects.outer_product(a, x), 1, 0).as_scalar()
-    manual = sum(a.component((k,)) * x.component((k,)) for k in range(1, d + 1))
+    manual = sum(a.component((k,)) * x.component((k,)) for k in range(1, dim + 1))
     return _rel(got, manual)
 
 
@@ -1454,13 +1399,12 @@ def run_checks(
             )
             continue
         use_dim = check.fixed_dim if check.fixed_dim is not None else dim
-        ctx = CheckContext(use_dim, seed, tol)
         rng = np.random.default_rng([seed, zlib.crc32(check.check_id.encode())])
         limit = tol if check.limit is None else check.limit
         error = None
         start = time.perf_counter()
         try:
-            deviation = float(check.fn(ctx, rng))
+            deviation = float(check.fn(use_dim, rng))
         except Exception as exc:  # a crash fails the check and is named
             deviation = INF
             error = type(exc).__name__

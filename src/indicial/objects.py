@@ -161,17 +161,13 @@ def new_object(
     copied, so the object never shares memory with the caller's array.
     """
     slots = tuple(slots)
-    # the exact-type tests are the fast path; the isinstance checks behind
-    # them decide and word every rejection
-    if type(dim) is not int or dim < 1:
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ShapeError(f"dim must be a positive integer, got {dim!r}")
+    # the exact-type tests are the fast path; require_signature behind them
+    # decides and words every rejection
+    if type(dim) is not int or dim < 1 or type(weight) is not int:
+        require_signature(dim, slots, weight)
     for s in slots:
-        if s is not UP and s is not DOWN and not isinstance(s, Variance):
-            raise ShapeError(f"slot {s!r} is not a Variance")
-    if type(weight) is not int:
-        if not isinstance(weight, int) or isinstance(weight, bool):
-            raise ShapeError(f"weight must be an integer, got {weight!r}")
+        if s is not UP and s is not DOWN:
+            require_signature(dim, slots, weight)
     size = require_storable(dim, len(slots))
     arr = np.array(components, dtype=np.float64, order="C")
     shape = (dim,) * len(slots)
@@ -185,6 +181,18 @@ def new_object(
             )
     arr.setflags(write=False)
     return TensorObject(dim, slots, weight, arr)
+
+
+def require_signature(dim: object, slots: tuple, weight: object) -> None:
+    """Raise ShapeError unless dim is a positive int, every slot a Variance
+    and weight an int (bools are not integers here)."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ShapeError(f"dim must be a positive integer, got {dim!r}")
+    for s in slots:
+        if not isinstance(s, Variance):
+            raise ShapeError(f"slot {s!r} is not a Variance")
+    if not isinstance(weight, int) or isinstance(weight, bool):
+        raise ShapeError(f"weight must be an integer, got {weight!r}")
 
 
 def zeros(dim: int, slots: Iterable[Variance], weight: int = 0) -> TensorObject:
@@ -285,9 +293,9 @@ def swap_slots(t: TensorObject, i: int, j: int) -> TensorObject:
         )
     if i == j:
         return t
-    return TensorObject(
-        t.dim, t.slots, t.weight, _frozen(np.swapaxes(t.components, i, j))
-    )
+    # a copy, since the swapped view is not in C order
+    swapped = np.swapaxes(t.components, i, j).copy()
+    return TensorObject(t.dim, t.slots, t.weight, _frozen(swapped))
 
 
 def symmetry_check(

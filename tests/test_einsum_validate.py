@@ -104,6 +104,26 @@ def test_rank_mismatch_is_a_shape_error():
         validate(parse("a^r x_r"), {"a": G2, "x": V_DOWN})
 
 
+@pytest.mark.parametrize("signature", [
+    (3.7, (UP,), 0),
+    (True, (UP,), 0),
+    ("3", (UP,), 0),
+    (0, (UP,), 0),
+    (-2, (UP,), 0),
+    (3, ("up",), 0),
+    (3, (UP,), 0.9),
+    (3, (UP,), False),
+], ids=["float-dim", "bool-dim", "str-dim", "zero-dim", "negative-dim",
+        "str-slot", "float-weight", "bool-weight"])
+def test_malformed_signatures_are_refused_as_new_object_refuses_them(signature):
+    dim, slots, weight = signature
+    with pytest.raises(ShapeError) as built:
+        new_object(dim, slots, weight, [0.0, 0.0, 0.0])
+    with pytest.raises(ShapeError) as validated:
+        validate(parse("t = x^r y_r"), {"x": signature, "y": (3, (DOWN,), 0)})
+    assert str(validated.value) == str(built.value)
+
+
 def test_unbound_name():
     with pytest.raises(ShapeError) as err:
         validate(parse("t = q_r v^r"), {"v": V_UP})

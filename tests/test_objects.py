@@ -210,6 +210,12 @@ def test_swap_slots():
     t = new_object(3, (DOWN, DOWN), 0, rng.uniform(-1, 1, (3, 3)))
     assert np.array_equal(swap_slots(t, 0, 1).components, t.components.T)
     assert swap_slots(t, 0, 0) == t
+    cube = new_object(2, (UP, UP, UP), 0, np.arange(8.0))
+    swapped = swap_slots(cube, 0, 2).components
+    assert swapped.flags.c_contiguous and not swapped.flags.writeable
+    # flat layout is lexicographic with slot 0 outermost: entry (i, j, k) of
+    # the result is entry (k, j, i) of the input, at flat position 4i + 2j + k
+    assert swapped.ravel(order="K").tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
     mixed = zeros(3, (UP, DOWN))
     with pytest.raises(ConventionError):
         swap_slots(mixed, 0, 1)  # different variance
