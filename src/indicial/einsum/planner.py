@@ -17,7 +17,10 @@ Both stages memoize, as ``parse`` does, in caches of ``CACHE_SIZE``
 entries: ``validate`` on the statement, the mode and the signatures of the
 names the statement references (never on the bindings themselves), and
 ``order_contractions`` on the plan object.  Plans are immutable, so every
-caller shares them.
+caller shares them.  One resolver reads the bindings ahead of the cache
+and raises the binding errors there (an unbound or malformed name, a dim
+that differs from the first factor's); the cached body checks the rest.
+Errors are never cached.
 
 Index-to-slot matching: in strict mode the written upper indices bind the
 upper slots in order and the written lower indices bind the lower slots in
@@ -77,8 +80,8 @@ class ScheduleStep:
     then reshaped to ``left_shape`` ``(d**m, d**k)`` and ``right_shape``
     ``(d**k, d**n)``; an outer product has ``k = 0``, so its inner axis has
     length 1.  The product, reshaped to ``result_shape``, replaces position
-    ``left`` and position ``right`` is removed.  ``cost`` is the
-    multiply-add estimate dim ** |letter union|.
+    ``left`` and position ``right`` is removed.  ``cost``, the multiply-add
+    estimate dim ** |letter union|, is derived from the two shapes.
     """
 
     left: int
@@ -88,7 +91,10 @@ class ScheduleStep:
     right_perm: tuple[int, ...] | None
     right_shape: tuple[int, int]
     result_shape: tuple[int, ...]
-    cost: int
+
+    @property
+    def cost(self) -> int:
+        return self.left_shape[0] * self.left_shape[1] * self.right_shape[1]
 
 
 @dataclass(frozen=True)
@@ -212,60 +218,44 @@ def validate(
     non-matching target layout), and AddressingError for a fixed digit
     index outside 1..dim.  Plans are memoized and shared between callers.
     """
-    try:
-        key = _signatures_key(statement, signatures)
-    except Exception:  # a missing or malformed binding: the body raises its error
-        return _validate(statement, signatures, mode)
-    return _validate_cached(statement, mode, key)
+    return _validate(statement, mode, _resolve(statement, signatures))
 
 
-def _signatures_key(
+def _resolve(
     statement: Statement, signatures: dict[str, object]
 ) -> tuple[tuple[str, Signature], ...]:
-    """The normalized signature of each referenced name, by first appearance."""
+    """The signature of each referenced name, by first appearance.
+
+    Raises the binding errors: an unbound or malformed name, or a dim that
+    differs from the first factor's.
+    """
     key = []
+    dim = None
     for name in statement.names:
         if name not in signatures:
-            raise KeyError(name)
+            raise ShapeError(f"no binding for name {name!r}")
         t = signatures[name]
         if type(t) is TensorObject:
-            key.append((name, (t.dim, t.slots, t.weight)))
+            sig = (t.dim, t.slots, t.weight)
         else:
-            key.append((name, _signature(name, t)))
+            sig = _signature(name, t)
+        if dim is None:
+            dim = sig[0]
+        elif sig[0] != dim:
+            raise ShapeError(
+                f"dim mismatch: {name!r} has dim {sig[0]}, expected {dim}"
+            )
+        key.append((name, sig))
     return tuple(key)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _validate_cached(
+def _validate(
     statement: Statement, mode: Mode, key: tuple[tuple[str, Signature], ...]
 ) -> ContractionPlan:
     # every check reads only the statement, the mode and these signatures
-    return _validate(statement, dict(key), mode)
-
-
-def _validate(
-    statement: Statement, signatures: dict[str, object], mode: Mode
-) -> ContractionPlan:
-    resolved: dict[str, Signature] = {}
-
-    def lookup(name: str) -> Signature:
-        if name not in resolved:
-            if name not in signatures:
-                raise ShapeError(f"no binding for name {name!r}")
-            resolved[name] = _signature(name, signatures[name])
-        return resolved[name]
-
-    dim: int | None = None
-    for term in statement.terms:
-        for factor in term.factors:
-            d = lookup(factor.name)[0]
-            if dim is None:
-                dim = d
-            elif d != dim:
-                raise ShapeError(
-                    f"dim mismatch: {factor.name!r} has dim {d}, expected {dim}"
-                )
-    assert dim is not None  # the grammar guarantees at least one factor
+    signatures = dict(key)
+    dim = key[0][1][0]
 
     lowered: list[tuple[float, tuple[FactorPlan, ...], int, int]] = []
     term_free: list[dict[str, Variance]] = []
@@ -277,7 +267,7 @@ def _validate(
         factor_plans: list[FactorPlan] = []
         prep_cost = 0
         for factor in term.factors:
-            _, slots, _ = lookup(factor.name)
+            _, slots, _ = signatures[factor.name]
             mapping = _resolve_slots(factor, slots, mode)
             slot_letters: list[str | None] = [None] * len(slots)
             index: list[int | slice] = [slice(None)] * len(slots)
@@ -317,7 +307,7 @@ def _validate(
             (term.coefficient, tuple(factor_plans), prep_cost, dim ** len(occurrences))
         )
         term_free.append(free)
-        term_weights.append(sum(lookup(f.name)[2] for f in term.factors))
+        term_weights.append(sum(signatures[f.name][2] for f in term.factors))
 
     first_free = term_free[0]
     for k, free in enumerate(term_free[1:], start=2):
@@ -376,7 +366,7 @@ def _validate(
         terms.append(TermPlan(coeff, factors, *schedule, prep, naive))
     return ContractionPlan(
         mode, dim, result_slots, term_weights[0], free_letters,
-        MappingProxyType(resolved), tuple(terms),
+        MappingProxyType(signatures), tuple(terms),
     )
 
 
@@ -422,7 +412,6 @@ def _schedule(
             _perm(left, kept_left + shared), (dim ** len(kept_left), inner),
             _perm(right, shared + kept_right), (inner, dim ** len(kept_right)),
             (dim,) * len(result),
-            dim ** (len(result) + len(shared)),
         ))
         items[i] = result
         del items[j]

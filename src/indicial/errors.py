@@ -36,7 +36,8 @@ class DefinitenessError(TensorError):
 
 
 class SuperluminalError(TensorError):
-    """A boost or rapidity was requested with |beta| >= 1."""
+    """A boost or rapidity was requested with |beta| >= 1, or a boost from a
+    rapidity that is not finite or whose cosh overflows float64."""
 
 
 class DocumentError(TensorError):

@@ -21,6 +21,7 @@ from .objects import (
     UP,
     TensorObject,
     _frozen,
+    matrix_object,
     new_object,
     require_vector,
 )
@@ -44,13 +45,7 @@ class Frame:
 
 def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     """Build a Frame from the new-from-old matrix, rejecting singular input."""
-    if not isinstance(c, TensorObject):
-        arr = np.asarray(c, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"frame matrix must be square, got shape {arr.shape}")
-        c = new_object(arr.shape[0], MIXED_SLOTS, 0, arr)
-    elif c.slots != MIXED_SLOTS:
-        raise ShapeError(f"frame matrix needs slots (up, down), got {c!r}")
+    c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     gamma = inverse(c)  # raises SingularityError for a degenerate mixing
     residual = float(
         np.max(np.abs(gamma.components @ c.components - np.eye(c.dim)))

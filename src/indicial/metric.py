@@ -21,6 +21,8 @@ from .objects import (
     TensorObject,
     Variance,
     _frozen,
+    is_index_value,
+    matrix_object,
     new_object,
     require_vector,
 )
@@ -45,13 +47,7 @@ class Metric:
 
 def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
     """Validate symmetry and positive-definiteness, cache inverse and det."""
-    if not isinstance(g, TensorObject):
-        arr = np.asarray(g, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"metric matrix must be square, got shape {arr.shape}")
-        g = new_object(arr.shape[0], (DOWN, DOWN), 0, arr)
-    elif g.slots != (DOWN, DOWN):
-        raise ShapeError(f"metric needs slots (down, down), got {g!r}")
+    g = matrix_object(g, (DOWN, DOWN), "metric")
     m = g.components
     # every comparison with NaN is False, so the checks below would pass it
     if not np.isfinite(m).all():
@@ -107,8 +103,8 @@ def _move_index(
     before: Variance,
     after: Variance,
 ) -> TensorObject:
-    if not 0 <= slot < t.rank:
-        raise ShapeError(f"slot {slot} outside 0..{t.rank - 1}")
+    if not is_index_value(slot) or not 0 <= slot < t.rank:
+        raise ShapeError(f"slot {slot!r} outside 0..{t.rank - 1}")
     if t.dim != matrix.shape[0]:
         raise ShapeError(f"object has dim {t.dim}, metric has dim {matrix.shape[0]}")
     if t.slots[slot] is not before:

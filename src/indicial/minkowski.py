@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, SuperluminalError
+from .objects import float_array
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
@@ -30,14 +31,14 @@ _CONDITION_TOL = 1e-9
 
 
 def _as_four_vector(x: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    arr = float_array(x, "a four-vector")
     if arr.shape != (4,):
         raise ShapeError(f"a four-vector needs exactly 4 components, got {arr.shape}")
     return arr
 
 
 def _as_matrix(c: Sequence[Sequence[float]]) -> np.ndarray:
-    arr = np.asarray(c, dtype=np.float64)
+    arr = float_array(c, "a transformation matrix")
     if arr.shape != (4, 4):
         raise ShapeError(f"a transformation matrix must be 4x4, got {arr.shape}")
     return arr
@@ -118,10 +119,19 @@ def boost_from_rapidity(psi: float) -> np.ndarray:
     boost_from_rapidity(a + b).
     """
     psi = float(psi)
+    # |sinh psi| < cosh psi, so a finite cosh bounds the whole block
+    try:
+        cosh = math.cosh(psi)
+    except OverflowError:
+        cosh = math.inf
+    if not math.isfinite(cosh):  # also false for a NaN or infinite psi
+        raise SuperluminalError(
+            f"rapidity must be finite with cosh(psi) inside float64, got {psi}"
+        )
     m = np.eye(4)
-    m[0, 0] = math.cosh(psi)
+    m[0, 0] = cosh
     m[0, 1] = math.sinh(psi)
     m[1, 0] = math.sinh(psi)
-    m[1, 1] = math.cosh(psi)
+    m[1, 1] = cosh
     m.setflags(write=False)
     return m

@@ -2,7 +2,8 @@
 
 Components are float64 in a numpy array of shape ``(dim,) * rank`` in C
 order, so the flat layout is lexicographic with slot 0 outermost.  Index
-values are 1-based at the API surface; slot positions are 0-based.  Objects
+values are 1-based at the API surface; slot positions are 0-based.  Both
+accept any integer, numpy integers included, except a bool.  Objects
 are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
 refuses assignment and deletion, and the backing array is marked read-only.
 ``new_object`` always copies its input, so an object never shares memory
@@ -169,7 +170,12 @@ def new_object(
         if s is not UP and s is not DOWN:
             require_signature(dim, slots, weight)
     size = require_storable(dim, len(slots))
-    arr = np.array(components, dtype=np.float64, order="C")
+    try:
+        arr = np.array(components, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged
+        raise ShapeError(
+            f"components must be a rectangular array of numbers ({exc})"
+        ) from None
     shape = (dim,) * len(slots)
     if arr.shape != shape:
         if arr.ndim == 1 and arr.size == size:
@@ -181,6 +187,32 @@ def new_object(
             )
     arr.setflags(write=False)
     return TensorObject(dim, slots, weight, arr)
+
+
+def float_array(x: object, what: str) -> np.ndarray:
+    """``x`` as a float64 array; ShapeError for a non-numeric or ragged one."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(
+            f"{what} must be a rectangular array of numbers ({exc})"
+        ) from None
+
+
+def matrix_object(
+    x: object, slots: tuple[Variance, Variance], what: str
+) -> TensorObject:
+    """A rank-2 object with ``slots``: a TensorObject with exactly those
+    slots as it is, or a square array-like as the weight-0 components."""
+    if isinstance(x, TensorObject):
+        if x.slots != slots:
+            names = ", ".join(s.value for s in slots)
+            raise ShapeError(f"{what} needs slots ({names}), got {x!r}")
+        return x
+    arr = float_array(x, what)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"{what} must be square, got shape {arr.shape}")
+    return new_object(arr.shape[0], slots, 0, arr)
 
 
 def require_signature(dim: object, slots: tuple, weight: object) -> None:
@@ -257,7 +289,7 @@ def require_vector(x: object, dim: int, what: str = "vector") -> np.ndarray:
 
 
 def _check_slot(t: TensorObject, pos: int) -> None:
-    if not isinstance(pos, int) or isinstance(pos, bool) or not 0 <= pos < t.rank:
+    if not is_index_value(pos) or not 0 <= pos < t.rank:
         raise AddressingError(f"slot position {pos!r} outside 0..{t.rank - 1}")
 
 

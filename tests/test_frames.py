@@ -53,6 +53,12 @@ def test_frame_from_matrix_rejections():
         frame_from_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
 
+@pytest.mark.parametrize("c", [[["a", "b"], ["c", "d"]], [[1.0, 0.0], [0.0]]])
+def test_frame_from_matrix_refuses_non_numeric_matrices(c):
+    with pytest.raises(ShapeError, match="rectangular array of numbers"):
+        frame_from_matrix(c)
+
+
 def test_identity_and_inverse_and_compose():
     rng = np.random.default_rng(0)
     f = random_frame(rng, 3)

@@ -146,6 +146,28 @@ def test_move_index_slot_rules():
         raise_index(t, 0, m)  # already upper
 
 
+@pytest.mark.parametrize("move", [lower_index, raise_index])
+@pytest.mark.parametrize("slot", [True, False, 1.0, 0.0, "0"])
+def test_move_index_refuses_non_integer_slots(move, slot):
+    m = orthonormal_metric(3)
+    t = new_object(3, (UP, DOWN), 0, np.arange(9.0))
+    with pytest.raises(ShapeError):
+        move(t, slot, m)
+
+
+def test_move_index_accepts_numpy_integer_slots():
+    m = random_metric(np.random.default_rng(3), 3)
+    t = new_object(3, (UP, DOWN), 0, np.arange(9.0))
+    assert lower_index(t, np.int64(0), m) == lower_index(t, 0, m)
+    assert raise_index(t, np.int64(1), m) == raise_index(t, 1, m)
+
+
+@pytest.mark.parametrize("g", [[["a", "b"], ["c", "d"]], [[1.0, 0.0], [0.0]]])
+def test_metric_from_tensor_refuses_non_numeric_matrices(g):
+    with pytest.raises(ShapeError, match="rectangular array of numbers"):
+        metric_from_tensor(g)
+
+
 def test_inner_is_the_metric_quadratic_form():
     rng = np.random.default_rng(4)
     m = random_metric(rng, 3)

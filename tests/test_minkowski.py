@@ -112,6 +112,28 @@ def test_superluminal_rejected(beta):
         rapidity(beta)
 
 
+@pytest.mark.parametrize("psi", [1000.0, -1000.0, math.nan, math.inf, -math.inf])
+def test_boost_from_rapidity_refuses_a_rapidity_outside_float64(psi):
+    with pytest.raises(SuperluminalError):
+        boost_from_rapidity(psi)
+
+
+def test_boost_from_rapidity_keeps_the_largest_finite_cosh():
+    b = boost_from_rapidity(-709.0)
+    assert np.isfinite(b).all() and b[0, 0] == math.cosh(709.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mink_product([1.0, 2.0, 3.0, "x"], [1.0, 2.0, 3.0, 4.0]),
+    lambda: mink_product([1.0, 2.0, 3.0, 4.0], [[1.0], [2.0, 3.0]]),
+    lambda: is_lorentz([[1.0, 0.0, 0.0, 0.0]] * 3 + [[1.0]]),
+    lambda: eta_residual([["a"] * 4] * 4),
+])
+def test_non_numeric_input_is_a_shape_error(call):
+    with pytest.raises(ShapeError, match="rectangular array of numbers"):
+        call()
+
+
 def test_rapidity_values():
     assert abs(rapidity(0.6) - math.log(2.0)) <= 1e-15
     assert abs(rapidity(0.0)) == 0.0

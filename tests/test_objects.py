@@ -196,6 +196,30 @@ def test_contract_slot_rules():
         contract(t, 2, 2)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_slot_positions_accept_numpy_integers(kind):
+    t = new_object(3, (UP, DOWN), 0, np.arange(9.0).reshape(3, 3))
+    assert contract(t, kind(0), kind(1)) == contract(t, 0, 1)
+    d = new_object(3, (DOWN, DOWN), 0, np.arange(9.0).reshape(3, 3))
+    assert swap_slots(d, kind(0), kind(1)) == swap_slots(d, 0, 1)
+    assert symmetry_check(d, kind(0), kind(1)) is symmetry_check(d, 0, 1)
+
+
+@pytest.mark.parametrize("pos", [True, False, 1.0, "1", None])
+def test_slot_positions_refuse_non_integers(pos):
+    t = zeros(3, (UP, DOWN))
+    with pytest.raises(AddressingError):
+        contract(t, pos, 1)
+    with pytest.raises(AddressingError):
+        swap_slots(t, 0, pos)
+
+
+@pytest.mark.parametrize("components", [["a", "b", "c"], [[1.0, 2.0], [3.0]], {"a": 1}])
+def test_new_object_refuses_non_numeric_components(components):
+    with pytest.raises(ShapeError, match="rectangular array of numbers"):
+        new_object(3, (UP,), 0, components)
+
+
 def test_contract_matches_explicit_sum():
     rng = np.random.default_rng(5)
     t = new_object(3, (UP, DOWN, DOWN), 0, rng.uniform(-1, 1, (3, 3, 3)))
