@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mode",
-        choices=("strict", "orthogonal"),
-        default="strict",
+        choices=[mode.value for mode in Mode],
+        default=Mode.STRICT.value,
         help="index convention (default strict)",
     )
     p.add_argument("--out", metavar="FILE", help="write the result document here")
@@ -125,7 +125,7 @@ def _load_metric(args: argparse.Namespace) -> Metric:
 
 def _cmd_eval(args: argparse.Namespace) -> TensorObject:
     bindings = load_bindings(args.bindings)
-    mode = Mode.STRICT if args.mode == "strict" else Mode.ORTHOGONAL
+    mode = Mode(args.mode)
     plan = order_contractions(validate(parse(args.expression), bindings, mode))
     return execute(plan, bindings)
 

@@ -57,6 +57,12 @@ def singularity_threshold(t: TensorObject) -> float:
         return math.inf
 
 
+def _is_singular(det: float, t: TensorObject) -> bool:
+    """|det| at or below the threshold of ``t``; a NaN det (a NaN entry, or
+    inf * 0 in an overflowing permutation sum) counts as singular."""
+    return not abs(det) > singularity_threshold(t)
+
+
 def inverse(t: TensorObject) -> TensorObject:
     """Matrix inverse of a rank-(1,1) object.
 
@@ -66,8 +72,7 @@ def inverse(t: TensorObject) -> TensorObject:
     """
     m = _require_mixed_matrix(t, "inverse")
     det = determinant(t)
-    # a NaN det (inf * 0 in an overflowing permutation sum) counts as singular
-    if not abs(det) > singularity_threshold(t):
+    if _is_singular(det, t):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
     inv = np.linalg.inv(m)
     return TensorObject(t.dim, MIXED_SLOTS, -t.weight, _frozen(inv))

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import DocumentError
 from .frames import Frame, frame_from_matrix
-from .objects import DOWN, MIXED_SLOTS, UP, TensorObject, new_object
+from .objects import MIXED_SLOTS, UP, TensorObject, Variance, new_object
 
-_VARIANCES = {"up": UP, "down": DOWN}
+_VARIANCES = {v.value: v for v in Variance}
 
 _T = TypeVar("_T")
 

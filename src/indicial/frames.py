@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import determinant, inverse, singularity_threshold
+from .determinants import _is_singular, determinant, inverse
 from .errors import ShapeError, SingularityError
 from .objects import (
     MIXED_SLOTS,
@@ -144,7 +144,7 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
         raise ShapeError(f"expected {f.dim} basis vectors, got {len(basis)}")
     rows = np.stack([require_vector(e, f.dim, "basis vector") for e in basis])
     as_matrix = new_object(f.dim, MIXED_SLOTS, 0, rows)
-    if abs(determinant(as_matrix)) <= singularity_threshold(as_matrix):
+    if _is_singular(determinant(as_matrix), as_matrix):
         raise SingularityError("basis vectors are linearly dependent")
     new_rows = f.gamma.components.T @ rows
     return [new_object(f.dim, (UP,), 0, new_rows[r]) for r in range(f.dim)]

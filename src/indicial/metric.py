@@ -139,25 +139,23 @@ def levi_civita_tensor(m: Metric, variance: Variance) -> TensorObject:
 
 
 def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
-    """Cross product z^r = eps^{rmn} g_ms g_nt x^s y^t (dim 3)."""
+    """Cross product z^r = eps^{rmn} g_ms g_nt x^s y^t (dim 3), written out:
+    the ordinary cross product of g x and g y, divided by sqrt(det g)."""
     if m.dim != 3:
         raise ShapeError(f"cross product is dim-3 only, got metric dim {m.dim}")
-    xl = m.g.components @ require_vector(x, m.dim)
-    yl = m.g.components @ require_vector(y, m.dim)
-    eps_up = levi_civita_tensor(m, UP).components
-    z = np.einsum("rmn,m,n->r", eps_up, xl, yl)
-    return new_object(3, (UP,), x.weight + y.weight, z)
+    a1, a2, a3 = (m.g.components @ require_vector(x, 3)).tolist()
+    b1, b2, b3 = (m.g.components @ require_vector(y, 3)).tolist()
+    root = math.sqrt(m.det_g)
+    z = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    return new_object(3, (UP,), x.weight + y.weight, [v / root for v in z])
 
 
 def triple(x: TensorObject, y: TensorObject, z: TensorObject, m: Metric) -> float:
-    """Triple product eps^{mnp} g_mr g_ns g_pt x^r y^s z^t (dim 3)."""
+    """Triple product eps^{mnp} g_mr g_ns g_pt x^r y^s z^t (dim 3): the scalar
+    product of cross(x, y) with z, det[g x, g y, g z] / sqrt(det g)."""
     if m.dim != 3:
         raise ShapeError(f"triple product is dim-3 only, got metric dim {m.dim}")
-    xl = m.g.components @ require_vector(x, m.dim)
-    yl = m.g.components @ require_vector(y, m.dim)
-    zl = m.g.components @ require_vector(z, m.dim)
-    eps_up = levi_civita_tensor(m, UP).components
-    return float(np.einsum("mnp,m,n,p->", eps_up, xl, yl, zl))
+    return inner(cross(x, y, m), z, m)
 
 
 def random_metric(rng: np.random.Generator, dim: int = 3, min_det: float = 0.1) -> Metric:

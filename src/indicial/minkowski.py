@@ -12,6 +12,11 @@ beta/sqrt(1-beta^2) and cosh psi = 1/sqrt(1-beta^2)), the two agree as
     boost(beta) == boost_from_rapidity(-rapidity(beta))
 
 i.e. the conventions differ by the sign of the rapidity argument.
+
+``beta`` and ``psi`` are read as ``float(value)``, numeric strings included.
+An int beyond float64 reads as +-inf and so raises SuperluminalError, as a
+float 1e400 does; a value ``float`` cannot read (None, "abc", [0.5]) raises
+ShapeError.
 """
 
 from __future__ import annotations
@@ -80,11 +85,30 @@ def eta_residual(c: Sequence[Sequence[float]]) -> float:
     return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
+def _read_number(value: object, what: str) -> float:
+    """``float(value)``; an int beyond float64 reads as +-inf, like ``1e400``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} must be a real number, got {value!r}") from None
+
+
 def _check_beta(beta: float) -> float:
-    beta = float(beta)
+    beta = _read_number(beta, "beta")
     if not abs(beta) < 1.0:
         raise SuperluminalError(f"|beta| must be < 1, got {beta}")
     return beta
+
+
+def _boost_matrix(diagonal: float, off_diagonal: float) -> np.ndarray:
+    """The read-only boost along axis 1 with the given time-x block entries."""
+    m = np.eye(4)
+    m[0, 0] = m[1, 1] = diagonal
+    m[0, 1] = m[1, 0] = off_diagonal
+    m.setflags(write=False)
+    return m
 
 
 def boost(beta: float) -> np.ndarray:
@@ -95,13 +119,7 @@ def boost(beta: float) -> np.ndarray:
     """
     beta = _check_beta(beta)
     g = 1.0 / math.sqrt(1.0 - beta * beta)
-    m = np.eye(4)
-    m[0, 0] = g
-    m[0, 1] = -beta * g
-    m[1, 0] = -beta * g
-    m[1, 1] = g
-    m.setflags(write=False)
-    return m
+    return _boost_matrix(g, -beta * g)
 
 
 def rapidity(beta: float) -> float:
@@ -118,7 +136,7 @@ def boost_from_rapidity(psi: float) -> np.ndarray:
     boost_from_rapidity(a) @ boost_from_rapidity(b) ==
     boost_from_rapidity(a + b).
     """
-    psi = float(psi)
+    psi = _read_number(psi, "rapidity")
     # |sinh psi| < cosh psi, so a finite cosh bounds the whole block
     try:
         cosh = math.cosh(psi)
@@ -128,10 +146,4 @@ def boost_from_rapidity(psi: float) -> np.ndarray:
         raise SuperluminalError(
             f"rapidity must be finite with cosh(psi) inside float64, got {psi}"
         )
-    m = np.eye(4)
-    m[0, 0] = cosh
-    m[0, 1] = math.sinh(psi)
-    m[1, 0] = math.sinh(psi)
-    m[1, 1] = cosh
-    m.setflags(write=False)
-    return m
+    return _boost_matrix(cosh, math.sinh(psi))

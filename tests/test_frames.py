@@ -255,6 +255,12 @@ def test_transform_basis_rejects_dependent_vectors():
     basis = [new_object(3, (UP,), 0, rows[r]) for r in range(3)]
     with pytest.raises(SingularityError):
         transform_basis(identity_frame(3), basis)
+    # a NaN component makes a NaN det, which counts as singular as in `inverse`
+    rows = np.eye(3)
+    rows[1, 2] = np.nan
+    basis = [new_object(3, (UP,), 0, rows[r]) for r in range(3)]
+    with pytest.raises(SingularityError, match="linearly dependent"):
+        transform_basis(identity_frame(3), basis)
     with pytest.raises(ShapeError):
         transform_basis(identity_frame(3), [zeros(3, (UP,))] * 2)  # wrong count
 

@@ -243,6 +243,16 @@ def test_triple_product_is_the_oriented_volume():
         cross3(y.components.tolist(), z.components.tolist()),
     )
     assert abs(got - expected) <= 1e-12
+    # non-orthonormal metrics: the volume spanned by the lowered vectors,
+    # relative to the volume's scale since it may cancel to near zero
+    for _ in range(50):
+        m = random_metric(rng, 3)
+        x, y, z = _vec(rng), _vec(rng), _vec(rng)
+        lowered = np.stack([m.g.components @ v.components for v in (x, y, z)])
+        root = np.sqrt(np.linalg.det(m.g.components))
+        expected = np.linalg.det(lowered) / root
+        scale = np.prod(np.linalg.norm(lowered, axis=1)) / root
+        assert abs(triple(x, y, z, m) - expected) <= 1e-12 * scale
 
 
 def test_double_cross_identity():

@@ -104,7 +104,11 @@ def test_boost_zero_is_identity():
     assert np.array_equal(boost(0.0), np.eye(4))
 
 
-@pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, -2.0])
+# an int beyond float64 reads as +-inf, like a float 1e400
+_HUGE_INTS = [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")]
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, -2.0, *_HUGE_INTS])
 def test_superluminal_rejected(beta):
     with pytest.raises(SuperluminalError):
         boost(beta)
@@ -112,7 +116,9 @@ def test_superluminal_rejected(beta):
         rapidity(beta)
 
 
-@pytest.mark.parametrize("psi", [1000.0, -1000.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "psi", [1000.0, -1000.0, math.nan, math.inf, -math.inf, *_HUGE_INTS]
+)
 def test_boost_from_rapidity_refuses_a_rapidity_outside_float64(psi):
     with pytest.raises(SuperluminalError):
         boost_from_rapidity(psi)
@@ -132,6 +138,52 @@ def test_boost_from_rapidity_keeps_the_largest_finite_cosh():
 def test_non_numeric_input_is_a_shape_error(call):
     with pytest.raises(ShapeError, match="rectangular array of numbers"):
         call()
+
+
+@pytest.mark.parametrize("value", [None, "abc", [0.5]], ids=["None", "abc", "[0.5]"])
+@pytest.mark.parametrize("f", [boost, rapidity, boost_from_rapidity])
+def test_a_parameter_float_cannot_read_is_a_shape_error(f, value):
+    with pytest.raises(ShapeError, match="must be a real number"):
+        f(value)
+
+
+def _reference_boost(beta):
+    """The explicit velocity-boost fill, kept as the byte reference."""
+    beta = float(beta)
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    m = np.eye(4)
+    m[0, 0] = g
+    m[0, 1] = -beta * g
+    m[1, 0] = -beta * g
+    m[1, 1] = g
+    return m
+
+
+def _reference_boost_from_rapidity(psi):
+    """The explicit rapidity-boost fill, kept as the byte reference."""
+    psi = float(psi)
+    m = np.eye(4)
+    m[0, 0] = math.cosh(psi)
+    m[0, 1] = math.sinh(psi)
+    m[1, 0] = math.sinh(psi)
+    m[1, 1] = math.cosh(psi)
+    return m
+
+
+def test_boosts_are_byte_equal_to_the_explicit_fill():
+    rng = np.random.default_rng(13)
+    betas = [0.0, -0.0, 0.6, "0.6", "-0.25", 5e-324, 0.9999999999, -0.9999999999]
+    psis = [0.0, -0.0, 1.5, "-2.5", 709.0, -709.0, 1e-300]
+    betas += rng.uniform(-0.9999, 0.9999, 200).tolist()
+    psis += rng.uniform(-700.0, 700.0, 200).tolist()
+    for beta in betas:
+        b = boost(beta)
+        assert not b.flags.writeable
+        assert b.tobytes() == _reference_boost(beta).tobytes()
+    for psi in psis:
+        b = boost_from_rapidity(psi)
+        assert not b.flags.writeable
+        assert b.tobytes() == _reference_boost_from_rapidity(psi).tobytes()
 
 
 def test_rapidity_values():
