@@ -2,12 +2,18 @@
 
 The upper slot indexes rows and the lower slot indexes columns.  For
 dim <= 4 the determinant is the full signed-permutation sum (the
-epsilon-contraction definition); larger dimensions use an O(d^3)
+epsilon-contraction definition).  It runs over lexicographically adjacent
+pairs of permutations, which share every factor but the last two and have
+opposite signs: the shared prefix product is formed once per pair, and the
+two completions are added and subtracted in the order of a loop over single
+permutations, so every product and partial sum is the same IEEE value and
+integer matrices keep exact determinants.  Larger dimensions use an O(d^3)
 elimination path, which agrees with the reference sum on small matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,39 +34,91 @@ def _require_mixed_matrix(t: TensorObject, what: str) -> np.ndarray:
     return t.components
 
 
-def determinant(t: TensorObject) -> float:
-    """Determinant of a rank-(1,1) object.  Weight is ignored."""
-    m = _require_mixed_matrix(t, "determinant")
-    d = t.dim
+@functools.lru_cache(maxsize=None)  # called with dims 2..4 only
+def _permutation_pairs(d: int) -> tuple[tuple[float, int, int, int, int, int, int], ...]:
+    """``(sign, p0, p1, a, b, c, e)`` for each adjacent pair of
+    ``_signed_permutations(d)``, as indices into the row-major entries with
+    1.0 appended at index ``d * d``.
+
+    In itertools order permutations 2k and 2k + 1 differ only in their last
+    two entries, so their signs are opposite.  ``sign`` is that of the
+    first; the shared prefix is ``flat[p0] * flat[p1]`` (padded with the 1.0
+    below four factors), the first completion ``flat[a] * flat[b]`` and the
+    second ``flat[c] * flat[e]``.
+    """
+    table = _signed_permutations(d)
+    pad = [d * d] * 2
+    pairs = []
+    for (sign, perm), (_, partner) in zip(table[::2], table[1::2]):
+        first = [row * d + col for col, row in enumerate(perm)]
+        second = [row * d + col for col, row in enumerate(partner)]
+        p0, p1 = (first[:-2] + pad)[:2]
+        pairs.append((float(sign), p0, p1, *first[-2:], *second[-2:]))
+    return tuple(pairs)
+
+
+def _permutation_sum(flat: list[float], d: int) -> float:
+    """The signed-permutation sum over the row-major entries of a d x d
+    matrix (d <= 4), in Python floats: the same IEEE products as numpy
+    scalars, but an overflow to inf (or inf * 0 = NaN) passes without a
+    RuntimeWarning."""
+    if d == 1:
+        return 0.0 + flat[0]  # the sum starts at 0.0, which turns -0.0 into 0.0
+    flat = flat + [1.0]
+    total = 0.0
+    for s, p0, p1, a, b, c, e in _permutation_pairs(d):
+        # a single permutation's product starts at 1.0 and 1.0 * x is x, so p
+        # is its running product before the last two factors; the partner's
+        # sign is -s, and a - s * y is a + (-s) * y bit for bit
+        p = flat[p0] * flat[p1]
+        total = total + s * (p * flat[a] * flat[b]) - s * (p * flat[c] * flat[e])
+    return total
+
+
+def _det(m: np.ndarray, d: int) -> float:
     if d <= 4:
-        # Python floats: the same IEEE products as numpy scalars, but an
-        # overflow to inf (or inf * 0 = NaN) passes without a RuntimeWarning
-        rows = m.tolist()
-        total = 0.0
-        for sign, perm in _signed_permutations(d):
-            prod = 1.0
-            for col, row in enumerate(perm):
-                prod *= rows[row][col]
-            total += sign * prod
-        return total
+        return _permutation_sum(m.ravel().tolist(), d)
     with np.errstate(over="ignore"):  # inverse counts an infinite det as singular
         return float(np.linalg.det(m))
 
 
-def singularity_threshold(t: TensorObject) -> float:
-    """Scale-aware cutoff: 1e-12 * (max absolute entry) ** dim."""
-    m = _require_mixed_matrix(t, "singularity_threshold")
-    scale = float(np.max(np.abs(m), initial=0.0))
+def determinant(t: TensorObject) -> float:
+    """Determinant of a rank-(1,1) object.  Weight is ignored."""
+    return _det(_require_mixed_matrix(t, "determinant"), t.dim)
+
+
+def _scale(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m), initial=0.0))
+
+
+def _threshold(scale: float, dim: int) -> float:
+    """SINGULARITY_FACTOR * scale ** dim, saturating at inf."""
     try:
-        return SINGULARITY_FACTOR * scale ** t.dim
+        return SINGULARITY_FACTOR * scale ** dim
     except OverflowError:  # the power is beyond float64
         return math.inf
 
 
-def _is_singular(det: float, t: TensorObject) -> bool:
-    """|det| at or below the threshold of ``t``; a NaN det (a NaN entry, or
-    inf * 0 in an overflowing permutation sum) counts as singular."""
-    return not abs(det) > singularity_threshold(t)
+def singularity_threshold(t: TensorObject) -> float:
+    """Scale-aware cutoff: 1e-12 * (max absolute entry) ** dim."""
+    return _threshold(_scale(_require_mixed_matrix(t, "singularity_threshold")), t.dim)
+
+
+def _det_and_scale(m: np.ndarray, d: int) -> tuple[float, float]:
+    """The determinant and the max absolute entry of a d x d matrix; for
+    d <= 4 both come from one list of its entries.  A NaN entry may drop out
+    of the Python max, but it makes the permutation sum NaN."""
+    if d <= 4:
+        flat = m.ravel().tolist()
+        return _permutation_sum(flat, d), max(map(abs, flat))
+    return _det(m, d), _scale(m)
+
+
+def _is_singular(det: float, scale: float, dim: int) -> bool:
+    """|det| at or below the threshold for ``scale`` and ``dim``; a NaN det
+    (a NaN entry, or inf * 0 in an overflowing permutation sum) counts as
+    singular."""
+    return not abs(det) > _threshold(scale, dim)
 
 
 def inverse(t: TensorObject) -> TensorObject:
@@ -71,8 +129,8 @@ def inverse(t: TensorObject) -> TensorObject:
     with t is weight-0.
     """
     m = _require_mixed_matrix(t, "inverse")
-    det = determinant(t)
-    if _is_singular(det, t):
+    det, scale = _det_and_scale(m, t.dim)
+    if _is_singular(det, scale, t.dim):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
     inv = np.linalg.inv(m)
     return TensorObject(t.dim, MIXED_SLOTS, -t.weight, _frozen(inv))

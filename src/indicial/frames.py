@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import _is_singular, determinant, inverse
+from .determinants import _det_and_scale, _is_singular, determinant, inverse
 from .errors import ShapeError, SingularityError
 from .objects import (
     MIXED_SLOTS,
@@ -47,9 +47,11 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     """Build a Frame from the new-from-old matrix, rejecting singular input."""
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     gamma = inverse(c)  # raises SingularityError for a degenerate mixing
-    residual = float(
-        np.max(np.abs(gamma.components @ c.components - np.eye(c.dim)))
-    )
+    # max |gamma c - 1|, in place: the product is fresh and C-ordered, so
+    # every (dim + 1)-th entry of its ravel() view is on the diagonal
+    r = gamma.components @ c.components
+    r.ravel()[:: c.dim + 1] -= 1.0
+    residual = float(np.abs(r, out=r).max())
     # written so that a NaN residual fails it too
     if not residual <= _FRAME_CHECK_TOL:
         raise SingularityError(
@@ -87,8 +89,8 @@ def compose(first: Frame, second: Frame) -> Frame:
     gamma = first.gamma.components @ second.gamma.components
     return _frame(
         first.dim,
-        new_object(first.dim, MIXED_SLOTS, 0, c),
-        new_object(first.dim, MIXED_SLOTS, 0, gamma),
+        TensorObject(first.dim, MIXED_SLOTS, 0, _frozen(c)),
+        TensorObject(first.dim, MIXED_SLOTS, 0, _frozen(gamma)),
         first.det_gamma * second.det_gamma,
     )
 
@@ -143,8 +145,8 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     if len(basis) != f.dim:
         raise ShapeError(f"expected {f.dim} basis vectors, got {len(basis)}")
     rows = np.stack([require_vector(e, f.dim, "basis vector") for e in basis])
-    as_matrix = new_object(f.dim, MIXED_SLOTS, 0, rows)
-    if _is_singular(determinant(as_matrix), as_matrix):
+    det, scale = _det_and_scale(rows, f.dim)
+    if _is_singular(det, scale, f.dim):
         raise SingularityError("basis vectors are linearly dependent")
     new_rows = f.gamma.components.T @ rows
     return [new_object(f.dim, (UP,), 0, new_rows[r]) for r in range(f.dim)]

@@ -60,13 +60,15 @@ def is_lorentz(c: Sequence[Sequence[float]], tol: float = _CONDITION_TOL) -> boo
     """Componentwise orthogonality condition on the matrix columns.
 
     For every column pair (s, r): c^0_s c^0_r - sum_i c^i_s c^i_r must be
-    0 for s != r, 1 for s == r == 0, and -1 for s == r != 0.
+    0 for s != r, 1 for s == r == 0, and -1 for s == r != 0.  IEEE products
+    commute, so the value for (r, s) is that for (s, r) bit for bit, and
+    each unordered pair is evaluated once.
     """
     # Python floats: the same IEEE products as numpy scalars, without a
     # RuntimeWarning for an inf or NaN entry
     t, x, y, z = _as_matrix(c).tolist()
     for s in range(4):
-        for r in range(4):
+        for r in range(s, 4):
             value = t[s] * t[r] - x[s] * x[r] - y[s] * y[r] - z[s] * z[r]
             expected = 0.0 if s != r else (1.0 if s == 0 else -1.0)
             # written so that a NaN value fails it too
