@@ -78,7 +78,8 @@ def _permutation_sum(flat: list[float], d: int) -> float:
 def _det(m: np.ndarray, d: int) -> float:
     if d <= 4:
         return _permutation_sum(m.ravel().tolist(), d)
-    with np.errstate(over="ignore"):  # inverse counts an infinite det as singular
+    # inverse counts an infinite or NaN det (a non-finite entry) as singular
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.det(m))
 
 

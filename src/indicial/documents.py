@@ -18,14 +18,14 @@ Infinity and integers beyond the float64 range are rejected at load with a
 ``DocumentError``.  The nesting is checked against the declared dim before
 any array is allocated.
 
-Emission uses 17 significant digits so reading a written document
-reproduces the exact float64 values.
+Emission goes through the same ``json`` module: each float is written as
+the shortest decimal that reads back as the same float64 (``-0.0`` kept), so
+reading a written document reproduces the exact values.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Callable, Iterable, TypeVar
 
@@ -99,28 +99,22 @@ def parse_tensor_document(obj: object) -> TensorObject:
     return new_object(dim, slots, weight, arr)
 
 
-def _format_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise DocumentError(f"cannot emit non-finite component {v!r}")
-    # ".17g" spells -0.0 as "-0", which JSON reads back as the integer 0
-    if v == 0 and math.copysign(1.0, v) < 0:
-        return "-0.0"
-    return format(v, ".17g")
-
-
-def _format_nested(arr: np.ndarray) -> str:
-    if arr.ndim == 0:
-        return _format_float(float(arr))
-    return "[" + ", ".join(_format_nested(sub) for sub in arr) + "]"
+# allow_nan=False makes the encoder refuse NaN and Infinity, which are not JSON
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
 
 
 def format_tensor_document(t: TensorObject) -> str:
-    """Serialize with a stable key order and 17 significant digits."""
-    slots = ", ".join(f'"{s.value}"' for s in t.slots)
-    return (
-        f'{{"dim": {t.dim}, "slots": [{slots}], "weight": {t.weight}, '
-        f'"components": {_format_nested(t.components)}}}'
-    )
+    """Serialize with a stable key order and shortest round-trip floats."""
+    try:
+        return _ENCODE({
+            "dim": t.dim,
+            "slots": [s.value for s in t.slots],
+            "weight": t.weight,
+            "components": t.components.tolist(),
+        })
+    except ValueError:
+        bad = t.components[~np.isfinite(t.components)]
+        raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}") from None
 
 
 def _load(path: str, parse: Callable[[object], _T]) -> _T:

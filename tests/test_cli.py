@@ -217,7 +217,7 @@ def test_a_result_that_overflows_prints_only_the_error_line(tmp_path, capsys, co
     # numpy's overflow warnings used to reach stderr ahead of the error
     big = _write(tmp_path, "big.json", _vec([1e308, 1e308]))
     if command == "eval":
-        argv = ["eval", "--bindings", big, "y^r = 2 * big^r"]
+        argv = ["eval", "--bindings", big, "y^r = 2 * big^r", "--out", str(tmp_path / "y.json")]
     elif command == "transform":
         frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[2, 0], [0, 2]]})
         argv = ["transform", "--frame", frame, "--input", big]
@@ -228,6 +228,7 @@ def test_a_result_that_overflows_prints_only_the_error_line(tmp_path, capsys, co
     code, out, err = _invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: cannot emit non-finite component inf\n"
+    assert not (tmp_path / "y.json").exists()  # refused before --out is opened
 
 _TEXT_WITH_NUMBER = {
     "tensor": '{{"dim": 2, "slots": ["up"], "components": [1, {}]}}',
@@ -433,6 +434,11 @@ def test_boost_document(capsys):
     assert abs(m[0, 0] - 1.25) <= 1e-12
     assert abs(m[0, 1] + 0.75) <= 1e-12
     assert np.array_equal(m[2:, 2:], np.eye(2))
+    assert out == (
+        '{"dim": 4, "slots": ["up", "down"], "weight": 0, "components": '
+        "[[1.25, -0.75, 0.0, 0.0], [-0.75, 1.25, 0.0, 0.0], "
+        "[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]}\n"
+    )
 
 
 def test_boost_superluminal_exits_two(capsys):

@@ -7,6 +7,7 @@ from oracles import cofactor_det, gauss_jordan_inverse
 
 from indicial.determinants import determinant, inverse, singularity_threshold
 from indicial.errors import ShapeError, SingularityError
+from indicial.frames import frame_from_matrix, transform_basis
 from indicial.objects import DOWN, UP, new_object
 from indicial.symbols import KroneckerKind, kronecker, permutation_sign
 
@@ -113,6 +114,22 @@ def test_singularity_threshold_saturates_beyond_float64():
 def test_overflowing_or_nan_matrices_are_singular(rows):
     with pytest.raises(SingularityError):
         inverse(_mixed(rows))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("dim", [5, 6])
+def test_non_finite_entries_are_singular_without_a_warning_at_lapack_dims(dim, bad):
+    # dims >= 5 take np.linalg.det, which warns "invalid" on these entries;
+    # the RuntimeWarning filter in pyproject.toml turns a warning into an error
+    m = np.eye(dim)
+    m[0, dim - 1] = bad
+    with pytest.raises(SingularityError):
+        inverse(_mixed(m))
+    with pytest.raises(SingularityError):
+        frame_from_matrix(m)
+    basis = [new_object(dim, (UP,), 0, row) for row in m]
+    with pytest.raises(SingularityError):
+        transform_basis(frame_from_matrix(np.eye(dim)), basis)
 
 
 def test_exactly_singular_is_rejected_with_value_in_message():

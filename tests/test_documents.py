@@ -52,6 +52,14 @@ def test_emission_has_stable_key_order():
         "weight": 0,
         "components": [1.0, 2.0],
     }
+    text = format_tensor_document(new_object(2, (DOWN,), -1, [0.5, 3.0]))
+    assert text.startswith('{"dim": 2, "slots": ["down"], "weight": -1, "components": ')
+
+
+def test_floats_are_written_as_their_shortest_round_trip_repr():
+    t = new_object(5, (UP,), 0, [0.1, 1.0, -0.0, 1e300, 5e-324])
+    text = format_tensor_document(t)
+    assert text.endswith('"components": [0.1, 1.0, -0.0, 1e+300, 5e-324]}')
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -125,12 +133,15 @@ def test_rank_zero_rejects_a_nested_list():
 
 
 def test_non_finite_components_cannot_be_emitted():
-    t = new_object(2, (UP,), 0, [1.0, math.inf])
-    with pytest.raises(DocumentError):
-        format_tensor_document(t)
-    t = new_object(2, (UP,), 0, [math.nan, 0.0])
-    with pytest.raises(DocumentError):
-        format_tensor_document(t)
+    for components, named in [
+        ([1.0, math.inf], "inf"),
+        ([math.nan, 0.0], "nan"),
+        ([math.nan, math.inf], "nan"),  # the first in C order
+        ([[1.0, -math.inf], [math.nan, 1.0]], "-inf"),
+    ]:
+        t = new_object(2, (UP,) * np.ndim(components), 0, components)
+        with pytest.raises(DocumentError, match=f"^cannot emit non-finite component {named}$"):
+            format_tensor_document(t)
 
 
 def test_load_reports_the_file_path(tmp_path):

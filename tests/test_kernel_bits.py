@@ -47,7 +47,8 @@ def ref_det(m: np.ndarray) -> float:
                 prod *= rows[row][col]
             total += _sign(perm) * prod
         return total
-    with np.errstate(over="ignore"):
+    # a non-finite entry gives a NaN or infinite det, which counts as singular
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.det(m))
 
 
