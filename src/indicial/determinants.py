@@ -89,7 +89,7 @@ def determinant(t: TensorObject) -> float:
 
 
 def _scale(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m), initial=0.0))
+    return float(np.abs(m).max())
 
 
 def _threshold(scale: float, dim: int) -> float:

@@ -20,7 +20,10 @@ names the statement references (never on the bindings themselves), and
 caller shares them.  One resolver reads the bindings ahead of the cache
 and raises the binding errors there (an unbound or malformed name, a dim
 that differs from the first factor's); the cached body checks the rest.
-Errors are never cached.
+Its failures (ShapeError, ConventionError, AddressingError) share the
+cache with its plans as ``(class, args)`` records, and ``validate`` raises
+a fresh instance from the record on every call.  Resolver errors and
+``parse`` errors are not cached.
 
 Index-to-slot matching: in strict mode the written upper indices bind the
 upper slots in order and the written lower indices bind the lower slots in
@@ -47,6 +50,9 @@ from .syntax import CACHE_SIZE, FactorRef, Statement
 class Mode(enum.Enum):
     STRICT = "strict"
     ORTHOGONAL = "orthogonal"
+
+    # as for Variance: Enum's own hash runs in Python, once per validate call
+    __hash__ = object.__hash__
 
 
 Signature = tuple[int, tuple[Variance, ...], int]  # (dim, slots, weight)
@@ -216,9 +222,15 @@ def validate(
     letter used three times, a dummy pair that is not upper+lower in strict
     mode, free-letter or weight mismatches across terms, a missing or
     non-matching target layout), and AddressingError for a fixed digit
-    index outside 1..dim.  Plans are memoized and shared between callers.
+    index outside 1..dim.  Plans are memoized and shared between callers,
+    and so are the failures of the checks after the binding errors: a
+    repeated one raises a fresh exception of the same class and message.
     """
-    return _validate(statement, mode, _resolve(statement, signatures))
+    plan = _validate(statement, mode, _resolve(statement, signatures))
+    if type(plan) is ContractionPlan:
+        return plan
+    cls, args = plan
+    raise cls(*args)
 
 
 def _resolve(
@@ -251,6 +263,17 @@ def _resolve(
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _validate(
+    statement: Statement, mode: Mode, key: tuple[tuple[str, Signature], ...]
+) -> ContractionPlan | tuple[type[Exception], tuple[object, ...]]:
+    """The plan, or ``(class, args)`` of the check that fails: the record
+    holds no exception instance, so no traceback or binding stays cached."""
+    try:
+        return _lower(statement, mode, key)
+    except (ShapeError, ConventionError, AddressingError) as exc:
+        return type(exc), exc.args
+
+
+def _lower(
     statement: Statement, mode: Mode, key: tuple[tuple[str, Signature], ...]
 ) -> ContractionPlan:
     # every check reads only the statement, the mode and these signatures

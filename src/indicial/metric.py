@@ -56,7 +56,8 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
     # every comparison with NaN is False, so the checks below would pass it
     if not np.isfinite(m).all():
         raise DefinitenessError("metric components must be finite")
-    if float(np.max(np.abs(m - m.T))) > DEFAULT_SYMMETRY_TOL:
+    d = m - m.T
+    if float(np.abs(d, out=d).max()) > DEFAULT_SYMMETRY_TOL:
         raise DefinitenessError("metric must be symmetric")
     with np.errstate(over="ignore"):  # an overflowing minor is rejected below
         minors = _leading_minors(m)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,11 @@ def test_output_axes_put_the_result_in_target_order():
     assert [(s.left, s.right) for s in ordered.terms[0].steps] == [(1, 2), (0, 1)]
     for p in (plan, ordered):
         assert p.terms[0].output_axes == (1, 0)
+
+
+def test_modes_survive_pickle_and_copy_as_themselves():
+    table = {Mode.STRICT: "s", Mode.ORTHOGONAL: "o"}
+    for mode in Mode:
+        for other in (pickle.loads(pickle.dumps(mode)), copy.copy(mode), copy.deepcopy(mode)):
+            assert other is mode
+            assert table[other] == mode.value[0]
