@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for syntax, convention, shape, addressing,
-document, and usage problems (including a failed verify-law), 2 for numeric
-domain failures (singular matrices, non-metrics, superluminal speeds).
+A run exits 0 on success, 1 for a usage problem, a failed verify-law or an
+OSError, and otherwise with the ``exit_code`` of the TensorError it reports.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from .documents import (
     load_tensor_document,
 )
 from .einsum import Mode, execute, order_contractions, parse, validate
-from .errors import (
-    DefinitenessError,
-    SingularityError,
-    SuperluminalError,
-    TensorError,
-)
+from .errors import TensorError
 from .frames import transform, verify_transform_law
 from .metric import Metric, cross, inner, metric_from_basis, metric_from_tensor, triple
 from .minkowski import boost, rapidity
@@ -225,12 +219,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             else:
                 print(text)
             return 0
-    except (SingularityError, SuperluminalError, DefinitenessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TensorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, TensorError) else 1
 
 
 def main() -> None:

@@ -15,23 +15,16 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SingularityError
-from .objects import MIXED_SLOTS, TensorObject, _frozen
+from .errors import SingularityError
+from .objects import MIXED_SLOTS, TensorObject, _result, matrix_object
 from .symbols import _signed_permutations
 
 # |det| <= SINGULARITY_FACTOR * max|entry| ** dim counts as singular
 SINGULARITY_FACTOR = 1e-12
-
-
-def _require_mixed_matrix(t: TensorObject, what: str) -> np.ndarray:
-    if t.slots != MIXED_SLOTS:
-        raise ShapeError(
-            f"{what} needs a rank-(1,1) object with slots (up, down), got {t!r}"
-        )
-    return t.components
 
 
 @functools.lru_cache(maxsize=None)  # called with dims 2..4 only
@@ -83,9 +76,11 @@ def _det(m: np.ndarray, d: int) -> float:
         return float(np.linalg.det(m))
 
 
-def determinant(t: TensorObject) -> float:
-    """Determinant of a rank-(1,1) object.  Weight is ignored."""
-    return _det(_require_mixed_matrix(t, "determinant"), t.dim)
+def determinant(t: TensorObject | Sequence[Sequence[float]]) -> float:
+    """Determinant of a rank-(1,1) object or a square array-like.  Weight is
+    ignored."""
+    t = matrix_object(t, MIXED_SLOTS, "determinant")
+    return _det(t.components, t.dim)
 
 
 def _scale(m: np.ndarray) -> float:
@@ -100,9 +95,10 @@ def _threshold(scale: float, dim: int) -> float:
         return math.inf
 
 
-def singularity_threshold(t: TensorObject) -> float:
+def singularity_threshold(t: TensorObject | Sequence[Sequence[float]]) -> float:
     """Scale-aware cutoff: 1e-12 * (max absolute entry) ** dim."""
-    return _threshold(_scale(_require_mixed_matrix(t, "singularity_threshold")), t.dim)
+    t = matrix_object(t, MIXED_SLOTS, "singularity_threshold")
+    return _threshold(_scale(t.components), t.dim)
 
 
 def _det_and_scale(m: np.ndarray, d: int) -> tuple[float, float]:
@@ -122,16 +118,15 @@ def _is_singular(det: float, scale: float, dim: int) -> bool:
     return not abs(det) > _threshold(scale, dim)
 
 
-def inverse(t: TensorObject) -> TensorObject:
-    """Matrix inverse of a rank-(1,1) object.
+def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
+    """Matrix inverse of a rank-(1,1) object or a square array-like.
 
     Raises SingularityError when |det| falls at or below the scale-aware
     threshold.  The result carries weight -t.weight so that the product
-    with t is weight-0.
+    with t is weight-0; an array-like reads as weight 0.
     """
-    m = _require_mixed_matrix(t, "inverse")
-    det, scale = _det_and_scale(m, t.dim)
+    t = matrix_object(t, MIXED_SLOTS, "inverse")
+    det, scale = _det_and_scale(t.components, t.dim)
     if _is_singular(det, scale, t.dim):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
-    inv = np.linalg.inv(m)
-    return TensorObject(t.dim, MIXED_SLOTS, -t.weight, _frozen(inv))
+    return _result(t.dim, MIXED_SLOTS, -t.weight, np.linalg.inv(t.components))

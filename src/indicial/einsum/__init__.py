@@ -1,27 +1,13 @@
 """Index-notation expression language: parse, validate, plan, execute."""
 
 from .executor import execute
-from .planner import (
-    ContractionPlan,
-    FactorPlan,
-    Mode,
-    ScheduleStep,
-    TermPlan,
-    order_contractions,
-    validate,
-)
-from .syntax import FactorRef, IndexSpec, Statement, Term, parse
+from .planner import ContractionPlan, Mode, order_contractions, validate
+from .syntax import Statement, parse
 
 __all__ = [
     "ContractionPlan",
-    "FactorPlan",
-    "FactorRef",
-    "IndexSpec",
     "Mode",
-    "ScheduleStep",
     "Statement",
-    "Term",
-    "TermPlan",
     "execute",
     "order_contractions",
     "parse",

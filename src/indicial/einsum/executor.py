@@ -12,8 +12,8 @@ allocated.  The result signature was proved by ``validate``, so the result
 is built without re-validation.  It is C-ordered and shares no memory with
 a binding: only a lone factor that is neither traced, multiplied nor
 scaled can be a view of its binding, and only that result is copied; every
-other one is already a fresh array and is frozen in place.  Bindings are
-never mutated, so evaluation is safe to run concurrently.
+other one is already a fresh array, which ``_result`` freezes in place.
+Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..objects import MAX_COMPONENTS, TensorObject, _frozen
+from ..objects import MAX_COMPONENTS, TensorObject, _result
 from .planner import ContractionPlan, Mode, Signature
 
 
@@ -117,9 +117,5 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
             shared = False
     if shared:
         # np.array copies: the result never shares memory with a binding
-        total = np.array(total, np.float64, order="C")
-    else:
-        # already a fresh array; asarray copies only a non-C-ordered one
-        # (or boxes a numpy scalar) and otherwise returns it as it is
-        total = np.asarray(total, np.float64, order="C")
-    return TensorObject(plan.dim, plan.result_slots, plan.weight, _frozen(total))
+        total = np.array(total, order="C")
+    return _result(plan.dim, plan.result_slots, plan.weight, total)

@@ -216,8 +216,9 @@ def validate(
 ) -> ContractionPlan:
     """Check conventions and bindings; return an executable plan.
 
-    Raises ShapeError for binding mismatches (unbound name, wrong arity or
-    variance counts, conflicting dims) and for a result beyond the dense
+    Raises ShapeError for a ``mode`` that is not a Mode, for binding
+    mismatches (unbound name, wrong arity or variance counts, conflicting
+    dims) and for a result beyond the dense
     storage cap, ConventionError for summation convention violations (a
     letter used three times, a dummy pair that is not upper+lower in strict
     mode, free-letter or weight mismatches across terms, a missing or
@@ -226,6 +227,8 @@ def validate(
     and so are the failures of the checks after the binding errors: a
     repeated one raises a fresh exception of the same class and message.
     """
+    if not isinstance(mode, Mode):
+        raise ShapeError(f"mode {mode!r} is not a Mode")
     plan = _validate(statement, mode, _resolve(statement, signatures))
     if type(plan) is ContractionPlan:
         return plan

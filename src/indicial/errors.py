@@ -6,6 +6,8 @@ from __future__ import annotations
 class TensorError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1  # the command line's exit status; 2 for numeric domain failures
+
 
 class ShapeError(TensorError):
     """Operands disagree in dimension, slot signature, rank, or weight."""
@@ -30,14 +32,20 @@ class ExpressionSyntaxError(TensorError):
 class SingularityError(TensorError):
     """A matrix or basis that must be invertible is singular or nearly so."""
 
+    exit_code = 2
+
 
 class DefinitenessError(TensorError):
     """A metric candidate is not symmetric positive-definite."""
+
+    exit_code = 2
 
 
 class SuperluminalError(TensorError):
     """A boost or rapidity was requested with |beta| >= 1, or a boost from a
     rapidity that is not finite or whose cosh overflows float64."""
+
+    exit_code = 2
 
 
 class DocumentError(TensorError):

@@ -20,7 +20,7 @@ from .objects import (
     MIXED_SLOTS,
     UP,
     TensorObject,
-    _frozen,
+    _result,
     matrix_object,
     new_object,
     require_vector,
@@ -89,8 +89,8 @@ def compose(first: Frame, second: Frame) -> Frame:
     gamma = first.gamma.components @ second.gamma.components
     return _frame(
         first.dim,
-        TensorObject(first.dim, MIXED_SLOTS, 0, _frozen(c)),
-        TensorObject(first.dim, MIXED_SLOTS, 0, _frozen(gamma)),
+        _result(first.dim, MIXED_SLOTS, 0, c),
+        _result(first.dim, MIXED_SLOTS, 0, gamma),
         first.det_gamma * second.det_gamma,
     )
 
@@ -131,9 +131,7 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
         arr = np.swapaxes(np.swapaxes(arr, k, -1) @ m, k, -1)
     if t.weight != 0:
         arr = arr * factor
-    # asarray(order="C") rather than ascontiguousarray: the latter promotes
-    # rank-0 results to shape (1,)
-    return TensorObject(t.dim, t.slots, t.weight, _frozen(np.asarray(arr, order="C")))
+    return _result(t.dim, t.slots, t.weight, arr)
 
 
 def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObject]:
@@ -149,7 +147,7 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     if _is_singular(det, scale, f.dim):
         raise SingularityError("basis vectors are linearly dependent")
     new_rows = f.gamma.components.T @ rows
-    return [new_object(f.dim, (UP,), 0, new_rows[r]) for r in range(f.dim)]
+    return [_result(f.dim, (UP,), 0, row) for row in new_rows]
 
 
 def verify_transform_law(

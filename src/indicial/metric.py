@@ -21,7 +21,7 @@ from .objects import (
     UP,
     TensorObject,
     Variance,
-    _frozen,
+    _result,
     is_index_value,
     matrix_object,
     new_object,
@@ -69,7 +69,7 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
         raise DefinitenessError(
             f"metric is not positive-definite: leading minors {minors}"
         )
-    g_inv = TensorObject(g.dim, (UP, UP), 0, _frozen(np.linalg.inv(m)))
+    g_inv = _result(g.dim, (UP, UP), 0, np.linalg.inv(m))
     return Metric(g, g_inv, minors[-1])
 
 
@@ -94,7 +94,10 @@ def _minor_padding(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``(mask, identity)`` with ``mask[k, i, j] = max(i, j) <= k``."""
     k = np.arange(dim)
     mask = np.maximum.outer(k, k) <= k[:, None, None]
-    return _frozen(mask), _frozen(np.eye(dim))
+    identity = np.eye(dim)
+    mask.setflags(write=False)
+    identity.setflags(write=False)
+    return mask, identity
 
 
 def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
@@ -108,7 +111,7 @@ def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
     rows = np.stack([require_vector(e, dim, "basis vector") for e in basis])
     with np.errstate(over="ignore"):  # an overflowing Gram matrix is rejected as non-finite
         gram = rows @ rows.T
-    return metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, gram))
+    return metric_from_tensor(_result(dim, (DOWN, DOWN), 0, gram))
 
 
 def orthonormal_metric(dim: int = 3) -> Metric:
@@ -143,7 +146,7 @@ def _move_index(
     # the slot, moved last, times matrix.T: sum it against the matrix's column axis
     arr = np.swapaxes(np.swapaxes(t.components, slot, -1) @ matrix.T, slot, -1)
     slots = t.slots[:slot] + (after,) + t.slots[slot + 1 :]
-    return TensorObject(t.dim, slots, t.weight, _frozen(np.asarray(arr, order="C")))
+    return _result(t.dim, slots, t.weight, arr)
 
 
 def inner(x: TensorObject, y: TensorObject, m: Metric) -> float:
@@ -164,7 +167,7 @@ def levi_civita_tensor(m: Metric, variance: Variance) -> TensorObject:
     sym = levi_civita_symbol(3, variance)
     root = math.sqrt(m.det_g)
     factor = root if variance is DOWN else 1.0 / root
-    return new_object(3, sym.slots, 0, sym.components * factor)
+    return _result(3, sym.slots, 0, sym.components * factor)
 
 
 def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
@@ -176,7 +179,7 @@ def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
     b1, b2, b3 = (m.g.components @ require_vector(y, 3)).tolist()
     root = math.sqrt(m.det_g)
     z = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
-    return new_object(3, (UP,), x.weight + y.weight, [v / root for v in z])
+    return _result(3, (UP,), x.weight + y.weight, [v / root for v in z])
 
 
 def triple(x: TensorObject, y: TensorObject, z: TensorObject, m: Metric) -> float:

@@ -6,9 +6,12 @@ values are 1-based at the API surface; slot positions are 0-based.  Both
 accept any integer, numpy integers included, except a bool.  Objects
 are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
 refuses assignment and deletion, and the backing array is marked read-only.
-``new_object`` always copies its input, so an object never shares memory
-with the caller's array.  Every operation is a pure function, so values can
-be shared freely across threads.
+Two builders apply that storage rule.  ``new_object`` is the one for caller
+data: it validates and always copies its input, so an object never shares
+memory with the caller's array.  ``_result`` is the one for an array the
+library has just computed: it freezes that array in place.  Pickling and
+copying rebuild through ``new_object``.  Every operation is a pure
+function, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -88,9 +91,10 @@ class TensorObject:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        # pickle and copy rebuild through __init__, not through setattr
-        return (type(self), (self.dim, self.slots, self.weight, self.components))
+    def __reduce__(self) -> tuple[object, tuple[object, ...]]:
+        # pickle and copy rebuild through new_object, not through setattr, so
+        # the rebuilt object holds a fresh read-only array
+        return (new_object, (self.dim, self.slots, self.weight, self.components))
 
     @property
     def rank(self) -> int:
@@ -189,6 +193,22 @@ def new_object(
     return TensorObject(dim, slots, weight, arr)
 
 
+def _result(
+    dim: int, slots: tuple[Variance, ...], weight: int, arr: object
+) -> TensorObject:
+    """An object holding ``arr``, an array the library has just computed.
+
+    ``np.asarray(order="C")`` copies only a view that is not C-ordered, and
+    turns a numpy scalar or a list into an array, keeping rank 0 as rank 0
+    (``np.ascontiguousarray`` would promote it to shape (1,)).  The array is
+    then frozen in place, so ``arr`` must be fresh or a view of read-only
+    components.
+    """
+    arr = np.asarray(arr, order="C")
+    arr.setflags(write=False)
+    return TensorObject(dim, slots, weight, arr)
+
+
 def float_array(x: object, what: str) -> np.ndarray:
     """``x`` as a float64 array; ShapeError for a non-numeric or ragged one."""
     try:
@@ -244,12 +264,12 @@ def _require_same_signature(a: TensorObject, b: TensorObject) -> None:
 def add(a: TensorObject, b: TensorObject) -> TensorObject:
     """Componentwise sum; signatures (dim, slots, weight) must match."""
     _require_same_signature(a, b)
-    return TensorObject(a.dim, a.slots, a.weight, _frozen(a.components + b.components))
+    return _result(a.dim, a.slots, a.weight, a.components + b.components)
 
 
 def scale(a: TensorObject, k: float) -> TensorObject:
     """Multiply every component by the real number k."""
-    return TensorObject(a.dim, a.slots, a.weight, _frozen(a.components * float(k)))
+    return _result(a.dim, a.slots, a.weight, a.components * float(k))
 
 
 def outer_product(a: TensorObject, b: TensorObject) -> TensorObject:
@@ -258,7 +278,7 @@ def outer_product(a: TensorObject, b: TensorObject) -> TensorObject:
         raise ShapeError(f"dim mismatch: {a.dim} vs {b.dim}")
     require_storable(a.dim, a.rank + b.rank)
     arr = np.multiply.outer(a.components, b.components)
-    return TensorObject(a.dim, a.slots + b.slots, a.weight + b.weight, _frozen(arr))
+    return _result(a.dim, a.slots + b.slots, a.weight + b.weight, arr)
 
 
 def is_index_value(v: object) -> bool:
@@ -311,7 +331,7 @@ def contract(t: TensorObject, up_slot: int, down_slot: int) -> TensorObject:
         )
     arr = np.trace(t.components, axis1=up_slot, axis2=down_slot)
     slots = tuple(s for k, s in enumerate(t.slots) if k not in (up_slot, down_slot))
-    return TensorObject(t.dim, slots, t.weight, _frozen(np.asarray(arr)))
+    return _result(t.dim, slots, t.weight, arr)
 
 
 def swap_slots(t: TensorObject, i: int, j: int) -> TensorObject:
@@ -325,9 +345,7 @@ def swap_slots(t: TensorObject, i: int, j: int) -> TensorObject:
         )
     if i == j:
         return t
-    # a copy, since the swapped view is not in C order
-    swapped = np.swapaxes(t.components, i, j).copy()
-    return TensorObject(t.dim, t.slots, t.weight, _frozen(swapped))
+    return _result(t.dim, t.slots, t.weight, np.swapaxes(t.components, i, j))
 
 
 def symmetry_check(
@@ -353,8 +371,3 @@ def symmetry_check(
 def symmetrize(t: TensorObject, i: int, j: int) -> TensorObject:
     """Return the symmetric part over the slot pair (i, j)."""
     return scale(add(t, swap_slots(t, i, j)), 0.5)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr

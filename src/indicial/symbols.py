@@ -16,6 +16,7 @@ from .objects import (
     UP,
     TensorObject,
     Variance,
+    _result,
     is_index_value,
     new_object,
 )
@@ -91,4 +92,4 @@ def _levi_civita_symbol(dim: int, variance: Variance) -> TensorObject:
     for sign, perm in _signed_permutations(dim):
         arr[perm] = sign
     weight = 1 if variance is UP else -1
-    return new_object(dim, (variance,) * dim, weight, arr)
+    return _result(dim, (variance,) * dim, weight, arr)

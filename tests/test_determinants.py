@@ -64,6 +64,21 @@ def test_determinant_requires_mixed_slots():
         determinant(new_object(2, (UP,), 0, [1.0, 2.0]))
 
 
+@pytest.mark.parametrize("make", [lambda a: a.tolist(), lambda a: a], ids=["list", "ndarray"])
+def test_matrix_functions_read_a_square_array_like(make):
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert determinant(make(a)) == determinant(_mixed(a)) == -2.0
+    assert inverse(make(a)) == inverse(_mixed(a))
+    assert singularity_threshold(make(a)) == singularity_threshold(_mixed(a))
+
+
+@pytest.mark.parametrize("bad", ["abc", None, [[1.0, 2.0], [3.0]], [1.0, 2.0]])
+@pytest.mark.parametrize("fn", [determinant, inverse, singularity_threshold])
+def test_matrix_functions_refuse_non_matrices_with_shape_error(fn, bad):
+    with pytest.raises(ShapeError):
+        fn(bad)
+
+
 def test_product_theorem():
     rng = np.random.default_rng(42)
     for _ in range(200):

@@ -127,6 +127,14 @@ def test_malformed_signatures_are_refused_as_new_object_refuses_them(signature):
     assert str(validated.value) == str(built.value)
 
 
+@pytest.mark.parametrize("mode", ["strict", "orthogonal", None, 0])
+def test_a_mode_that_is_not_a_mode_is_refused(mode):
+    # g_{rr} sums two lower indices, which strict mode refuses: a mode that
+    # is not a Mode would reach the checks with that one skipped
+    with pytest.raises(ShapeError, match="is not a Mode"):
+        validate(parse("t = g_{rr}"), {"g": (3, (DOWN, DOWN), 0)}, mode)
+
+
 def test_unbound_name():
     with pytest.raises(ShapeError) as err:
         validate(parse("t = q_r v^r"), {"v": V_UP})

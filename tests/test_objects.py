@@ -6,9 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indicial.determinants import inverse
+from indicial.einsum import execute, parse, validate
 from indicial.errors import AddressingError, ConventionError, ShapeError
+from indicial.frames import compose, frame_from_matrix, transform, transform_basis
+from indicial.metric import (
+    cross,
+    levi_civita_tensor,
+    lower_index,
+    metric_from_basis,
+    metric_from_tensor,
+    raise_index,
+)
 from indicial.objects import (
     DOWN,
+    MIXED_SLOTS,
     UP,
     Symmetry,
     TensorObject,
@@ -22,6 +34,7 @@ from indicial.objects import (
     symmetry_check,
     zeros,
 )
+from indicial.symbols import levi_civita_symbol
 
 
 def test_new_object_basic():
@@ -105,6 +118,8 @@ def test_tensor_object_survives_pickle_and_copy():
     a = new_object(2, (DOWN,), -1, [1.5, -2.0])
     for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(b) is TensorObject and b == a
+        assert not b.components.flags.writeable
+        assert not np.shares_memory(b.components, a.components)
 
 
 def test_components_are_read_only():
@@ -288,3 +303,118 @@ def test_outer_then_contract_is_matrix_trace(dim):
     a = new_object(dim, (DOWN,), 0, rng.uniform(-1, 1, dim))
     dot = contract(outer_product(x, a), 0, 1).as_scalar()
     assert abs(dot - float(x.components @ a.components)) < 1e-12
+
+
+
+# Each producer below returns (results, arguments): the objects it built, and
+# the writable objects it built them from.
+
+def _writable(slots, weight=0, seed=0, shift=0.0):
+    """A dim-3 object on a writable array, which only the raw constructor
+    builds; ``shift`` adds that multiple of the identity to a matrix."""
+    arr = np.random.default_rng(seed).uniform(-1, 1, (3,) * len(slots))
+    if shift:
+        arr += shift * np.eye(3)
+    return TensorObject(3, slots, weight, arr)
+
+
+def _run(text, **bindings):
+    return [execute(validate(parse(text), bindings), bindings)], list(bindings.values())
+
+
+def _one(fn, slots=MIXED_SLOTS, shift=0.0):
+    t = _writable(slots, shift=shift)
+    return [fn(t)], [t]
+
+
+def _pair(fn):
+    a, b = _writable(MIXED_SLOTS), _writable(MIXED_SLOTS, seed=1)
+    return [fn(a, b)], [a, b]
+
+
+def _frame(seed):
+    c = _writable(MIXED_SLOTS, seed=seed, shift=3.0)
+    return frame_from_matrix(c), [c]
+
+
+def _metric():
+    a = np.random.default_rng(0).uniform(-1, 1, (3, 3))
+    g = TensorObject(3, (DOWN, DOWN), 0, a @ a.T + 3.0 * np.eye(3))
+    return metric_from_tensor(g), [g]
+
+
+def _compose():
+    (f, f_args), (g, g_args) = _frame(1), _frame(2)
+    h = compose(f, g)
+    return [h.c, h.gamma], f_args + g_args
+
+
+def _transform():
+    f, args = _frame(1)
+    t = _writable((UP, DOWN), weight=1, seed=2)
+    return [transform(t, f)], args + [t]
+
+
+def _transform_basis():
+    f, args = _frame(1)
+    basis = [_writable((UP,), seed=k) for k in range(3)]
+    return transform_basis(f, basis), args + basis
+
+
+def _g_inv():
+    m, args = _metric()
+    return [m.g_inv], args
+
+
+def _metric_from_basis():
+    basis = [_writable((UP,), seed=k) for k in range(3)]
+    m = metric_from_basis(basis)
+    return [m.g, m.g_inv], basis
+
+
+def _with_metric(product):
+    m, args = _metric()
+    x, y = _writable((UP,), seed=1), _writable((UP,), seed=2)
+    return [product(m, x, y)], args + [x, y]
+
+
+PRODUCERS = {
+    "execute-lone-factor": lambda: _run("y^r = x^r", x=_writable((UP,))),
+    "execute-fixed-slice": lambda: _run("y^r = a^r_1", a=_writable(MIXED_SLOTS)),
+    "execute-product": lambda: _run(
+        "y^r = a^r_s x^s", a=_writable(MIXED_SLOTS), x=_writable((UP,), seed=1)
+    ),
+    "execute-trace": lambda: _run("t = a^r_r", a=_writable(MIXED_SLOTS)),
+    "add": lambda: _pair(add),
+    "scale": lambda: _one(lambda t: scale(t, 2.0)),
+    "outer_product": lambda: _pair(outer_product),
+    "contract": lambda: _one(lambda t: contract(t, 0, 1)),
+    "swap_slots": lambda: _one(lambda t: swap_slots(t, 0, 1), (UP, UP)),
+    "symmetrize": lambda: _one(lambda t: symmetrize(t, 0, 1), (DOWN, DOWN)),
+    "inverse": lambda: _one(inverse, shift=3.0),
+    "compose": _compose,
+    "transform": _transform,
+    "transform_basis": _transform_basis,
+    "g_inv": _g_inv,
+    "metric_from_basis": _metric_from_basis,
+    "lower_index": lambda: _with_metric(lambda m, x, y: lower_index(x, 0, m)),
+    "raise_index": lambda: _with_metric(
+        lambda m, x, y: raise_index(lower_index(x, 0, m), 0, m)
+    ),
+    "cross": lambda: _with_metric(lambda m, x, y: cross(x, y, m)),
+    "levi_civita_tensor": lambda: _with_metric(
+        lambda m, x, y: levi_civita_tensor(m, DOWN)
+    ),
+    "levi_civita_symbol": lambda: ([levi_civita_symbol(3, UP)], []),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_every_producer_returns_c_ordered_read_only_fresh_components(producer):
+    results, args = PRODUCERS[producer]()
+    for r in results:
+        assert r.components.dtype == np.float64 and r.components.flags.c_contiguous
+        assert not r.components.flags.writeable
+        for a in args:
+            assert a.components.flags.writeable  # the argument is writable
+            assert not np.shares_memory(r.components, a.components)

@@ -1,4 +1,5 @@
-"""The README's quick tour runs as written and gives the values it states."""
+"""The README's quick tour runs as written and gives the values it states,
+and its error table gives each exported error class's exit code."""
 
 import json
 import math
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+import indicial
+from indicial.errors import TensorError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,17 @@ def test_the_quick_tour_runs_and_states_true_values():
     b = np.array(got["b"])
     assert b.shape == (4, 4)
     assert abs(b[0, 0] - 1.25) <= 1e-15 and abs(b[1, 1] - 1.25) <= 1e-15
+
+
+def test_every_exported_error_carries_the_exit_code_in_the_readme_table():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Errors", 1)[1]
+    table = dict(re.findall(r"^\| `(\w+)`[^|]*\| (\d) \|$", section, re.M))
+    exported = {
+        name: getattr(indicial, name)
+        for name in indicial.__all__
+        if isinstance(getattr(indicial, name), type)
+        and issubclass(getattr(indicial, name), TensorError)
+    }
+    assert sorted(table) == sorted(exported)
+    for name, cls in exported.items():
+        assert cls.exit_code == int(table[name]), name
