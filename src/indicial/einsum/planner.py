@@ -11,7 +11,8 @@ term records its largest step product so that execution can refuse one
 beyond the dense storage cap before it allocates.  The default schedule
 contracts left to right; ``order_contractions`` reschedules greedily, always
 merging the pair with the smallest result first (ties broken by position),
-which never changes values, only cost.
+and keeps a term's given schedule when that one is cheaper, which never
+changes values, only cost.
 
 Both stages memoize, as ``parse`` does, in caches of ``CACHE_SIZE``
 entries: ``validate`` on the statement, the mode and the signatures of the
@@ -43,7 +44,15 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from ..errors import AddressingError, ConventionError, ShapeError
-from ..objects import DOWN, UP, TensorObject, Variance, require_signature, require_storable
+from ..objects import (
+    DOWN,
+    MAX_COMPONENTS,
+    UP,
+    TensorObject,
+    Variance,
+    require_signature,
+    require_storable,
+)
 from .syntax import CACHE_SIZE, FactorRef, Statement
 
 
@@ -447,8 +456,11 @@ def _schedule(
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def order_contractions(plan: ContractionPlan) -> ContractionPlan:
-    """Reschedule every term by the greedy smallest-result rule.
+    """Reschedule every term by the greedy smallest-result rule, keeping the
+    term's given schedule when that one is cheaper.
 
+    A schedule with a step beyond ``MAX_COMPONENTS`` ranks last, and a tie
+    goes to the greedy one, so the plan's ``total_cost`` never rises.
     Pure: returns a new plan; values are unchanged, only the cost model.
     Memoized on the plan object.
     """
@@ -458,7 +470,12 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
         steps, output_axes, largest = _schedule(
             term.factors, free_letters, dim, _smallest_pair
         )
-        terms.append(replace(
+        greedy = replace(
             term, steps=steps, output_axes=output_axes, largest_intermediate=largest
-        ))
+        )
+        terms.append(min(greedy, term, key=_schedule_rank))
     return replace(plan, terms=tuple(terms))
+
+
+def _schedule_rank(term: TermPlan) -> tuple[bool, int]:
+    return term.largest_intermediate > MAX_COMPONENTS, term.scheduled_cost

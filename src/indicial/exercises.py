@@ -11,6 +11,10 @@ marks identities that are exact in double precision, a pinned float keeps
 that specific bound, and ``limit=None`` uses the report tolerance (--tol).
 Checks without a runnable body are marked "covered-by" the operation that
 subsumes them instead of being skipped silently.
+
+A check that expects an error asks ``_raises``: the expected class counts
+as a rejection, a normal return does not, and any other exception
+propagates, so run_checks fails the check and names that class.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from .einsum import Mode, execute, order_contractions, parse, validate
 from .errors import (
     AddressingError,
     ConventionError,
+    DefinitenessError,
     ExpressionSyntaxError,
     ShapeError,
     SingularityError,
     SuperluminalError,
-    TensorError,
 )
 from .objects import DOWN, UP, TensorObject, new_object
 
@@ -95,6 +99,16 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _raises(cls: type[Exception], fn: Callable, *args) -> bool:
+    """True when ``fn(*args)`` raises ``cls``, False when it returns; any
+    other exception propagates."""
+    try:
+        fn(*args)
+    except cls:
+        return True
+    return False
+
+
 def _rand(rng: np.random.Generator, dim: int, slots, weight: int = 0) -> TensorObject:
     slots = tuple(slots)
     return new_object(dim, slots, weight, rng.uniform(-1.0, 1.0, size=(dim,) * len(slots)))
@@ -114,6 +128,14 @@ def _rotation_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m
 
 
+def _invertible_rows(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Uniform [-1, 1] rows, redrawn until ``abs(det) >= 0.1``."""
+    while True:
+        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        if abs(np.linalg.det(rows)) >= 0.1:
+            return rows
+
+
 def _spatial_rotation4(rng: np.random.Generator) -> np.ndarray:
     m = np.eye(4)
     m[1:, 1:] = _rotation_matrix(rng, 3)
@@ -125,6 +147,14 @@ def _oriented_frame(rng: np.random.Generator, dim: int) -> frames.Frame:
         f = frames.random_frame(rng, dim)
         if 1.0 / f.det_gamma > 0:
             return f
+
+
+def _antisymmetric_part(t: TensorObject) -> np.ndarray:
+    """The fully antisymmetric part of a dim-3 rank-3 object."""
+    arr = np.zeros_like(t.components)
+    for sign, perm in symbols._signed_permutations(3):
+        arr += sign * np.transpose(t.components, perm)
+    return arr / 6.0
 
 
 def _sym_rand(rng: np.random.Generator, dim: int) -> TensorObject:
@@ -211,11 +241,7 @@ def _ex04(dim: int, rng: np.random.Generator) -> float:
 
 @_check("ex05", "fully antisymmetric rank-3 entries: six equal magnitudes", limit=1e-12, fixed_dim=3)
 def _ex05(dim: int, rng: np.random.Generator) -> float:
-    t = _rand(rng, 3, (DOWN, DOWN, DOWN))
-    arr = np.zeros_like(t.components)
-    for sign, perm in symbols._signed_permutations(3):
-        arr += sign * np.transpose(t.components, perm)
-    arr /= 6.0
+    arr = _antisymmetric_part(_rand(rng, 3, (DOWN, DOWN, DOWN)))
     dev = 0.0
     magnitudes = []
     for idx in itertools.product(range(3), repeat=3):
@@ -267,11 +293,7 @@ def _ex08(dim: int, rng: np.random.Generator) -> float:
 
 @_check("ex09", "a fully antisymmetric rank-3 object is its (1,2,3) entry times the symbol", limit=1e-12, fixed_dim=3)
 def _ex09(dim: int, rng: np.random.Generator) -> float:
-    t = _rand(rng, 3, (DOWN, DOWN, DOWN))
-    arr = np.zeros_like(t.components)
-    for sign, perm in symbols._signed_permutations(3):
-        arr += sign * np.transpose(t.components, perm)
-    arr /= 6.0
+    arr = _antisymmetric_part(_rand(rng, 3, (DOWN, DOWN, DOWN)))
     e = symbols.levi_civita_symbol(3, DOWN)
     return _max_abs(arr - arr[0, 1, 2] * e.components)
 
@@ -301,10 +323,7 @@ def _ex12(dim: int, rng: np.random.Generator) -> float:
     reflected = q @ np.diag([1.0, 1.0, -1.0])
     dev = max(dev, abs(abs(np.linalg.det(reflected)) - 1.0))
     # a genuine involution: V = P D P^-1 with D of +-1 entries
-    while True:
-        p = rng.uniform(-1.0, 1.0, size=(3, 3))
-        if abs(np.linalg.det(p)) >= 0.1:
-            break
+    p = _invertible_rows(rng, 3)
     v = p @ np.diag([1.0, -1.0, 1.0]) @ np.linalg.inv(p)
     dev = max(dev, _max_abs(v @ v - np.eye(3)))
     vm = new_object(3, (UP, DOWN), 0, v)
@@ -412,10 +431,7 @@ def _ex20(dim: int, rng: np.random.Generator) -> float:
 @_check("ex21", "new basis vectors are gamma-combinations of the old ones")
 def _ex21(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    while True:
-        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        if abs(np.linalg.det(rows)) >= 0.1:
-            break
+    rows = _invertible_rows(rng, dim)
     basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_basis = frames.transform_basis(f, basis)
     dev = 0.0
@@ -548,14 +564,11 @@ def _ex34(dim: int, rng: np.random.Generator) -> float:
     q = _rotation_matrix(rng, dim)
     basis = [new_object(dim, (UP,), 0, q[r]) for r in range(dim)]
     dev = _max_abs(metric.metric_from_basis(basis).g.components - np.eye(dim))
-    while True:
-        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        if abs(np.linalg.det(rows)) >= 0.1:
-            skew = metric.metric_from_basis(
-                [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
-            )
-            if _max_abs(skew.g.components - np.eye(dim)) > 1e-3:
-                break
+    # a skew basis must not give the identity too
+    rows = _invertible_rows(rng, dim)
+    skew = metric.metric_from_basis([new_object(dim, (UP,), 0, row) for row in rows])
+    if _max_abs(skew.g.components - np.eye(dim)) <= 1e-3:
+        return INF
     return dev
 
 
@@ -935,10 +948,7 @@ def _eq10(dim: int, rng: np.random.Generator) -> float:
 @_check("eq13", "old basis vectors are mixing-matrix combinations of the new")
 def _eq13(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    while True:
-        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        if abs(np.linalg.det(rows)) >= 0.1:
-            break
+    rows = _invertible_rows(rng, dim)
     basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_rows = np.stack([e.components for e in frames.transform_basis(f, basis)])
     return _max_abs(f.c.components.T @ new_rows - rows)
@@ -1083,17 +1093,10 @@ def _det_paths(dim: int, rng: np.random.Generator) -> float:
 def _det_singular(dim: int, rng: np.random.Generator) -> float:
     arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
     arr[-1] = arr[0]  # dependent rows
-    try:
-        determinants.inverse(new_object(dim, (UP, DOWN), 0, arr))
-    except SingularityError:
-        pass
-    else:
-        return INF
-    try:
-        frames.frame_from_matrix(arr)
-    except SingularityError:
-        return 0.0
-    return INF
+    rejected = _raises(SingularityError, determinants.inverse, arr) and _raises(
+        SingularityError, frames.frame_from_matrix, arr
+    )
+    return 0.0 if rejected else INF
 
 
 @_check("scalar-invariance", "weight-0 scalars do not change under frames")
@@ -1140,34 +1143,23 @@ def _conv_violations(dim: int, rng: np.random.Generator) -> float:
     m2 = _rand(rng, dim, (UP, DOWN))
     w1 = _rand(rng, dim, (DOWN,), weight=1)
     other = _rand(rng, dim + 1, (DOWN,))
-    cases = [
-        ("x_{rrr}", {"x": _rand(rng, dim, (DOWN, DOWN, DOWN))}, Mode.STRICT, ConventionError),
-        ("a_{rs} x_r", {"a": a2, "x": w}, Mode.STRICT, ConventionError),
-        ("y_{st} = x^t_s", {"x": m2}, Mode.STRICT, ConventionError),
-        ("z_r = a_r + b_s", {"a": w, "b": w}, Mode.STRICT, ConventionError),
-        ("a_r x^r q^m", {"a": w, "x": v, "q": v}, Mode.STRICT, ConventionError),
-        ("t = a_r + b_r", {"a": w, "b": w1}, Mode.STRICT, ConventionError),
-        ("a_r", {"a": a2}, Mode.STRICT, ShapeError),
-        ("a^r x_r", {"a": a2, "x": w}, Mode.STRICT, ShapeError),
-        ("t = x^r y_r", {"x": v, "y": other}, Mode.STRICT, ShapeError),
-        ("t = q_r x^r", {"x": v}, Mode.STRICT, ShapeError),
-        ("t = x_9^r", {"x": m2}, Mode.STRICT, AddressingError),
+    cases = [  # validated in strict mode
+        ("x_{rrr}", {"x": _rand(rng, dim, (DOWN, DOWN, DOWN))}, ConventionError),
+        ("a_{rs} x_r", {"a": a2, "x": w}, ConventionError),
+        ("y_{st} = x^t_s", {"x": m2}, ConventionError),
+        ("z_r = a_r + b_s", {"a": w, "b": w}, ConventionError),
+        ("a_r x^r q^m", {"a": w, "x": v, "q": v}, ConventionError),
+        ("t = a_r + b_r", {"a": w, "b": w1}, ConventionError),
+        ("a_r", {"a": a2}, ShapeError),
+        ("a^r x_r", {"a": a2, "x": w}, ShapeError),
+        ("t = x^r y_r", {"x": v, "y": other}, ShapeError),
+        ("t = q_r x^r", {"x": v}, ShapeError),
+        ("t = x_9^r", {"x": m2}, AddressingError),
     ]
-    for text, bindings, mode, expected in cases:
-        try:
-            validate(parse(text), bindings, mode)
-        except expected:
-            continue
-        except TensorError:
-            return INF
+    if not all(_raises(cls, validate, parse(text), bindings) for text, bindings, cls in cases):
         return INF
-    for bad_text in ("x_", "x^{rs", "a_R", "2 a_r", "", "a_r +", "x_{}"):
-        try:
-            parse(bad_text)
-        except ExpressionSyntaxError:
-            continue
-        except Exception:
-            return INF
+    bad_texts = ("x_", "x^{rs", "a_R", "2 a_r", "", "a_r +", "x_{}")
+    if not all(_raises(ExpressionSyntaxError, parse, text) for text in bad_texts):
         return INF
     # positive twin: orthogonal mode accepts the coerced pairing
     got = _eval("y_s = a_{rs} x_r", {"a": a2, "x": v}, Mode.ORTHOGONAL)
@@ -1186,11 +1178,8 @@ def _einsum_weights(dim: int, rng: np.random.Generator) -> float:
     plan2 = validate(parse("s_r = a_r + b_r"), {"a": a, "b": b})
     if plan2.weight != 1:
         return INF
-    try:
-        validate(parse("s_r = a_r + b_r"), {"a": a, "b": _rand(rng, dim, (DOWN,))})
-    except ConventionError:
-        return 0.0
-    return INF
+    mismatched = {"a": a, "b": _rand(rng, dim, (DOWN,))}
+    return 0.0 if _raises(ConventionError, validate, parse("s_r = a_r + b_r"), mismatched) else INF
 
 
 def _naive_eval(statement, bindings: dict[str, TensorObject], dim: int) -> np.ndarray:
@@ -1305,54 +1294,32 @@ def _plan_order_invariance(dim: int, rng: np.random.Generator) -> float:
 def _frame_singular(dim: int, rng: np.random.Generator) -> float:
     arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
     arr[:, -1] = 0.0
-    try:
-        frames.frame_from_matrix(arr)
-    except SingularityError:
-        return 0.0
-    return INF
+    return 0.0 if _raises(SingularityError, frames.frame_from_matrix, arr) else INF
 
 
 @_check("metric-definite", "non-metrics are rejected", limit=0.0)
 def _metric_definite(dim: int, rng: np.random.Generator) -> float:
     asym = rng.uniform(-1.0, 1.0, size=(dim, dim))
     asym[0, -1] += 1.0  # force asymmetry
-    try:
-        metric.metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, asym))
-    except TensorError:
-        pass
-    else:
-        return INF
-    indefinite = -np.eye(dim)
-    try:
-        metric.metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, indefinite))
-    except TensorError:
-        pass
-    else:
-        return INF
     rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
     rows[-1] = rows[0]  # dependent basis
-    try:
-        metric.metric_from_basis([new_object(dim, (UP,), 0, rows[r]) for r in range(dim)])
-    except TensorError:
-        return 0.0
-    return INF
+    basis = [new_object(dim, (UP,), 0, row) for row in rows]
+    rejected = (
+        _raises(DefinitenessError, metric.metric_from_tensor, asym)
+        and _raises(DefinitenessError, metric.metric_from_tensor, -np.eye(dim))
+        and _raises(DefinitenessError, metric.metric_from_basis, basis)
+    )
+    return 0.0 if rejected else INF
 
 
 @_check("superluminal", "boosts at or beyond the speed of light are rejected", limit=0.0, fixed_dim=4)
 def _superluminal(dim: int, rng: np.random.Generator) -> float:
-    for beta in (1.0, -1.0, 1.5):
-        try:
-            minkowski.boost(beta)
-        except SuperluminalError:
-            pass
-        else:
-            return INF
-        try:
-            minkowski.rapidity(beta)
-        except SuperluminalError:
-            continue
-        return INF
-    return 0.0
+    rejected = all(
+        _raises(SuperluminalError, fn, beta)
+        for beta in (1.0, -1.0, 1.5)
+        for fn in (minkowski.boost, minkowski.rapidity)
+    )
+    return 0.0 if rejected else INF
 
 
 @_check("lorentz-closure", "boost and rotation compositions stay in the group", fixed_dim=4)

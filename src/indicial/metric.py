@@ -21,8 +21,8 @@ from .objects import (
     UP,
     TensorObject,
     Variance,
+    _check_slot,
     _result,
-    is_index_value,
     matrix_object,
     new_object,
     require_vector,
@@ -135,8 +135,7 @@ def _move_index(
     before: Variance,
     after: Variance,
 ) -> TensorObject:
-    if not is_index_value(slot) or not 0 <= slot < t.rank:
-        raise ShapeError(f"slot {slot!r} outside 0..{t.rank - 1}")
+    _check_slot(t, slot)
     if t.dim != matrix.shape[0]:
         raise ShapeError(f"object has dim {t.dim}, metric has dim {matrix.shape[0]}")
     if t.slots[slot] is not before:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: documents in, documents out, exit codes."""
 
 import dataclasses
+import fnmatch
 import json
 import math
 import os
@@ -15,6 +16,8 @@ import indicial
 from indicial import exercises
 from indicial.cli import run
 from indicial.documents import parse_tensor_document
+from indicial.errors import ShapeError
+from indicial.metric import orthonormal_metric
 
 
 def _invoke(capsys, *argv):
@@ -578,3 +581,31 @@ def test_a_numeric_miss_carries_no_error(monkeypatch):
                         [dataclasses.replace(check, fn=lambda ctx, rng: 1.0)])
     (result,) = exercises.run_checks()
     assert result.status == "fail" and result.error is None
+
+
+def test_an_unexpected_error_fails_a_check_that_expects_another(monkeypatch):
+    def refuse(g):
+        raise ShapeError("not a matrix")
+
+    monkeypatch.setattr(exercises.metric, "metric_from_tensor", refuse)
+    (result,) = exercises.run_checks(pattern="metric-definite")
+    assert result.status == "fail" and result.error == "ShapeError"
+
+
+def test_ex34_fails_when_a_skew_basis_gives_the_identity(monkeypatch):
+    monkeypatch.setattr(exercises.metric, "metric_from_basis",
+                        lambda basis: orthonormal_metric(basis[0].dim))
+    (result,) = exercises.run_checks(pattern="ex34")
+    assert result.status == "fail" and result.error is None
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_a_filtered_run_repeats_the_rows_of_the_full_run(dim):
+    def rows(pattern=None):
+        return [dataclasses.replace(r, elapsed_ms=0.0)
+                for r in exercises.run_checks(dim=dim, seed=42, pattern=pattern)]
+
+    full = rows()
+    for pattern in ("ex0*", "eq*", "det-*", "ex5?"):
+        expected = [r for r in full if fnmatch.fnmatch(r.check_id, pattern)]
+        assert expected and rows(pattern) == expected

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from indicial.einsum import Mode, order_contractions, parse, validate
+from indicial.einsum import Mode, order_contractions, parse, planner, validate
 from indicial.errors import AddressingError, ConventionError, ShapeError
 from indicial.objects import DOWN, UP, new_object
 
@@ -203,6 +203,71 @@ def test_order_contractions_prefers_small_results():
     assert ordered.total_cost < plan.total_cost
     # untouched input plan keeps its left-to-right steps
     assert [(s.left, s.right) for s in plan.terms[0].steps] == [(0, 1)] * 4
+
+
+def test_order_contractions_keeps_a_cheaper_written_schedule():
+    # greedy would build the outer product B_e C^a first: 252 multiply-adds,
+    # more than the naive sum
+    sigs = {"A": (3, (UP,) * 4, 0), "B": (3, (DOWN,), 0), "C": (3, (UP,), 0)}
+    plan = validate(parse("T^{abcd} = A^{bcde} B_e C^a"), sigs)
+    assert (plan.total_cost, plan.naive_cost) == (162, 243)
+    ordered = order_contractions(plan)
+    assert ordered.total_cost == 162
+    assert ordered.terms[0] == plan.terms[0]
+
+
+def test_a_schedule_with_a_step_beyond_the_cap_ranks_last(monkeypatch):
+    # left to right costs 1250 with a 125-component step; greedy costs 3150
+    # with no step above 25 components
+    sigs = {"A": (5, (DOWN,) * 4, 0), "B": (5, (UP,), 0), "C": (5, (UP,) * 4, 0)}
+    plan = validate(parse("t^a = A_{bcde} B^b C^{acde}"), sigs)
+    assert order_contractions(plan).total_cost == 1250
+    monkeypatch.setattr(planner, "MAX_COMPONENTS", 100)
+    capped = order_contractions.__wrapped__(plan)  # past the memo
+    assert (capped.total_cost, capped.terms[0].largest_intermediate) == (3150, 25)
+
+
+def _random_pattern(rng: np.random.Generator) -> tuple[str, dict]:
+    """3-5 factors over up to 7 letters; each letter is summed (upper in one
+    factor, lower in another) or free in one factor."""
+    while True:
+        n = int(rng.integers(3, 6))
+        ups, downs, free = [""] * n, [""] * n, ""
+        for letter in "abcdefg"[: int(rng.integers(2, 8))]:
+            if rng.random() < 0.5:
+                i, j = rng.choice(n, size=2, replace=False)
+                ups[i] += letter
+                downs[j] += letter
+            else:
+                k = int(rng.integers(n))
+                if rng.random() < 0.5:
+                    ups[k] += letter
+                else:
+                    downs[k] += letter
+                free += letter
+        if all(u + d for u, d in zip(ups, downs)):
+            break
+    dim = int(rng.integers(2, 6))
+    names = "ABCDE"
+    sigs = {names[k]: (dim, (UP,) * len(ups[k]) + (DOWN,) * len(downs[k]), 0)
+            for k in range(n)}
+
+    def written(name: str, up: str, down: str) -> str:
+        return name + (f"^{{{up}}}" if up else "") + (f"_{{{down}}}" if down else "")
+
+    all_ups = "".join(ups)
+    target = written("t", "".join(l for l in free if l in all_ups),
+                     "".join(l for l in free if l not in all_ups))
+    body = " ".join(written(names[k], ups[k], downs[k]) for k in range(n))
+    return f"{target} = {body}", sigs
+
+
+def test_order_contractions_never_raises_the_cost():
+    rng = np.random.default_rng(2013)
+    for _ in range(1000):
+        text, sigs = _random_pattern(rng)
+        plan = validate(parse(text), sigs)
+        assert order_contractions(plan).total_cost <= plan.total_cost, text
 
 
 def test_ordering_is_letter_independent():

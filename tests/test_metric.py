@@ -5,7 +5,7 @@ import pytest
 
 from oracles import cross3, dot3
 
-from indicial.errors import DefinitenessError, ShapeError
+from indicial.errors import AddressingError, DefinitenessError, ShapeError
 from indicial.frames import frame_from_matrix, random_frame, transform
 from indicial.metric import (
     cross,
@@ -137,7 +137,7 @@ def test_move_index_slot_rules():
     t = new_object(3, (UP, DOWN), 0, rng.uniform(-1, 1, (3, 3)))
     lowered = lower_index(t, 0, m)
     assert lowered.slots == (DOWN, DOWN)
-    with pytest.raises(ShapeError):
+    with pytest.raises(AddressingError):
         lower_index(t, 2, m)
     from indicial.errors import ConventionError
     with pytest.raises(ConventionError):
@@ -151,7 +151,7 @@ def test_move_index_slot_rules():
 def test_move_index_refuses_non_integer_slots(move, slot):
     m = orthonormal_metric(3)
     t = new_object(3, (UP, DOWN), 0, np.arange(9.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(AddressingError):
         move(t, slot, m)
 
 
