@@ -9,6 +9,11 @@ two completions are added and subtracted in the order of a loop over single
 permutations, so every product and partial sum is the same IEEE value and
 integer matrices keep exact determinants.  Larger dimensions use an O(d^3)
 elimination path, which agrees with the reference sum on small matrices.
+
+Inverses, determinants at dim >= 5 (and the metric's leading minors) are
+numpy's LAPACK gufuncs, called as ``np.linalg.inv`` and ``np.linalg.det``
+call them for float64 input but without their Python wrapper: the same
+bits, without the wrapper's per-call cost.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SingularityError
 from .objects import MIXED_SLOTS, TensorObject, _result, matrix_object
@@ -68,12 +74,32 @@ def _permutation_sum(flat: list[float], d: int) -> float:
     return total
 
 
+def _inv(m: np.ndarray) -> np.ndarray:
+    """The inverse of a float64 matrix, or of each in a stack: the LAPACK
+    gufunc that ``np.linalg.inv`` calls, without its errstate, array
+    wrapping and type checks, so the same bits.
+
+    On a zero pivot that LAPACK finds itself ``np.linalg.inv`` raises
+    LinAlgError, while this returns NaN and sets "invalid".  Every caller
+    reaches it only after a stricter test has passed: the scale-aware
+    singularity threshold in ``_checked_inverse``, or positive leading
+    minors in ``metric_from_tensor``.
+    """
+    return _umath_linalg.inv(m, signature="d->d")
+
+
+def _lu_det(m: np.ndarray) -> np.ndarray:
+    """The determinant of a float64 matrix, or of each in a stack: the
+    LAPACK gufunc that ``np.linalg.det`` calls, so the same bits."""
+    return _umath_linalg.det(m, signature="d->d")
+
+
 def _det(m: np.ndarray, d: int) -> float:
     if d <= 4:
         return _permutation_sum(m.ravel().tolist(), d)
     # inverse counts an infinite or NaN det (a non-finite entry) as singular
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.det(m))
+        return float(_lu_det(m))
 
 
 def determinant(t: TensorObject | Sequence[Sequence[float]]) -> float:
@@ -118,6 +144,16 @@ def _is_singular(det: float, scale: float, dim: int) -> bool:
     return not abs(det) > _threshold(scale, dim)
 
 
+def _checked_inverse(m: np.ndarray, d: int) -> np.ndarray:
+    """A fresh inverse of a d x d float64 matrix; SingularityError when |det|
+    falls at or below the scale-aware threshold, which also refuses every
+    non-finite entry."""
+    det, scale = _det_and_scale(m, d)
+    if _is_singular(det, scale, d):
+        raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
+    return _inv(m)
+
+
 def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
     """Matrix inverse of a rank-(1,1) object or a square array-like.
 
@@ -126,7 +162,4 @@ def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
     with t is weight-0; an array-like reads as weight 0.
     """
     t = matrix_object(t, MIXED_SLOTS, "inverse")
-    det, scale = _det_and_scale(t.components, t.dim)
-    if _is_singular(det, scale, t.dim):
-        raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
-    return _result(t.dim, MIXED_SLOTS, -t.weight, np.linalg.inv(t.components))
+    return _result(t.dim, MIXED_SLOTS, -t.weight, _checked_inverse(t.components, t.dim))

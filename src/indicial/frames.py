@@ -4,6 +4,11 @@ A Frame holds the new-from-old mixing matrix c (so new coordinates are
 x-bar^r = c^r_s x^s) together with its inverse gamma.  Under a change of
 frame an object of weight M picks up the factor det(gamma)**M, upper slots
 contract with c and lower slots with gamma.
+
+``frame_from_matrix`` inverts c with numpy's LAPACK gufunc called directly
+(see ``determinants``), under ``inverse``'s singularity rule, and takes
+det(gamma) from the same kernel as ``determinant``: the same bits as the
+public functions, without re-checking c for each of them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import _det_and_scale, _is_singular, determinant, inverse
+from .determinants import (
+    _checked_inverse,
+    _det,
+    _det_and_scale,
+    _is_singular,
+    determinant,
+)
 from .errors import ShapeError, SingularityError
 from .objects import (
     MIXED_SLOTS,
@@ -46,10 +57,11 @@ class Frame:
 def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     """Build a Frame from the new-from-old matrix, rejecting singular input."""
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
-    gamma = inverse(c)  # raises SingularityError for a degenerate mixing
+    # raises SingularityError for a degenerate mixing
+    g = _checked_inverse(c.components, c.dim)
     # max |gamma c - 1|, in place: the product is fresh and C-ordered, so
     # every (dim + 1)-th entry of its ravel() view is on the diagonal
-    r = gamma.components @ c.components
+    r = g @ c.components
     r.ravel()[:: c.dim + 1] -= 1.0
     residual = float(np.abs(r, out=r).max())
     # written so that a NaN residual fails it too
@@ -58,7 +70,8 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
             f"frame matrix is too ill-conditioned to invert reliably "
             f"(residual {residual:.3e})"
         )
-    return _frame(c.dim, c, gamma, determinant(gamma))
+    gamma = _result(c.dim, MIXED_SLOTS, -c.weight, g)
+    return _frame(c.dim, c, gamma, _det(g, c.dim))
 
 
 def _frame(dim: int, c: TensorObject, gamma: TensorObject, det_gamma: float) -> Frame:
@@ -78,7 +91,7 @@ def identity_frame(dim: int) -> Frame:
 
 def inverse_frame(f: Frame) -> Frame:
     """The frame mapping new coordinates back to old ones."""
-    return _frame(f.dim, f.gamma, f.c, determinant(f.c))
+    return _frame(f.dim, f.gamma, f.c, _det(f.c.components, f.dim))
 
 
 def compose(first: Frame, second: Frame) -> Frame:

@@ -3,6 +3,8 @@
 The metric is a symmetric rank-(2,0) object g with a cached inverse.  The
 Levi-Civita tensor (dim 3) rescales the permutation symbol by sqrt(det g),
 which makes the cross and triple products below frame-covariant formulas.
+The inverse and the leading minors are numpy's LAPACK gufuncs called
+without the ``np.linalg`` wrapper (see ``determinants``), with the same bits.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .determinants import _inv, _lu_det
 from .errors import ConventionError, DefinitenessError, ShapeError
 from .objects import (
     DEFAULT_SYMMETRY_TOL,
@@ -69,14 +72,14 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
         raise DefinitenessError(
             f"metric is not positive-definite: leading minors {minors}"
         )
-    g_inv = _result(g.dim, (UP, UP), 0, np.linalg.inv(m))
+    g_inv = _result(g.dim, (UP, UP), 0, _inv(m))
     return Metric(g, g_inv, minors[-1])
 
 
 def _leading_minors(m: np.ndarray) -> list[float]:
     """det of each leading k x k block of m, k = 1..dim, the last being m.
 
-    Up to _STACKED_MINORS_MAX_DIM one np.linalg.det call takes them all from
+    Up to _STACKED_MINORS_MAX_DIM one determinant call takes them all from
     a stack whose entry k - 1 is the k x k block padded with the identity:
     the full-size entry is m itself, so the last minor is det m bit for bit.
     Above it the dim**3 stack would cost more time than a call per minor,
@@ -84,9 +87,9 @@ def _leading_minors(m: np.ndarray) -> list[float]:
     """
     dim = len(m)
     if dim > _STACKED_MINORS_MAX_DIM:
-        return [float(np.linalg.det(m[:k, :k])) for k in range(1, dim + 1)]
+        return [float(_lu_det(m[:k, :k])) for k in range(1, dim + 1)]
     mask, identity = _minor_padding(dim)
-    return np.linalg.det(np.where(mask, m, identity)).tolist()
+    return _lu_det(np.where(mask, m, identity)).tolist()
 
 
 @functools.lru_cache(maxsize=None)  # dims 1.._STACKED_MINORS_MAX_DIM only

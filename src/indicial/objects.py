@@ -9,9 +9,11 @@ refuses assignment and deletion, and the backing array is marked read-only.
 Two builders apply that storage rule.  ``new_object`` is the one for caller
 data: it validates and always copies its input, so an object never shares
 memory with the caller's array.  ``_result`` is the one for an array the
-library has just computed: it freezes that array in place.  Pickling and
-copying rebuild through ``new_object``.  Every operation is a pure
-function, so values can be shared freely across threads.
+library has just computed: it freezes that array in place.
+``matrix_object`` reads a square array-like into one fresh copy of its own
+and freezes that through ``_result``.  Pickling and copying rebuild through
+``new_object``.  Every operation is a pure function, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -223,16 +225,26 @@ def matrix_object(
     x: object, slots: tuple[Variance, Variance], what: str
 ) -> TensorObject:
     """A rank-2 object with ``slots``: a TensorObject with exactly those
-    slots as it is, or a square array-like as the weight-0 components."""
+    slots as it is, or a square array-like as the weight-0 components, read
+    into one private C-ordered float64 copy."""
     if isinstance(x, TensorObject):
         if x.slots != slots:
             names = ", ".join(s.value for s in slots)
             raise ShapeError(f"{what} needs slots ({names}), got {x!r}")
         return x
-    arr = float_array(x, what)
+    try:
+        arr = np.array(x, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged
+        raise ShapeError(
+            f"{what} must be a rectangular array of numbers ({exc})"
+        ) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {arr.shape}")
-    return new_object(arr.shape[0], slots, 0, arr)
+    dim = arr.shape[0]
+    if dim == 0:
+        require_signature(dim, slots, 0)  # words the rejection of 0 x 0
+    require_storable(dim, 2)
+    return _result(dim, slots, 0, arr)
 
 
 def require_signature(dim: object, slots: tuple, weight: object) -> None:

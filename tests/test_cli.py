@@ -542,6 +542,14 @@ def test_check_exercises_dim_range(capsys):
     assert _invoke(capsys, "check-exercises", "--dim", "2")[0] == 0
 
 
+@pytest.mark.parametrize("argv, code", [(("--dim", "6"), 0), (("--dim", "7"), 1),
+                                         (("--tol", "0"), 0)])
+def test_check_exercises_option_bounds(capsys, argv, code):
+    got, out, err = _invoke(capsys, "check-exercises", "--filter", "ex02", *argv)
+    assert got == code
+    assert (err == "") is (code == 0) and ("ex02" in out) is (code == 0)
+
+
 def test_check_exercises_other_dims_and_seeds(capsys):
     for dim, seed in ((4, 7), (5, 1)):
         code, _, _ = _invoke(

@@ -268,6 +268,12 @@ def test_bare_document_with_unusable_stem_is_rejected(tmp_path):
         load_bindings([path])
 
 
+def test_bare_document_without_dim_is_read_as_a_tensor_document(tmp_path):
+    path = _write(tmp_path, "x.json", {"slots": ["up"], "components": [1, 1]})
+    with pytest.raises(DocumentError, match='"dim" must be an integer'):
+        load_bindings([path])
+
+
 def test_invalid_name_in_map_is_rejected(tmp_path):
     path = _write(
         tmp_path,

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import naive_eval, random_statement
 
-from indicial.einsum import Mode, execute, order_contractions, parse, validate
+from indicial.einsum import Mode, execute, executor, order_contractions, parse, validate
 from indicial.errors import ShapeError
 from indicial.objects import DOWN, UP, TensorObject, new_object
 from indicial.symbols import KroneckerKind, kronecker, levi_civita_symbol
@@ -325,6 +325,18 @@ def test_dim_one_runs_the_same_replay():
     for text in ("y^r = m^r_s v^s", "t = m^r_r", "t^{rs} = v^r v^s", "t^r = m^s_s v^r",
                  "y^r = 2 * m^r_1 v^1 - m^1_1 v^r", "y^r = v^r"):
         _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
+
+
+def test_a_step_of_exactly_the_cap_runs(monkeypatch):
+    bind = {"x": new_object(3, (UP,), 0, [1.0, 2.0, 3.0]),
+            "y": new_object(3, (DOWN,), 0, [1.0, 1.0, 1.0])}
+    plan = validate(parse("s = x^a x^b y_a y_b"), bind)
+    assert plan.terms[0].largest_intermediate == 9
+    monkeypatch.setattr(executor, "MAX_COMPONENTS", 9)
+    assert execute(plan, bind).as_scalar() == 36.0
+    monkeypatch.setattr(executor, "MAX_COMPONENTS", 8)
+    with pytest.raises(ShapeError, match="holds 9 > 8 components"):
+        execute(plan, bind)
 
 
 def test_intermediate_beyond_the_storage_cap_is_rejected_before_allocating():

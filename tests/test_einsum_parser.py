@@ -108,3 +108,13 @@ def test_statement_structures_are_frozen():
     assert isinstance(stmt.terms[0], Term)
     with pytest.raises(AttributeError):
         stmt.terms[0].coefficient = 2.0
+
+
+def test_z_is_the_last_index_letter():
+    (term,) = parse("x^z y_z").terms
+    assert [spec.letter for f in term.factors for spec in f.indices] == ["z", "z"]
+
+
+def test_a_group_open_at_the_end_of_the_text_is_unterminated():
+    with pytest.raises(ExpressionSyntaxError, match="unterminated '\\{' index group"):
+        parse("t^{ab")

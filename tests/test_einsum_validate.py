@@ -135,6 +135,16 @@ def test_a_mode_that_is_not_a_mode_is_refused(mode):
         validate(parse("t = g_{rr}"), {"g": (3, (DOWN, DOWN), 0)}, mode)
 
 
+def test_the_arity_message_counts_upper_and_lower_indices():
+    with pytest.raises(ShapeError, match="written with 2 upper and 1 lower indices"):
+        validate(parse("t^{ab}_c = A^{ab}_c"), {"A": (2, (UP, DOWN, DOWN), 0)})
+
+
+def test_a_dim_one_signature_is_valid():
+    plan = validate(parse("y^a = m^a_b v^b"), {"m": (1, (UP, DOWN), 0), "v": (1, (UP,), 0)})
+    assert plan.dim == 1
+
+
 def test_unbound_name():
     with pytest.raises(ShapeError) as err:
         validate(parse("t = q_r v^r"), {"v": V_UP})
@@ -225,6 +235,16 @@ def test_a_schedule_with_a_step_beyond_the_cap_ranks_last(monkeypatch):
     monkeypatch.setattr(planner, "MAX_COMPONENTS", 100)
     capped = order_contractions.__wrapped__(plan)  # past the memo
     assert (capped.total_cost, capped.terms[0].largest_intermediate) == (3150, 25)
+
+
+def test_a_schedule_with_a_step_of_exactly_the_cap_ranks_by_cost(monkeypatch):
+    # the left-to-right schedule's largest step holds 125 components
+    sigs = {"A": (5, (DOWN,) * 4, 0), "B": (5, (UP,), 0), "C": (5, (UP,) * 4, 0)}
+    plan = validate(parse("t^a = A_{bcde} B^b C^{acde}"), sigs)
+    monkeypatch.setattr(planner, "MAX_COMPONENTS", 125)
+    assert order_contractions.__wrapped__(plan).total_cost == 1250
+    monkeypatch.setattr(planner, "MAX_COMPONENTS", 124)
+    assert order_contractions.__wrapped__(plan).total_cost == 3150
 
 
 def _random_pattern(rng: np.random.Generator) -> tuple[str, dict]:

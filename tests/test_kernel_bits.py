@@ -6,10 +6,14 @@ per-permutation determinant loop, the max-entry singularity rule, the
 ``np.max(np.abs(...))`` frame residual, one ``np.linalg.det`` per leading
 minor, and the 16-case Lorentz loop.  Results must agree in every bit
 (``tobytes`` for arrays, ``repr`` for floats) and failures must raise the
-same exception class, over seeded corpora at dims 1-6 that include +-inf,
-NaN, +-0.0, 1e300, subnormal and rank-deficient inputs.  RuntimeWarnings
-are errors here (pyproject), so a warning one side raises the other must
-raise too.
+same exception class, over seeded corpora at dims 1-6 (and 8 for the
+determinant, inverse and frame kernels, past the check catalogue's dims)
+that include +-inf, NaN, +-0.0, 1e300, subnormal and rank-deficient inputs.
+RuntimeWarnings are errors here (pyproject), so a warning one side raises
+the other must raise too.  The LAPACK gufuncs that the kernels call without
+the ``np.linalg`` wrapper are pinned to ``np.linalg.inv`` and
+``np.linalg.det`` directly, so a numpy whose wrapper starts to do more
+fails here.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ import math
 import numpy as np
 import pytest
 
-from indicial.determinants import determinant, inverse, singularity_threshold
+from indicial.determinants import (
+    _det,
+    _inv,
+    _lu_det,
+    determinant,
+    inverse,
+    singularity_threshold,
+)
 from indicial.errors import DefinitenessError, SingularityError
 from indicial.frames import Frame, compose, frame_from_matrix, transform_basis
 from indicial.metric import metric_from_tensor
@@ -28,6 +39,8 @@ from indicial.minkowski import is_lorentz
 from indicial.objects import DOWN, UP, new_object
 
 DIMS = (1, 2, 3, 4, 5, 6)
+# past the catalogue's dims 2-6, where only the LAPACK path runs
+LARGE_DIMS = DIMS + (8,)
 SPECIALS = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1e300, -1e300, 5e-324, 1e-310)
 
 
@@ -168,7 +181,7 @@ def _frame_parts(f: Frame) -> tuple[np.ndarray, np.ndarray, float]:
     return f.c.components, f.gamma.components, f.det_gamma
 
 
-@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("dim", LARGE_DIMS)
 def test_determinant_inverse_and_threshold_match_the_references(dim):
     rng = np.random.default_rng(1100 + dim)
     for m in _matrices(rng, dim, 400):
@@ -181,7 +194,7 @@ def test_determinant_inverse_and_threshold_match_the_references(dim):
             assert inverse(t).weight == -t.weight
 
 
-@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("dim", LARGE_DIMS)
 def test_frames_and_their_composition_match_the_references(dim):
     rng = np.random.default_rng(1200 + dim)
     built = []
@@ -195,6 +208,29 @@ def test_frames_and_their_composition_match_the_references(dim):
         (f1, r1), (f2, r2) = (built[i] for i in rng.integers(len(built), size=2))
         got = _outcome(lambda: _frame_parts(compose(f1, f2)))
         assert _same(got, _outcome(ref_compose, r1, r2))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_the_lapack_gufuncs_match_np_linalg(dim):
+    """``_inv`` and ``_lu_det`` over a stack, and ``_det`` matrix by matrix
+    on its LAPACK branch, give ``np.linalg``'s bits; finite inputs only,
+    since ``np.linalg.inv`` raises where the gufunc returns NaN."""
+    rng = np.random.default_rng(1600 + dim)
+    stack = np.stack(
+        [np.nan_to_num(m, nan=1.0, posinf=2.0, neginf=-2.0) for m in _matrices(rng, dim, 64)]
+    )
+    with np.errstate(all="ignore"):  # the same flags on both sides
+        dets = np.linalg.det(stack)
+        assert _bits(_lu_det(stack)) == _bits(dets)
+        for m, want in zip(stack, dets.tolist()):
+            assert _bits(float(_lu_det(m))) == _bits(want)
+            if dim >= 5:
+                assert _bits(_det(m, dim)) == _bits(want)
+    invertible = stack[np.abs(dets) > 1e-300]
+    assert len(invertible) > 32
+    assert _bits(_inv(invertible)) == _bits(np.linalg.inv(invertible))
+    for m in invertible:
+        assert _bits(_inv(m)) == _bits(np.linalg.inv(m))
 
 
 @pytest.mark.parametrize("dim", DIMS)

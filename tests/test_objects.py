@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indicial.determinants import inverse
+from indicial import objects
+from indicial.determinants import determinant, inverse
 from indicial.einsum import execute, parse, validate
 from indicial.errors import AddressingError, ConventionError, ShapeError
 from indicial.frames import compose, frame_from_matrix, transform, transform_basis
@@ -269,6 +270,24 @@ def test_symmetry_check_classifies():
     assert symmetry_check(neither, 0, 1) is Symmetry.NEITHER
     # the zero object satisfies both; reported as symmetric
     assert symmetry_check(zeros(2, (DOWN, DOWN)), 0, 1) is Symmetry.SYMMETRIC
+
+
+def test_symmetry_check_at_zero_tolerance_is_exact():
+    sym = new_object(2, (DOWN, DOWN), 0, [[1.0, 2.0], [2.0, 3.0]])
+    anti = new_object(2, (DOWN, DOWN), 0, [[0.0, 2.0], [-2.0, 0.0]])
+    assert symmetry_check(sym, 0, 1, tol=0.0) is Symmetry.SYMMETRIC
+    assert symmetry_check(anti, 0, 1, tol=0.0) is Symmetry.ANTISYMMETRIC
+
+
+def test_exactly_the_storage_cap_is_stored(monkeypatch):
+    monkeypatch.setattr(objects, "MAX_COMPONENTS", 9)
+    assert new_object(3, MIXED_SLOTS, 0, np.eye(3)).components.size == 9
+    assert determinant(np.eye(3)) == 1.0  # a matrix array-like, one copy
+    monkeypatch.setattr(objects, "MAX_COMPONENTS", 8)
+    for build in (lambda: new_object(3, MIXED_SLOTS, 0, np.eye(3)),
+                  lambda: determinant(np.eye(3))):
+        with pytest.raises(ShapeError, match="dim\\*\\*rank = 9 > 8"):
+            build()
 
 
 def test_symmetrize():
