@@ -97,8 +97,9 @@ def _lu_det(m: np.ndarray) -> np.ndarray:
 def _det(m: np.ndarray, d: int) -> float:
     if d <= 4:
         return _permutation_sum(m.ravel().tolist(), d)
-    # inverse counts an infinite or NaN det (a non-finite entry) as singular
-    with np.errstate(over="ignore", invalid="ignore"):
+    # inverse counts an infinite or NaN det (a non-finite entry) as singular;
+    # subnormal entries can make LAPACK's det set "divide" on its way to 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return float(_lu_det(m))
 
 

@@ -16,7 +16,10 @@ Every number in every document passes one reader, ``_read_array``: it must
 be a JSON number (not a bool) that float64 holds as a finite value, so NaN,
 Infinity and integers beyond the float64 range are rejected at load with a
 ``DocumentError``.  The nesting is checked against the declared dim before
-any array is allocated.
+any array is allocated.  Each check runs in C over a whole nesting level at
+once (the item types, the list lengths, then the leaf types), so a read
+costs little more than numpy's own conversion of the nested lists; a Python
+scan runs only to name the first offending leaf of a rejected document.
 
 Emission goes through the same ``json`` module: each float is written as
 the shortest decimal that reads back as the same float64 (``-0.0`` kept), so
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -58,20 +62,46 @@ def _require_int(obj: dict, key: str, minimum: int | None = None) -> int:
     return value
 
 
+_LIST_TYPES = frozenset((list,))
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_list_type(kind: type) -> bool:
+    return issubclass(kind, list)
+
+
+def _is_number_type(kind: type) -> bool:
+    """An ``int`` or ``float`` subclass that is not a ``bool`` subclass."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _all_of(items: list, exact: frozenset, accept: Callable[[type], bool]) -> bool:
+    """Whether ``accept`` holds for the type of every item.  The common case,
+    every type in ``exact``, is decided in C; otherwise ``accept`` runs once
+    per distinct type."""
+    return exact.issuperset(map(type, items)) or all(map(accept, set(map(type, items))))
+
+
 def _read_array(node: object, dim: int, rank: int, what: str) -> np.ndarray:
     """Read ``rank`` levels of nested lists of length ``dim`` holding numbers.
 
-    Each level is checked and flattened in turn, so the array of shape
-    ``(dim,) * rank`` is allocated only once the input has matched it.
+    Each level is checked whole and then flattened, so the array of shape
+    ``(dim,) * rank`` is allocated only once the input has matched it.  The
+    checks run in C over a whole level: the set of its item types, the set
+    of its list lengths, and ``itertools.chain`` for the next level.  The
+    set of leaf types decides whether every leaf is a number; only when it
+    is not does a Python scan find the first offending leaf in C order for
+    the message.  That type check cannot be left to numpy, whose float64
+    conversion silently accepts ``True``, ``"1.5"`` and ``None``.
     """
     level = [node]
     for depth in range(rank):
-        if any(not isinstance(sub, list) or len(sub) != dim for sub in level):
+        if not (_all_of(level, _LIST_TYPES, _is_list_type) and {dim}.issuperset(map(len, level))):
             raise DocumentError(f"{what} must nest lists of length {dim} at depth {depth}")
-        level = [v for sub in level for v in sub]
-    for v in level:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise DocumentError(f"{what} must hold numbers at depth {rank}, got {v!r}")
+        level = list(chain.from_iterable(level))
+    if not _all_of(level, _NUMBER_TYPES, _is_number_type):
+        bad = next(v for v in level if not _is_number_type(type(v)))
+        raise DocumentError(f"{what} must hold numbers at depth {rank}, got {bad!r}")
     try:
         arr = np.array(level, dtype=np.float64)
     except OverflowError:

@@ -109,12 +109,23 @@ def compose(first: Frame, second: Frame) -> Frame:
 
 
 def _int_power(base: float, exponent: int) -> float:
-    # repeated multiplication/division keeps integer powers of negative
-    # determinants exact in sign
+    """``base ** exponent`` by squaring, in O(log |exponent|) products.
+
+    Products keep integer powers of negative determinants exact in sign, and
+    a power beyond float64 comes out infinite instead of raising.  A negative
+    exponent squares ``1.0 / base``.  For exponents -1..2 the bits are those
+    of one multiplication or division per unit of the exponent.
+    """
+    if exponent < 0:
+        base, exponent = 1.0 / base, -exponent
     out = 1.0
-    for _ in range(abs(exponent)):
-        out = out * base if exponent > 0 else out / base
-    return out
+    while True:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if not exponent:
+            return out
+        base = base * base
 
 
 def transform(t: TensorObject, f: Frame) -> TensorObject:

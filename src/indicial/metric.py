@@ -62,7 +62,9 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
     d = m - m.T
     if float(np.abs(d, out=d).max()) > DEFAULT_SYMMETRY_TOL:
         raise DefinitenessError("metric must be symmetric")
-    with np.errstate(over="ignore"):  # an overflowing minor is rejected below
+    # an overflowing minor is rejected below, and so is the 0.0 that LAPACK's
+    # det can reach on subnormal entries while setting "divide"
+    with np.errstate(over="ignore", divide="ignore"):
         minors = _leading_minors(m)
     if not all(math.isfinite(minor) for minor in minors):
         raise DefinitenessError(

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from indicial.errors import DocumentError
 from indicial.objects import DOWN, UP, TensorObject
 
 
@@ -122,6 +123,28 @@ def direct_law(t: TensorObject, c_rows, gamma_rows, det_gamma: float, weight: in
             total += factor * float(t.components[old_idx])
         out[new_idx] = total * scale
     return out
+
+
+def read_array_per_item(node, dim: int, rank: int, what: str) -> np.ndarray:
+    """The document reader checked one item at a time: nesting level by
+    level, then each leaf, then the float64 range, then finiteness, with the
+    library's messages."""
+    level = [node]
+    for depth in range(rank):
+        if any(not isinstance(sub, list) or len(sub) != dim for sub in level):
+            raise DocumentError(f"{what} must nest lists of length {dim} at depth {depth}")
+        level = [v for sub in level for v in sub]
+    for v in level:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise DocumentError(f"{what} must hold numbers at depth {rank}, got {v!r}")
+    try:
+        arr = np.array(level, dtype=np.float64)
+    except OverflowError:
+        raise DocumentError(f"{what} holds an integer outside the float64 range") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DocumentError(f"{what} must be finite, got {arr[~finite][0]}")
+    return arr.reshape((dim,) * rank)
 
 
 def cross3(a, b) -> list[float]:

@@ -215,6 +215,18 @@ def test_transform_whose_determinant_power_overflows_exits_two(tmp_path):
     assert "det(gamma) ** -2" in done.stderr
 
 
+def test_transform_at_a_huge_weight_finishes(tmp_path):
+    # the power det(gamma) ** weight takes O(log weight) products
+    frame = _write(tmp_path, "f.json", {"dim": 4, "c": indicial.boost(0.3).tolist()})
+    doc = _write(tmp_path, "x.json",
+                 {"dim": 4, "slots": ["up"], "weight": 10**12, "components": [1, 0, 0, 0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(indicial.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "indicial", "transform", "--frame", frame,
+                           "--input", doc], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["weight"] == 10**12
+
+
 @pytest.mark.parametrize("command", ["eval", "transform", "dot"])
 def test_a_result_that_overflows_prints_only_the_error_line(tmp_path, capsys, command):
     # numpy's overflow warnings used to reach stderr ahead of the error

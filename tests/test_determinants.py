@@ -6,8 +6,9 @@ import pytest
 from oracles import cofactor_det, gauss_jordan_inverse
 
 from indicial.determinants import determinant, inverse, singularity_threshold
-from indicial.errors import ShapeError, SingularityError
+from indicial.errors import DefinitenessError, ShapeError, SingularityError
 from indicial.frames import frame_from_matrix, transform_basis
+from indicial.metric import metric_from_tensor
 from indicial.objects import DOWN, UP, new_object
 from indicial.symbols import KroneckerKind, kronecker, permutation_sign
 
@@ -145,6 +146,23 @@ def test_non_finite_entries_are_singular_without_a_warning_at_lapack_dims(dim, b
     basis = [new_object(dim, (UP,), 0, row) for row in m]
     with pytest.raises(SingularityError):
         transform_basis(frame_from_matrix(np.eye(dim)), basis)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_subnormal_matrices_fail_with_the_library_errors(dim):
+    # LAPACK's det sets "divide" on some of these on its way to 0.0 (the
+    # metric's leading minors at every dim, determinants from dim 5); the
+    # RuntimeWarning filter in pyproject.toml turns a warning into an error
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        m = rng.choice([5e-324, -5e-324, 1e-323, -1e-323, 0.0], size=(dim, dim))
+        assert isinstance(determinant(_mixed(m)), float)
+        with pytest.raises(SingularityError):
+            inverse(_mixed(m))
+        with pytest.raises(SingularityError):
+            frame_from_matrix(m)
+        with pytest.raises(DefinitenessError):
+            metric_from_tensor(np.triu(m) + np.triu(m, 1).T)
 
 
 def test_exactly_singular_is_rejected_with_value_in_message():

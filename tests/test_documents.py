@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_array_per_item
 
 from indicial import (
     DOWN,
@@ -23,6 +24,7 @@ from indicial import (
     parse_frame_document,
     parse_tensor_document,
 )
+from indicial.documents import _read_array
 
 
 def _awkward(rng, dim, rank):
@@ -471,3 +473,98 @@ def test_valid_documents_round_trip_bit_exactly(data):
     back = parse_tensor_document(json.loads(format_tensor_document(t)))
     assert back == t
     assert back.components.tobytes() == t.components.tobytes()
+
+
+# the reader against the per-item reference
+
+
+class _Row(list):
+    """A list subclass, which both readers accept as a nesting level."""
+
+
+_READER_NUMBERS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+)
+_READER_ODD_LEAVES = (
+    st.booleans()
+    | st.text(max_size=3)
+    | st.none()
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+    | st.lists(st.integers(), max_size=3)
+    | st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+    | _BIG_INTS
+)
+
+
+@st.composite
+def _reader_inputs(draw):
+    """Nested lists of the declared shape, some of whose leaves may be odd,
+    with up to three parts spoiled: a leaf made odd or nested one level
+    deeper, or a level made a leaf, one item longer or shorter, or a list
+    subclass."""
+    dim = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, 4))
+    odd_percent = draw(st.sampled_from([0, 0, 2, 20]))
+
+    def nest(depth):
+        if depth == rank:
+            odd = draw(st.integers(0, 99)) < odd_percent
+            return draw(_READER_ODD_LEAVES if odd else _READER_NUMBERS)
+        return [nest(depth + 1) for _ in range(dim)]
+
+    def spoil(node, depth):
+        if depth == rank or not isinstance(node, list):
+            return draw(_READER_ODD_LEAVES | st.lists(_READER_NUMBERS, max_size=dim + 1))
+        kind = draw(st.sampled_from(["leaf", "longer", "shorter", "subclass"]))
+        if kind == "leaf":
+            return draw(_READER_NUMBERS | _READER_ODD_LEAVES)
+        if kind == "longer":
+            return node + [nest(depth + 1)]
+        if kind == "shorter":
+            return node[:-1]
+        return _Row(node)
+
+    root = [nest(0)]
+    for _ in range(draw(st.integers(0, 3))):
+        parent, at, depth = root, 0, 0
+        target = draw(st.integers(0, rank))
+        while depth < target and isinstance(parent[at], list) and parent[at]:
+            parent, at = parent[at], draw(st.integers(0, len(parent[at]) - 1))
+            depth += 1
+        parent[at] = spoil(parent[at], depth)
+    return root[0], dim, rank
+
+
+def _outcome(read, node, dim, rank):
+    try:
+        arr = read(node, dim, rank, '"components"')
+    except DocumentError as exc:
+        return "error", str(exc)
+    return "ok", arr.shape, arr.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_reader_inputs())
+def test_the_reader_matches_the_per_item_reference(case):
+    node, dim, rank = case
+    assert _outcome(_read_array, node, dim, rank) == _outcome(read_array_per_item, node, dim, rank)
+
+
+def test_a_large_document_round_trips_through_both_readers():
+    t = new_object(10, (UP, DOWN, UP, UP, DOWN), 0, _awkward(np.random.default_rng(5), 10, 5))
+    obj = json.loads(format_tensor_document(t))
+    assert parse_tensor_document(obj).components.tobytes() == t.components.tobytes()
+    assert read_array_per_item(obj["components"], 10, 5, "c").tobytes() == t.components.tobytes()
+
+
+def test_a_bool_in_the_deepest_last_row_is_named():
+    components = np.zeros((10,) * 5).tolist()
+    components[-1][-1][-1][-1][3] = True
+    components[-1][-1][-1][-1][-1] = "1.5"  # later in C order, so not named
+    doc = {"dim": 10, "slots": ["up"] * 5, "components": components}
+    message = '"components" must hold numbers at depth 5, got True'
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        parse_tensor_document(doc)
+    assert _outcome(read_array_per_item, components, 10, 5) == ("error", message)

@@ -18,6 +18,7 @@ from indicial.frames import (
     transform_basis,
     verify_transform_law,
 )
+from indicial.minkowski import boost
 from indicial.objects import (
     DOWN,
     UP,
@@ -298,6 +299,24 @@ def test_transform_raises_when_the_determinant_power_overflows():
     with pytest.raises(SingularityError, match="outside float64"):
         transform(new_object(2, (), -2, [1.0]), f)
     assert transform(new_object(2, (), 0, [1.0]), f).as_scalar() == 1.0
+
+
+@pytest.mark.parametrize("weight", [10**12, -(10**12)])
+def test_huge_weights_transform_by_squaring(weight):
+    # one product per unit of weight would not finish
+    f = frame_from_matrix(boost(0.3))
+    got = transform(new_object(4, (UP,), weight, [1.0, 0.0, 0.0, 0.0]), f)
+    assert np.isfinite(got.components).all()
+    assert got.weight == weight
+    assert frames._int_power(-2.0, 61) == -(2.0**61)
+    assert frames._int_power(-0.5, -62) == 2.0**62
+
+
+@pytest.mark.parametrize("diagonal, weight", [(0.5, 10**400), (2.0, -(10**400))])
+def test_a_weight_beyond_any_float64_power_is_singular(diagonal, weight):
+    f = frame_from_matrix(np.diag([diagonal, diagonal]))  # |det(gamma)| is 4 or 1/4
+    with pytest.raises(SingularityError, match="outside float64"):
+        transform(new_object(2, (), weight, [1.0]), f)
 
 
 def test_weight_arithmetic_is_exact():

@@ -60,8 +60,9 @@ def ref_det(m: np.ndarray) -> float:
                 prod *= rows[row][col]
             total += _sign(perm) * prod
         return total
-    # a non-finite entry gives a NaN or infinite det, which counts as singular
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a non-finite entry gives a NaN or infinite det, which counts as singular;
+    # subnormal entries can set "divide" on the way to a det of 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return float(np.linalg.det(m))
 
 
@@ -106,7 +107,7 @@ def ref_compose(first, second) -> tuple[np.ndarray, np.ndarray, float]:
 def ref_metric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if not np.isfinite(m).all() or float(np.max(np.abs(m - m.T))) > 1e-10:
         raise DefinitenessError
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         minors = [float(np.linalg.det(m[:k, :k])) for k in range(1, len(m) + 1)]
     if not all(math.isfinite(v) and v > 1e-12 for v in minors):
         raise DefinitenessError
