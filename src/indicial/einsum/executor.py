@@ -3,16 +3,22 @@
 The plan holds every numpy argument, so ``execute`` only replays it: index
 and trace each factor, run each step as one matrix product whose operand
 permutations and 2-D shapes the plan fixed, transpose and scale each term,
-sum the terms.  The product is ``ndarray.dot``, the product numpy's own
-pairwise tensor contraction ends in after the same transposes and
-reshapes, so the bytes equal that contraction's.  A plan rescheduled by
-``order_contractions`` runs in its new order, and a plan whose schedule has
-a step product beyond the dense storage cap is refused before anything is
-allocated.  The result signature was proved by ``validate``, so the result
-is built without re-validation.  It is C-ordered and shares no memory with
-a binding: only a lone factor that is neither traced, multiplied nor
-scaled can be a view of its binding, and only that result is copied; every
-other one is already a fresh array, which ``_result`` freezes in place.
+sum the terms.  A trace is ``objects._trace``, the reduction ``np.trace``
+runs, without its Python wrapper; ``contract`` traces through it too.  The
+product is ``ndarray.dot``, the product numpy's own pairwise tensor
+contraction ends in after the same transposes and reshapes, so the bytes
+equal that contraction's.  A reshape that would not change an operand's or
+a product's shape is skipped; the plan keeps every shape, since a step's
+``cost`` reads them.  The bindings are checked inline against the plan's
+signatures, and only a mismatch calls ``_check_binding``, which words the
+failure.  A plan rescheduled by ``order_contractions`` runs in its new
+order, and a plan whose schedule has a step product beyond the dense
+storage cap is refused before anything is allocated.  The result signature
+was proved by ``validate``, so the result is built without re-validation.
+It is C-ordered and shares no memory with a binding: only a lone factor
+that is neither traced, multiplied nor scaled can be a view of its binding,
+and only that result is copied; every other one is already a fresh array,
+which ``_result`` freezes in place.
 Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 
@@ -21,16 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..objects import MAX_COMPONENTS, TensorObject, _result
+from ..objects import MAX_COMPONENTS, TensorObject, _result, _trace
 from .planner import ContractionPlan, Mode, Signature
-
-
-def _check_bindings(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> None:
-    for name, signature in plan.signatures.items():
-        t = bindings.get(name)
-        if type(t) is TensorObject and (t.dim, t.slots, t.weight) == signature:
-            continue
-        _check_binding(plan.mode, name, signature, bindings)
 
 
 def _check_binding(
@@ -73,7 +71,10 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
     ShapeError, before allocating, when a step of the plan's schedule would
     hold more than ``MAX_COMPONENTS`` components.
     """
-    _check_bindings(plan, bindings)
+    for name, signature in plan.signatures.items():
+        t = bindings.get(name)
+        if type(t) is not TensorObject or (t.dim, t.slots, t.weight) != signature:
+            _check_binding(plan.mode, name, signature, bindings)
     for term in plan.terms:
         if term.largest_intermediate > MAX_COMPONENTS:
             raise ShapeError(
@@ -89,7 +90,7 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
             if fp.index != ():
                 arr = arr[fp.index]
             for a, b in fp.traces:
-                arr = np.trace(arr, axis1=a, axis2=b)
+                arr = _trace(arr, a, b)
             items.append(arr)
         for step in term.steps:
             right = items.pop(step.right)
@@ -98,8 +99,14 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
                 left = left.transpose(step.left_perm)
             if step.right_perm is not None:
                 right = right.transpose(step.right_perm)
-            product = left.reshape(step.left_shape).dot(right.reshape(step.right_shape))
-            items[step.left] = product.reshape(step.result_shape)
+            if left.shape != step.left_shape:
+                left = left.reshape(step.left_shape)
+            if right.shape != step.right_shape:
+                right = right.reshape(step.right_shape)
+            product = left.dot(right)
+            if product.shape != step.result_shape:
+                product = product.reshape(step.result_shape)
+            items[step.left] = product
         arr = items[0]
         if term.output_axes is not None:
             arr = arr.transpose(term.output_axes)

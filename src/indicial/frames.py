@@ -133,14 +133,16 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
 
     Upper slots contract with c, lower slots with gamma, and the result is
     scaled by det(gamma) ** t.weight.  Raises SingularityError when that
-    power overflows float64, although det(gamma) itself is finite.
+    power overflows float64 or underflows to 0.0, although det(gamma)
+    itself is finite and nonzero: the result would be infinite, or all
+    zeros for a nonzero object.
     """
     if t.dim != f.dim:
         raise ShapeError(f"object has dim {t.dim}, frame has dim {f.dim}")
     if t.weight != 0:
         factor = _int_power(f.det_gamma, t.weight)
         # written so that a NaN factor fails it too
-        if not abs(factor) < math.inf:
+        if not 0.0 < abs(factor) < math.inf:
             raise SingularityError(
                 f"frame determinant power is outside float64: "
                 f"det(gamma) ** {t.weight} with det(gamma) = {f.det_gamma}"

@@ -6,14 +6,16 @@ values are 1-based at the API surface; slot positions are 0-based.  Both
 accept any integer, numpy integers included, except a bool.  Objects
 are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
 refuses assignment and deletion, and the backing array is marked read-only.
-Two builders apply that storage rule.  ``new_object`` is the one for caller
-data: it validates and always copies its input, so an object never shares
-memory with the caller's array.  ``_result`` is the one for an array the
-library has just computed: it freezes that array in place.
-``matrix_object`` reads a square array-like into one fresh copy of its own
-and freezes that through ``_result``.  Pickling and copying rebuild through
-``new_object``.  Every operation is a pure function, so values can be
-shared freely across threads.
+Two functions apply that storage rule.  ``new_object`` is the one for
+caller data: it validates and always copies its input, so an object never
+shares memory with the caller's array.  ``_result`` is the one for an array
+the library has just computed: it freezes that array in place.  Both hand
+the frozen array to ``_build``, which fills the four slots of a bare
+instance without running ``TensorObject.__init__``.  ``matrix_object``
+reads a square array-like into one fresh copy of its own and freezes that
+through ``_result``.  Pickling and copying rebuild through ``new_object``.
+Every operation is a pure function, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ class TensorObject:
     The constructor trusts its arguments; ``new_object`` validates them.
     """
 
-    # fixed fields, set once in __init__ through the slot descriptors;
-    # assigning or deleting one afterwards raises FrozenInstanceError
+    # fixed fields, set once through the slot descriptors (in __init__, or
+    # in _build for the library's own objects); assigning or deleting one
+    # afterwards raises FrozenInstanceError
     __slots__ = ("dim", "slots", "weight", "components", "__weakref__")
 
     dim: int
@@ -153,6 +156,21 @@ _set_dim = TensorObject.dim.__set__  # type: ignore[attr-defined]
 _set_slots = TensorObject.slots.__set__  # type: ignore[attr-defined]
 _set_weight = TensorObject.weight.__set__  # type: ignore[attr-defined]
 _set_components = TensorObject.components.__set__  # type: ignore[attr-defined]
+_new = object.__new__
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _build(
+    dim: int, slots: tuple[Variance, ...], weight: int, arr: np.ndarray
+) -> TensorObject:
+    """A TensorObject holding the four fields as given, set on a bare
+    instance through the slot descriptors without running ``__init__``."""
+    t = _new(TensorObject)
+    _set_dim(t, dim)
+    _set_slots(t, slots)
+    _set_weight(t, weight)
+    _set_components(t, arr)
+    return t
 
 
 def new_object(
@@ -175,24 +193,31 @@ def new_object(
     for s in slots:
         if s is not UP and s is not DOWN:
             require_signature(dim, slots, weight)
-    size = require_storable(dim, len(slots))
-    try:
-        arr = np.array(components, dtype=np.float64, order="C")
-    except (TypeError, ValueError) as exc:  # non-numeric or ragged
-        raise ShapeError(
-            f"components must be a rectangular array of numbers ({exc})"
-        ) from None
-    shape = (dim,) * len(slots)
+    rank = len(slots)
+    size = dim ** rank
+    if size > MAX_COMPONENTS:
+        require_storable(dim, rank)
+    if type(components) is np.ndarray and components.dtype is _FLOAT64:
+        # ndarray.copy() is C-ordered: the same array as np.array below
+        arr = components.copy()
+    else:
+        try:
+            arr = np.array(components, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:  # non-numeric or ragged
+            raise ShapeError(
+                f"components must be a rectangular array of numbers ({exc})"
+            ) from None
+    shape = (dim,) * rank
     if arr.shape != shape:
         if arr.ndim == 1 and arr.size == size:
             arr = arr.reshape(shape)
         else:
             raise ShapeError(
-                f"expected {size} components for dim {dim} rank {len(slots)}, "
+                f"expected {size} components for dim {dim} rank {rank}, "
                 f"got shape {arr.shape} ({arr.size} values)"
             )
-    arr.setflags(write=False)
-    return TensorObject(dim, slots, weight, arr)
+    arr.setflags(False)  # write=False, passed positionally: no keyword parsing
+    return _build(dim, slots, weight, arr)
 
 
 def _result(
@@ -207,8 +232,8 @@ def _result(
     components.
     """
     arr = np.asarray(arr, order="C")
-    arr.setflags(write=False)
-    return TensorObject(dim, slots, weight, arr)
+    arr.setflags(False)
+    return _build(dim, slots, weight, arr)
 
 
 def float_array(x: object, what: str) -> np.ndarray:
@@ -341,9 +366,22 @@ def contract(t: TensorObject, up_slot: int, down_slot: int) -> TensorObject:
             f"{t.slots[up_slot].value} at {up_slot} and "
             f"{t.slots[down_slot].value} at {down_slot}"
         )
-    arr = np.trace(t.components, axis1=up_slot, axis2=down_slot)
+    arr = _trace(t.components, up_slot, down_slot)
     slots = tuple(s for k, s in enumerate(t.slots) if k not in (up_slot, down_slot))
     return _result(t.dim, slots, t.weight, arr)
+
+
+_add_reduce = np.add.reduce
+
+
+def _trace(arr: np.ndarray, a: int, b: int) -> np.ndarray | np.float64:
+    """``np.trace(arr, axis1=a, axis2=b)`` without its Python wrapper.
+
+    ``ndarray.trace`` runs this same ``add.reduce`` over the last axis of
+    the diagonal view in C, so the bits are the same.  Rank 2 gives a numpy
+    scalar, as ``np.trace`` does.
+    """
+    return _add_reduce(arr.diagonal(0, a, b), -1)
 
 
 def swap_slots(t: TensorObject, i: int, j: int) -> TensorObject:

@@ -215,6 +215,17 @@ def test_transform_whose_determinant_power_overflows_exits_two(tmp_path):
     assert "det(gamma) ** -2" in done.stderr
 
 
+def test_transform_whose_determinant_power_underflows_exits_two(tmp_path, capsys):
+    # det(gamma) = 0.25, and 0.25 ** 1100 is 0.0 in float64: the vector
+    # used to transform to [0, 0] with exit 0
+    frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[2.0, 0.0], [0.0, 2.0]]})
+    doc = _write(tmp_path, "x.json",
+                 {"dim": 2, "slots": ["up"], "weight": 1100, "components": [1, 3]})
+    code, out, err = _invoke(capsys, "transform", "--frame", frame, "--input", doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "det(gamma) ** 1100" in err
+
+
 def test_transform_at_a_huge_weight_finishes(tmp_path):
     # the power det(gamma) ** weight takes O(log weight) products
     frame = _write(tmp_path, "f.json", {"dim": 4, "c": indicial.boost(0.3).tolist()})

@@ -312,11 +312,17 @@ def test_huge_weights_transform_by_squaring(weight):
     assert frames._int_power(-0.5, -62) == 2.0**62
 
 
-@pytest.mark.parametrize("diagonal, weight", [(0.5, 10**400), (2.0, -(10**400))])
+@pytest.mark.parametrize("diagonal, weight", [
+    (0.5, 10**400), (2.0, -(10**400)),  # the power overflows
+    (2.0, 10**400), (0.5, -(10**400)), (2.0, 1100),  # it underflows to 0.0
+])
 def test_a_weight_beyond_any_float64_power_is_singular(diagonal, weight):
     f = frame_from_matrix(np.diag([diagonal, diagonal]))  # |det(gamma)| is 4 or 1/4
     with pytest.raises(SingularityError, match="outside float64"):
         transform(new_object(2, (), weight, [1.0]), f)
+    # a nonzero vector would come out as silent zeros
+    with pytest.raises(SingularityError, match="outside float64"):
+        transform(new_object(2, (UP,), weight, [1.0, 3.0]), f)
 
 
 def test_weight_arithmetic_is_exact():

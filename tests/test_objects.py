@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -68,19 +69,29 @@ def test_new_object_rejects_bad_arguments():
         new_object(200, (UP, UP, UP, UP), 0, [])  # over the component cap
 
 
-@pytest.mark.parametrize("make", [
-    lambda: np.arange(9.0),                # flat: reshaped to (3, 3)
-    lambda: np.arange(9.0).reshape(3, 3),  # already of the target shape
-    lambda: np.arange(9.0).reshape(3, 3).T.copy().T,  # target shape, F-ordered
-], ids=["flat", "shaped", "f-ordered"])
-def test_new_object_copies_an_ndarray(make):
+@pytest.mark.parametrize("slots, make", [
+    ((UP, DOWN), lambda: np.arange(9.0)),  # flat: reshaped to (3, 3)
+    ((UP, DOWN), lambda: np.arange(9.0).reshape(3, 3)),  # the target shape
+    ((UP, DOWN), lambda: np.arange(9.0).reshape(3, 3).T.copy().T),  # F-ordered
+    ((UP, DOWN), lambda: np.arange(9.0).reshape(3, 3).repeat(2, axis=1)[:, ::2]),
+    ((UP, DOWN), lambda: np.arange(9).reshape(3, 3)),
+    ((UP, DOWN), lambda: np.arange(9, dtype=np.float32).reshape(3, 3)),
+    ((), lambda: np.array(2.5)),
+    ((), lambda: np.float64(2.5)),
+], ids=["flat", "shaped", "f-ordered", "strided", "int64", "float32", "0-d",
+        "float64-scalar"])
+def test_new_object_copies_an_ndarray(slots, make):
     source = make()
-    t = new_object(3, (UP, DOWN), 0, source)
-    assert not np.shares_memory(t.components, source)
-    assert t.components.flags.c_contiguous and not t.components.flags.writeable
-    assert np.array_equal(t.components, np.arange(9.0).reshape(3, 3))
-    source[(0,) * source.ndim] = 99.0
-    assert t.components[0, 0] == 0.0
+    want = np.asarray(make(), dtype=np.float64).reshape((3,) * len(slots))
+    t = new_object(3, slots, 0, source)
+    c = t.components
+    assert c.dtype == np.float64 and c.shape == want.shape
+    assert c.flags.c_contiguous and not c.flags.writeable
+    assert not np.shares_memory(c, source)
+    assert np.array_equal(c, want)
+    if isinstance(source, np.ndarray):
+        source[(0,) * source.ndim] = 99
+        assert np.array_equal(t.components, want)
 
 
 def test_new_object_copies_a_nested_list():
@@ -90,8 +101,7 @@ def test_new_object_copies_a_nested_list():
     assert t.components[0, 0] == 0.0
 
 
-def test_tensor_object_fields_cannot_be_assigned_or_deleted():
-    t = new_object(2, (UP, DOWN), 1, [1.0, 2.0, 3.0, 4.0])
+def _assert_frozen(t):
     for name in ("dim", "slots", "weight", "components"):
         with pytest.raises(AttributeError):
             setattr(t, name, getattr(t, name))
@@ -99,6 +109,18 @@ def test_tensor_object_fields_cannot_be_assigned_or_deleted():
             delattr(t, name)
     with pytest.raises(AttributeError):
         t.extra = 1
+
+
+def _assert_round_trips(a):
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is TensorObject and b == a
+        assert not b.components.flags.writeable
+        assert not np.shares_memory(b.components, a.components)
+
+
+def test_tensor_object_fields_cannot_be_assigned_or_deleted():
+    t = new_object(2, (UP, DOWN), 1, [1.0, 2.0, 3.0, 4.0])
+    _assert_frozen(t)
     assert (t.dim, t.slots, t.weight) == (2, (UP, DOWN), 1)
 
 
@@ -116,11 +138,7 @@ def test_tensor_object_equality_and_repr():
 
 
 def test_tensor_object_survives_pickle_and_copy():
-    a = new_object(2, (DOWN,), -1, [1.5, -2.0])
-    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-        assert type(b) is TensorObject and b == a
-        assert not b.components.flags.writeable
-        assert not np.shares_memory(b.components, a.components)
+    _assert_round_trips(new_object(2, (DOWN,), -1, [1.5, -2.0]))
 
 
 def test_components_are_read_only():
@@ -198,6 +216,24 @@ def test_outer_product_concatenates():
 def test_contract_is_the_trace():
     m = new_object(3, (UP, DOWN), 0, np.arange(9.0).reshape(3, 3))
     assert contract(m, 0, 1).as_scalar() == 0.0 + 4.0 + 8.0
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("rank", range(2, 6))
+def test_the_one_trace_has_the_bits_of_np_trace(dim, rank):
+    # contract and execute both trace through objects._trace; mixed
+    # magnitudes make the summation order show in the bits
+    rng = np.random.default_rng(100 * dim + rank)
+
+    def draw(r):
+        return rng.standard_normal((dim,) * r) * 10.0 ** rng.integers(-8, 9, (dim,) * r)
+
+    # a contiguous input, and the strided view a pinned digit leaves
+    for arr in (draw(rank), draw(rank + 1)[(slice(None),) * (rank // 2) + (dim - 1,)]):
+        for a, b in itertools.permutations(range(rank), 2):
+            got, want = objects._trace(arr, a, b), np.trace(arr, axis1=a, axis2=b)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, b)
 
 
 def test_contract_slot_rules():
@@ -404,6 +440,10 @@ PRODUCERS = {
         "y^r = a^r_s x^s", a=_writable(MIXED_SLOTS), x=_writable((UP,), seed=1)
     ),
     "execute-trace": lambda: _run("t = a^r_r", a=_writable(MIXED_SLOTS)),
+    "execute-trace-rank-3": lambda: _run("v_r = e^s_r_s", e=_writable((UP, DOWN, DOWN))),
+    "execute-scaled-sum": lambda: _run(
+        "y^r = 2 * a^r_s x^s - x^r", a=_writable(MIXED_SLOTS), x=_writable((UP,), seed=1)
+    ),
     "add": lambda: _pair(add),
     "scale": lambda: _one(lambda t: scale(t, 2.0)),
     "outer_product": lambda: _pair(outer_product),
@@ -437,3 +477,13 @@ def test_every_producer_returns_c_ordered_read_only_fresh_components(producer):
         for a in args:
             assert a.components.flags.writeable  # the argument is writable
             assert not np.shares_memory(r.components, a.components)
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_every_producer_returns_frozen_objects_that_pickle_and_copy(producer):
+    # the library's own objects are built without TensorObject.__init__
+    results, _ = PRODUCERS[producer]()
+    for r in results:
+        assert type(r) is TensorObject
+        _assert_frozen(r)
+        _assert_round_trips(r)
