@@ -133,16 +133,18 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
 
     Upper slots contract with c, lower slots with gamma, and the result is
     scaled by det(gamma) ** t.weight.  Raises SingularityError when that
-    power overflows float64 or underflows to 0.0, although det(gamma)
-    itself is finite and nonzero: the result would be infinite, or all
-    zeros for a nonzero object.
+    power overflows float64, although det(gamma) itself is finite and
+    nonzero, since the result would be infinite (or NaN for a zero
+    component); and when it underflows to 0.0 for an object with a nonzero
+    component, which would come out as all zeros.  An all-zero object with
+    an underflowing power transforms to zeros, which is exact.
     """
     if t.dim != f.dim:
         raise ShapeError(f"object has dim {t.dim}, frame has dim {f.dim}")
     if t.weight != 0:
         factor = _int_power(f.det_gamma, t.weight)
         # written so that a NaN factor fails it too
-        if not 0.0 < abs(factor) < math.inf:
+        if not abs(factor) < math.inf or (factor == 0.0 and t.components.any()):
             raise SingularityError(
                 f"frame determinant power is outside float64: "
                 f"det(gamma) ** {t.weight} with det(gamma) = {f.det_gamma}"

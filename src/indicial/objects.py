@@ -6,16 +6,14 @@ values are 1-based at the API surface; slot positions are 0-based.  Both
 accept any integer, numpy integers included, except a bool.  Objects
 are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
 refuses assignment and deletion, and the backing array is marked read-only.
-Two functions apply that storage rule.  ``new_object`` is the one for
-caller data: it validates and always copies its input, so an object never
-shares memory with the caller's array.  ``_result`` is the one for an array
-the library has just computed: it freezes that array in place.  Both hand
-the frozen array to ``_build``, which fills the four slots of a bare
-instance without running ``TensorObject.__init__``.  ``matrix_object``
-reads a square array-like into one fresh copy of its own and freezes that
-through ``_result``.  Pickling and copying rebuild through ``new_object``.
-Every operation is a pure function, so values can be shared freely across
-threads.
+Two builders apply that storage rule.  ``new_object`` is the one for caller
+data: it validates and always copies its input, so an object never shares
+memory with the caller's array.  ``_result`` is the one for an array the
+library has just computed: it freezes that array in place.
+``matrix_object`` reads a square array-like into one fresh copy of its own
+and freezes that through ``_result``.  Pickling and copying rebuild through
+``new_object``.  Every operation is a pure function, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -68,9 +66,8 @@ class TensorObject:
     The constructor trusts its arguments; ``new_object`` validates them.
     """
 
-    # fixed fields, set once through the slot descriptors (in __init__, or
-    # in _build for the library's own objects); assigning or deleting one
-    # afterwards raises FrozenInstanceError
+    # fixed fields, set once in __init__ through the slot descriptors;
+    # assigning or deleting one afterwards raises FrozenInstanceError
     __slots__ = ("dim", "slots", "weight", "components", "__weakref__")
 
     dim: int
@@ -156,21 +153,7 @@ _set_dim = TensorObject.dim.__set__  # type: ignore[attr-defined]
 _set_slots = TensorObject.slots.__set__  # type: ignore[attr-defined]
 _set_weight = TensorObject.weight.__set__  # type: ignore[attr-defined]
 _set_components = TensorObject.components.__set__  # type: ignore[attr-defined]
-_new = object.__new__
 _FLOAT64 = np.dtype(np.float64)
-
-
-def _build(
-    dim: int, slots: tuple[Variance, ...], weight: int, arr: np.ndarray
-) -> TensorObject:
-    """A TensorObject holding the four fields as given, set on a bare
-    instance through the slot descriptors without running ``__init__``."""
-    t = _new(TensorObject)
-    _set_dim(t, dim)
-    _set_slots(t, slots)
-    _set_weight(t, weight)
-    _set_components(t, arr)
-    return t
 
 
 def new_object(
@@ -194,9 +177,7 @@ def new_object(
         if s is not UP and s is not DOWN:
             require_signature(dim, slots, weight)
     rank = len(slots)
-    size = dim ** rank
-    if size > MAX_COMPONENTS:
-        require_storable(dim, rank)
+    size = require_storable(dim, rank)
     if type(components) is np.ndarray and components.dtype is _FLOAT64:
         # ndarray.copy() is C-ordered: the same array as np.array below
         arr = components.copy()
@@ -217,7 +198,7 @@ def new_object(
                 f"got shape {arr.shape} ({arr.size} values)"
             )
     arr.setflags(False)  # write=False, passed positionally: no keyword parsing
-    return _build(dim, slots, weight, arr)
+    return TensorObject(dim, slots, weight, arr)
 
 
 def _result(
@@ -233,7 +214,7 @@ def _result(
     """
     arr = np.asarray(arr, order="C")
     arr.setflags(False)
-    return _build(dim, slots, weight, arr)
+    return TensorObject(dim, slots, weight, arr)
 
 
 def float_array(x: object, what: str) -> np.ndarray:

@@ -325,6 +325,18 @@ def test_a_weight_beyond_any_float64_power_is_singular(diagonal, weight):
         transform(new_object(2, (UP,), weight, [1.0, 3.0]), f)
 
 
+@pytest.mark.parametrize("diagonal, weight", [
+    (2.0, 10**400), (0.5, -(10**400)), (2.0, 1100),
+])
+def test_an_underflowing_power_leaves_a_zero_object_exactly_zero(diagonal, weight):
+    f = frame_from_matrix(np.diag([diagonal, diagonal]))
+    got = transform(new_object(2, (UP,), weight, [0.0, 0.0]), f)
+    assert got == new_object(2, (UP,), weight, [0.0, 0.0])
+    # an overflowing power still refuses it: 0 * inf is NaN
+    with pytest.raises(SingularityError, match="outside float64"):
+        transform(new_object(2, (UP,), -weight, [0.0, 0.0]), f)
+
+
 def test_weight_arithmetic_is_exact():
     rng = np.random.default_rng(6)
     f = random_frame(rng, 3)
