@@ -2,23 +2,27 @@
 
 The plan holds every numpy argument, so ``execute`` only replays it: index
 and trace each factor, run each step as one matrix product whose operand
-permutations and 2-D shapes the plan fixed, transpose and scale each term,
-sum the terms.  A trace is ``objects._trace``, the reduction ``np.trace``
-runs, without its Python wrapper; ``contract`` traces through it too.  The
-product is ``ndarray.dot``, the product numpy's own pairwise tensor
-contraction ends in after the same transposes and reshapes, so the bytes
-equal that contraction's.  A reshape that would not change an operand's or
-a product's shape is skipped; the plan keeps every shape, since a step's
-``cost`` reads them.  The bindings are checked inline against the plan's
-signatures, and only a mismatch calls ``_check_binding``, which words the
-failure.  A plan rescheduled by ``order_contractions`` runs in its new
-order, and a plan whose schedule has a step product beyond the dense
-storage cap is refused before anything is allocated.  The result signature
-was proved by ``validate``, so the result is built without re-validation.
-It is C-ordered and shares no memory with a binding: only a lone factor
-that is neither traced, multiplied nor scaled can be a view of its binding,
-and only that result is copied; every other one is already a fresh array,
-which ``_result`` freezes in place.
+permutations and shapes the plan fixed, transpose and scale each term, sum
+the terms.  A trace is ``objects._trace``, the reduction ``np.trace`` runs,
+without its Python wrapper; ``contract`` traces through it too.  The product
+is ``ndarray.dot``, the product numpy's own pairwise tensor contraction ends
+in after the same transposes and reshapes, so the bytes equal that
+contraction's.  A side that shares letters but keeps none is planned 1-D, so
+a mat-vec runs ``A.dot(x)`` and an inner product ``x.dot(w)``: numpy's BLAS
+dispatch makes the same call for a ``(k,)`` vector as for the ``(k, 1)``
+column or ``(1, k)`` row numpy's contraction builds, so the bytes are
+unchanged.  A reshape that would not change an operand's or a product's
+shape is skipped; the plan keeps every shape, since a step's ``cost`` reads
+them.  The bindings are checked inline against the plan's signatures, and
+only a mismatch calls ``_check_binding``, which words the failure.  A plan
+rescheduled by ``order_contractions`` runs in its new order, and a plan
+whose schedule has a step product beyond the dense storage cap is refused
+before anything is allocated.  The result signature was proved by
+``validate``, so the result is built without re-validation.  It is C-ordered
+and shares no memory with a binding: only a lone factor that is neither
+traced, multiplied nor scaled can be a view of its binding, and only that
+result is copied; every other one is already a fresh array, which
+``_result`` freezes in place.
 Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 

@@ -5,9 +5,12 @@ into a ContractionPlan holding only what execution reads: per factor, the
 index tuple that pins fixed digits and the axis pairs to trace; per term,
 the pairwise schedule and the transpose into target order.  Each step is
 lowered to one matrix product: the permutation that moves each operand's
-shared letters inward and the 2-D shapes ``(d**m, d**k)`` and
-``(d**k, d**n)`` are fixed here, together with the result shape, and the
-term records its largest step product so that execution can refuse one
+shared letters inward and the shapes ``(d**m, d**k)`` and ``(d**k, d**n)``
+are fixed here, together with the result shape.  A side that shares letters
+but keeps none is the 1-D vector ``(d**k,)``: numpy's BLAS dispatch makes
+the same call for it as for the ``(1, d**k)`` row or ``(d**k, 1)`` column
+that ``np.tensordot`` builds, so the bytes still equal that contraction's.
+The term records its largest step product so that execution can refuse one
 beyond the dense storage cap before it allocates.  The default schedule
 contracts left to right; ``order_contractions`` reschedules greedily, always
 merging the pair with the smallest result first (ties broken by position),
@@ -39,6 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -93,23 +97,29 @@ class ScheduleStep:
     ``right_perm`` moves the right item's shared letters first, in the same
     order (None when the item is already in that order).  The operands are
     then reshaped to ``left_shape`` ``(d**m, d**k)`` and ``right_shape``
-    ``(d**k, d**n)``; an outer product has ``k = 0``, so its inner axis has
-    length 1.  The product, reshaped to ``result_shape``, replaces position
-    ``left`` and position ``right`` is removed.  ``cost``, the multiply-add
-    estimate dim ** |letter union|, is derived from the two shapes.
+    ``(d**k, d**n)``, except that a side sharing ``k > 0`` letters and
+    keeping none is the 1-D vector ``(d**k,)``, which numpy's BLAS dispatch
+    takes as it takes a ``(1, d**k)`` row or a ``(d**k, 1)`` column, so the
+    bytes are those of the 2-D product.  An outer product has ``k = 0``, so
+    its inner axis has length 1, and a side that shares and keeps nothing is
+    ``(1, 1)``.  The product, reshaped to ``result_shape``, replaces
+    position ``left`` and position ``right`` is removed.  ``cost``, the
+    multiply-add estimate dim ** |letter union|, is derived from the two
+    shapes, a 1-D side counting as its length.
     """
 
     left: int
     right: int
     left_perm: tuple[int, ...] | None
-    left_shape: tuple[int, int]
+    left_shape: tuple[int, ...]
     right_perm: tuple[int, ...] | None
-    right_shape: tuple[int, int]
+    right_shape: tuple[int, ...]
     result_shape: tuple[int, ...]
 
     @property
     def cost(self) -> int:
-        return self.left_shape[0] * self.left_shape[1] * self.right_shape[1]
+        # the inner axis is the last of left_shape and the first of right_shape
+        return math.prod(self.left_shape) * math.prod(self.right_shape[1:])
 
 
 @dataclass(frozen=True)
@@ -441,11 +451,20 @@ def _schedule(
         kept_left = [l for l in left if l not in shared]
         kept_right = [l for l in right if l not in shared]
         inner = dim ** len(shared)
+        left_shape: tuple[int, ...] = (dim ** len(kept_left), inner)
+        right_shape: tuple[int, ...] = (inner, dim ** len(kept_right))
+        if shared:
+            # a side that keeps no letter is a vector, so the product is
+            # A.dot(x) or x.dot(w) with no reshape
+            if not kept_left:
+                left_shape = (inner,)
+            if not kept_right:
+                right_shape = (inner,)
         result = tuple(kept_left + kept_right)
         steps.append(ScheduleStep(
             i, j,
-            _perm(left, kept_left + shared), (dim ** len(kept_left), inner),
-            _perm(right, shared + kept_right), (inner, dim ** len(kept_right)),
+            _perm(left, kept_left + shared), left_shape,
+            _perm(right, shared + kept_right), right_shape,
             (dim,) * len(result),
         ))
         items[i] = result

@@ -192,10 +192,17 @@ class _Scanner:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def parse(text: str) -> Statement:
-    """Parse one statement.  Raises ExpressionSyntaxError with a column.
+    """Parse one statement.  Raises ExpressionSyntaxError with a column,
+    also for a ``text`` that is not a ``str`` (column 1).
 
     Memoized on the text; the statement is immutable, so callers share it.
+    An unhashable argument, such as a list, still fails in the cache with
+    TypeError before the body runs.
     """
+    if not isinstance(text, str):
+        raise ExpressionSyntaxError(
+            f"statement text must be a str, got {type(text).__name__}", 1
+        )
     sc = _Scanner(text)
     target: FactorRef | None = None
 

@@ -280,6 +280,39 @@ def test_rank_zero_factors_multiply_as_one_by_one_products():
         _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
 
 
+def _mixed(rng, dim, slots):
+    """An object whose entries span 16 orders of magnitude, so that a change
+    of summation order shows in the bytes."""
+    shape = (dim,) * len(slots)
+    scale = 10.0 ** rng.integers(-8, 9, shape)
+    return new_object(dim, slots, 0, rng.uniform(-1, 1, shape) * scale)
+
+
+def test_a_side_that_keeps_no_letter_is_one_dimensional():
+    bind = {"a": _obj(3, (UP, DOWN), seed=50), "x": _obj(3, (UP,), seed=51),
+            "w": _obj(3, (DOWN,), seed=52), "g": _obj(3, (DOWN, DOWN), seed=53)}
+    for text, shapes in [("y^r = a^r_s x^s", ((3, 3), (3,), (3,))),
+                         ("s = x^r w_r", ((3,), (3,), ())),
+                         ("y_s = x^r g_{rs}", ((3,), (3, 3), (3,)))]:
+        (step,) = validate(parse(text), bind).terms[0].steps
+        assert (step.left_shape, step.right_shape, step.result_shape) == shapes, text
+    texts = [
+        "y^r = a^r_s x^s", "s = x^r w_r", "y_s = x^r g_{rs}", "s = g_{rs} x^r x^s",
+        # strided operands: a column pinned by a digit, a middle slot pinned
+        "y^r = a^r_s a^s_1", "s = a^r_1 w_r", "y_t = a^r_1 e_{r1t}",
+        "s = a^r_1 a^s_1 g_{rs}", "s = e_{r1s} h^{rs}",
+        # transposed right operands
+        "y_s = x^r g_{sr}", "y^r = x^s a^r_s", "s = g_{rs} h^{sr}", "y_t = x^r e_{trs} x^s",
+    ]
+    rng = np.random.default_rng(19)
+    for dim in range(1, 11):
+        bind = {"a": _mixed(rng, dim, (UP, DOWN)), "h": _mixed(rng, dim, (UP, UP)),
+                "x": _mixed(rng, dim, (UP,)), "w": _mixed(rng, dim, (DOWN,)),
+                "g": _mixed(rng, dim, (DOWN, DOWN)), "e": _mixed(rng, dim, (DOWN,) * 3)}
+        for text in texts:
+            _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
+
+
 def test_single_factor_transpose_has_no_step_and_copies():
     g = _obj(3, (DOWN, DOWN), seed=45)
     plan = validate(parse("w_{ts} = g_{st}"), {"g": g})

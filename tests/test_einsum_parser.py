@@ -118,3 +118,16 @@ def test_z_is_the_last_index_letter():
 def test_a_group_open_at_the_end_of_the_text_is_unterminated():
     with pytest.raises(ExpressionSyntaxError, match="unterminated '\\{' index group"):
         parse("t^{ab")
+
+
+@pytest.mark.parametrize("text, kind", [(b"y = x", "bytes"), (None, "NoneType"), (3, "int")])
+def test_a_text_that_is_not_a_str_is_a_syntax_error(text, kind):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"statement text must be a str, got {kind} (column 1)"
+    assert err.value.position == 1
+
+
+def test_an_unhashable_text_fails_in_the_cache():
+    with pytest.raises(TypeError, match="unhashable"):
+        parse(["y = x"])

@@ -4,6 +4,8 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import random_statement
+
 from indicial.einsum import Mode, order_contractions, parse, planner, validate
 from indicial.errors import AddressingError, ConventionError, ShapeError
 from indicial.objects import DOWN, UP, new_object
@@ -288,6 +290,25 @@ def test_order_contractions_never_raises_the_cost():
         text, sigs = _random_pattern(rng)
         plan = validate(parse(text), sigs)
         assert order_contractions(plan).total_cost <= plan.total_cost, text
+
+
+def test_a_step_costs_dim_to_the_number_of_its_letters():
+    # cost is read off the step shapes, so no shape may change a cost, a
+    # total_cost or a choice of order_contractions
+    rng = np.random.default_rng(1913)
+    cases = [random_statement(rng)[:2] for _ in range(300)]
+    cases += [_random_pattern(rng) for _ in range(300)]
+    for text, sigs in cases:
+        plan = validate(parse(text), sigs)
+        for p in (plan, order_contractions(plan)):
+            for term in p.terms:
+                letters = [fp.open_letters for fp in term.factors]
+                for step in term.steps:
+                    left, right = letters[step.left], letters.pop(step.right)
+                    assert step.cost == p.dim ** len(set(left) | set(right)), text
+                    letters[step.left] = tuple(
+                        l for l in left + right if (l in left) != (l in right)
+                    )
 
 
 def test_ordering_is_letter_independent():
