@@ -1,12 +1,15 @@
 """Evaluate a ContractionPlan against concrete bindings.
 
-The plan holds every numpy argument, so ``execute`` only replays it: index
-and trace each factor, run each step as one matrix product whose operand
-permutations and shapes the plan fixed, transpose and scale each term, sum
-the terms.  A trace is ``objects._trace``, the reduction ``np.trace`` runs,
-without its Python wrapper; ``contract`` traces through it too.  The product
-is ``ndarray.dot``, the product numpy's own pairwise tensor contraction ends
-in after the same transposes and reshapes, so the bytes equal that
+The plan holds every numpy argument and derives its replay once, at
+construction: one flat tuple of plain values (see ``ContractionPlan``).  On
+its way to a result ``execute`` reads nothing else, so it walks none of the
+plan's objects; it only replays the tuple: index and trace each factor, run
+each step as one matrix product whose operand permutations and shapes the
+plan fixed, transpose and scale each term, sum the terms.  A trace is
+``objects._trace``, the reduction ``np.trace`` runs, without its Python
+wrapper; ``contract`` traces through it too.  The product is
+``ndarray.dot``, the product numpy's own pairwise tensor contraction ends in
+after the same transposes and reshapes, so the bytes equal that
 contraction's.  A side that shares letters but keeps none is planned 1-D, so
 a mat-vec runs ``A.dot(x)`` and an inner product ``x.dot(w)``: numpy's BLAS
 dispatch makes the same call for a ``(k,)`` vector as for the ``(k, 1)``
@@ -15,14 +18,14 @@ unchanged.  A reshape that would not change an operand's or a product's
 shape is skipped; the plan keeps every shape, since a step's ``cost`` reads
 them.  The bindings are checked inline against the plan's signatures, and
 only a mismatch calls ``_check_binding``, which words the failure.  A plan
-rescheduled by ``order_contractions`` runs in its new order, and a plan
-whose schedule has a step product beyond the dense storage cap is refused
-before anything is allocated.  The result signature was proved by
-``validate``, so the result is built without re-validation.  It is C-ordered
-and shares no memory with a binding: only a lone factor that is neither
-traced, multiplied nor scaled can be a view of its binding, and only that
-result is copied; every other one is already a fresh array, which
-``_result`` freezes in place.
+rescheduled by ``order_contractions`` is a new plan with its own replay, so
+it runs in its new order, and a plan whose schedule has a step product
+beyond the dense storage cap is refused before anything is allocated.  The
+result signature was proved by ``validate``, so the result is built without
+re-validation.  It is C-ordered and shares no memory with a binding: only a
+lone factor that is neither traced, multiplied nor scaled can be a view of
+its binding, and only that result is copied; every other one is already a
+fresh array, which ``_result`` freezes in place.
 Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 
@@ -72,61 +75,67 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
 
     Bindings must match the signatures recorded in the plan (exactly in
     strict mode; up to variance coercion in orthogonal mode).  Raises
-    ShapeError, before allocating, when a step of the plan's schedule would
-    hold more than ``MAX_COMPONENTS`` components.
+    ShapeError for a ``plan`` that is not a ContractionPlan and for
+    ``bindings`` that are no mapping, and, before allocating, when a step
+    of the plan's schedule would hold more than ``MAX_COMPONENTS``
+    components.
     """
-    for name, signature in plan.signatures.items():
-        t = bindings.get(name)
-        if type(t) is not TensorObject or (t.dim, t.slots, t.weight) != signature:
-            _check_binding(plan.mode, name, signature, bindings)
-    for term in plan.terms:
-        if term.largest_intermediate > MAX_COMPONENTS:
-            raise ShapeError(
-                f"dense storage cap exceeded: a contraction step holds "
-                f"{term.largest_intermediate} > {MAX_COMPONENTS} components"
-            )
+    try:
+        checks, largest, terms, lone, (dim, result_slots, weight) = plan._replay
+    except AttributeError:
+        raise ShapeError(
+            f"plan must be a ContractionPlan, got {type(plan).__name__}"
+        ) from None
+    try:
+        for name, signature in checks:
+            t = bindings.get(name)
+            if type(t) is not TensorObject or (t.dim, t.slots, t.weight) != signature:
+                _check_binding(plan.mode, name, signature, bindings)
+    except AttributeError:
+        # only bindings.get raises it: t is read once its type is known
+        raise ShapeError(
+            f"bindings must be a mapping of names, got {type(bindings).__name__}"
+        ) from None
+    if largest > MAX_COMPONENTS:
+        raise ShapeError(
+            f"dense storage cap exceeded: a contraction step holds "
+            f"{largest} > {MAX_COMPONENTS} components"
+        )
     total: np.ndarray | None = None
-    shared = False  # whether total may be a view of a binding's components
-    for term in plan.terms:
+    for factors, steps, output_axes, coefficient in terms:
         items = []
-        for fp in term.factors:
-            arr = bindings[fp.name].components
-            if fp.index != ():
-                arr = arr[fp.index]
-            for a, b in fp.traces:
+        for name, index, traces in factors:
+            arr = bindings[name].components
+            if index is not None:
+                arr = arr[index]
+            for a, b in traces:
                 arr = _trace(arr, a, b)
             items.append(arr)
-        for step in term.steps:
-            right = items.pop(step.right)
-            left = items[step.left]
-            if step.left_perm is not None:
-                left = left.transpose(step.left_perm)
-            if step.right_perm is not None:
-                right = right.transpose(step.right_perm)
-            if left.shape != step.left_shape:
-                left = left.reshape(step.left_shape)
-            if right.shape != step.right_shape:
-                right = right.reshape(step.right_shape)
+        for (left_at, right_at, left_perm, left_shape,
+             right_perm, right_shape, result_shape) in steps:
+            right = items.pop(right_at)
+            left = items[left_at]
+            if left_perm is not None:
+                left = left.transpose(left_perm)
+            if right_perm is not None:
+                right = right.transpose(right_perm)
+            if left.shape != left_shape:
+                left = left.reshape(left_shape)
+            if right.shape != right_shape:
+                right = right.reshape(right_shape)
             product = left.dot(right)
-            if product.shape != step.result_shape:
-                product = product.reshape(step.result_shape)
-            items[step.left] = product
+            if product.shape != result_shape:
+                product = product.reshape(result_shape)
+            items[left_at] = product
         arr = items[0]
-        if term.output_axes is not None:
-            arr = arr.transpose(term.output_axes)
-        if term.coefficient != 1.0:
-            arr = arr * term.coefficient
-        if total is None:
-            # only a lone factor, neither traced, multiplied nor scaled,
-            # reaches here as a view: indexing and transposing do not copy
-            total = arr
-            shared = (
-                not term.steps and term.coefficient == 1.0 and not term.factors[0].traces
-            )
-        else:
-            total = total + arr
-            shared = False
-    if shared:
+        if output_axes is not None:
+            arr = arr.transpose(output_axes)
+        if coefficient != 1.0:
+            arr = arr * coefficient
+        total = arr if total is None else total + arr
+    if lone:
+        # indexing and transposing do not copy, so a lone factor, neither
+        # traced, multiplied nor scaled, is still a view of its binding;
         # np.array copies: the result never shares memory with a binding
         total = np.array(total, order="C")
-    return _result(plan.dim, plan.result_slots, plan.weight, total)
+    return _result(dim, result_slots, weight, total)

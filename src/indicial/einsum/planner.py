@@ -43,7 +43,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -144,7 +144,14 @@ class TermPlan:
 @dataclass(frozen=True, eq=False)
 class ContractionPlan:
     """A lowered statement.  Plans are shared, so ``signatures`` is read-only
-    and a plan compares and hashes by identity."""
+    (a plain mapping passed in is copied and wrapped) and a plan compares
+    and hashes by identity.
+
+    The plan derives its replay once, at construction: one flat tuple of
+    plain values holding everything ``execute`` reads, so ``execute`` walks
+    none of the plan's objects.  A plan made by ``dataclasses.replace`` or
+    by unpickling goes through the constructor and derives its own.
+    """
 
     mode: Mode
     dim: int
@@ -153,6 +160,51 @@ class ContractionPlan:
     free_letters: tuple[str, ...]
     signatures: Mapping[str, Signature]
     terms: tuple[TermPlan, ...]
+    # (checks, largest, terms, lone, (dim, result_slots, weight)):
+    #   checks: (name, signature) per referenced name;
+    #   largest: the largest step product of any term;
+    #   terms: (factors, steps, output_axes, coefficient) per term, each
+    #     factor (name, index or None, traces) and each step the fields of
+    #     its ScheduleStep in order;
+    #   lone: whether the result can be a view of a binding (one term, a
+    #     lone untraced factor, coefficient 1)
+    _replay: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if type(self.signatures) is not MappingProxyType:
+            object.__setattr__(
+                self, "signatures", MappingProxyType(dict(self.signatures))
+            )
+        terms = self.terms
+        first = terms[0]
+        object.__setattr__(self, "_replay", (
+            tuple(self.signatures.items()),
+            max(t.largest_intermediate for t in terms),
+            tuple(
+                (
+                    tuple((f.name, f.index or None, f.traces) for f in t.factors),
+                    tuple(
+                        (s.left, s.right, s.left_perm, s.left_shape,
+                         s.right_perm, s.right_shape, s.result_shape)
+                        for s in t.steps
+                    ),
+                    t.output_axes,
+                    t.coefficient,
+                )
+                for t in terms
+            ),
+            len(terms) == 1 and not first.steps and first.coefficient == 1.0
+            and not first.factors[0].traces,
+            (self.dim, self.result_slots, self.weight),
+        ))
+
+    def __reduce__(self) -> tuple:
+        # through the constructor, so the copy derives its own replay; a
+        # mappingproxy does not pickle, so signatures travel as a dict
+        return ContractionPlan, (
+            self.mode, self.dim, self.result_slots, self.weight,
+            self.free_letters, dict(self.signatures), self.terms,
+        )
 
     @property
     def total_cost(self) -> int:
@@ -235,12 +287,13 @@ def validate(
 ) -> ContractionPlan:
     """Check conventions and bindings; return an executable plan.
 
-    Raises ShapeError for a ``mode`` that is not a Mode, for binding
-    mismatches (unbound name, wrong arity or variance counts, conflicting
-    dims) and for a result beyond the dense
-    storage cap, ConventionError for summation convention violations (a
-    letter used three times, a dummy pair that is not upper+lower in strict
-    mode, free-letter or weight mismatches across terms, a missing or
+    Raises ShapeError for a ``statement`` that is not a Statement, for
+    ``signatures`` that are no mapping, for a ``mode`` that is not a Mode,
+    for binding mismatches (unbound name, wrong arity or variance counts,
+    conflicting dims) and for a result beyond the dense storage cap,
+    ConventionError for summation convention violations (a letter used
+    three times, a dummy pair that is not upper+lower in strict mode,
+    free-letter or weight mismatches across terms, a missing or
     non-matching target layout), and AddressingError for a fixed digit
     index outside 1..dim.  Plans are memoized and shared between callers,
     and so are the failures of the checks after the binding errors: a
@@ -263,23 +316,36 @@ def _resolve(
     Raises the binding errors: an unbound or malformed name, or a dim that
     differs from the first factor's.
     """
+    try:
+        names = statement.names
+    except AttributeError:
+        raise ShapeError(
+            f"statement must be a Statement, got {type(statement).__name__}"
+        ) from None
     key = []
     dim = None
-    for name in statement.names:
-        if name not in signatures:
-            raise ShapeError(f"no binding for name {name!r}")
-        t = signatures[name]
-        if type(t) is TensorObject:
-            sig = (t.dim, t.slots, t.weight)
-        else:
-            sig = _signature(name, t)
-        if dim is None:
-            dim = sig[0]
-        elif sig[0] != dim:
-            raise ShapeError(
-                f"dim mismatch: {name!r} has dim {sig[0]}, expected {dim}"
-            )
-        key.append((name, sig))
+    try:
+        for name in names:
+            if name not in signatures:
+                raise ShapeError(f"no binding for name {name!r}")
+            t = signatures[name]
+            if type(t) is TensorObject:
+                sig = (t.dim, t.slots, t.weight)
+            else:
+                sig = _signature(name, t)
+            if dim is None:
+                dim = sig[0]
+            elif sig[0] != dim:
+                raise ShapeError(
+                    f"dim mismatch: {name!r} has dim {sig[0]}, expected {dim}"
+                )
+            key.append((name, sig))
+    except TypeError:
+        # only ``in`` and ``[]`` on signatures raise it: _signature words
+        # a malformed entry as a ShapeError
+        raise ShapeError(
+            f"signatures must be a mapping of names, got {type(signatures).__name__}"
+        ) from None
     return tuple(key)
 
 
@@ -410,8 +476,8 @@ def _lower(
         schedule = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
         terms.append(TermPlan(coeff, factors, *schedule, prep, naive))
     return ContractionPlan(
-        mode, dim, result_slots, term_weights[0], free_letters,
-        MappingProxyType(signatures), tuple(terms),
+        mode, dim, result_slots, term_weights[0], free_letters, signatures,
+        tuple(terms),
     )
 
 
@@ -479,20 +545,29 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
     term's given schedule when that one is cheaper.
 
     A schedule with a step beyond ``MAX_COMPONENTS`` ranks last, and a tie
-    goes to the greedy one, so the plan's ``total_cost`` never rises.
-    Pure: returns a new plan; values are unchanged, only the cost model.
-    Memoized on the plan object.
+    goes to the greedy one, so the plan's ``total_cost`` never rises.  A
+    term with fewer than three factors has only one schedule and is kept as
+    it is.  Pure: returns the plan itself when no term changes, else a new
+    plan; values are unchanged, only the cost model.  Memoized on the plan
+    object.  Raises ShapeError for a ``plan`` that is not a ContractionPlan;
+    an unhashable one fails in the cache with ``TypeError``.
     """
+    if not isinstance(plan, ContractionPlan):
+        raise ShapeError(f"plan must be a ContractionPlan, got {type(plan).__name__}")
     free_letters, dim = plan.free_letters, plan.dim
     terms = []
     for term in plan.terms:
-        steps, output_axes, largest = _schedule(
-            term.factors, free_letters, dim, _smallest_pair
-        )
-        greedy = replace(
-            term, steps=steps, output_axes=output_axes, largest_intermediate=largest
-        )
-        terms.append(min(greedy, term, key=_schedule_rank))
+        if len(term.factors) > 2:
+            steps, output_axes, largest = _schedule(
+                term.factors, free_letters, dim, _smallest_pair
+            )
+            greedy = replace(
+                term, steps=steps, output_axes=output_axes, largest_intermediate=largest
+            )
+            term = min(greedy, term, key=_schedule_rank)
+        terms.append(term)
+    if all(new is old for new, old in zip(terms, plan.terms)):
+        return plan
     return replace(plan, terms=tuple(terms))
 
 

@@ -1,9 +1,12 @@
 """The memoized einsum stages: parse, validate and order_contractions share
 their results between calls, and a hit gives what the uncached body gives."""
 
+import copy
 import dataclasses
 import gc
+import pickle
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -121,6 +124,25 @@ def test_plan_signatures_are_read_only():
         plan.signatures["x"] = (4, (UP,), 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.signatures = {}
+
+
+def test_a_plan_survives_pickle_and_copy():
+    """The copy is rebuilt through the constructor: its own replay runs to
+    the same bytes, and its signatures stay read-only."""
+    rng = np.random.default_rng(2021)
+    corpus = [random_statement(rng)[:2] for _ in range(60)]
+    corpus.append(("P^r = 2 * A^r_1", {"A": new_object(3, (UP, DOWN), 0, np.eye(3))}))
+    for text, bindings in corpus:
+        plan = validate(parse(text), bindings)
+        for p in (plan, order_contractions(plan)):
+            want = execute(p, bindings)
+            for other in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+                assert other is not p
+                _assert_same_plan(other, p)
+                _assert_bit_identical(execute(other, bindings), want)
+                assert type(other.signatures) is MappingProxyType
+                with pytest.raises(TypeError):
+                    other.signatures["x"] = (4, (UP,), 0)
 
 
 def test_the_cache_holds_no_binding():

@@ -425,3 +425,19 @@ def test_binding_drift_names_the_difference(mode, bind, message):
         execute(plan, bindings)
     assert str(exc.value) == message
 
+
+
+@pytest.mark.parametrize("which, message", [
+    ("no plan", "plan must be a ContractionPlan, got NoneType"),
+    ("a statement", "plan must be a ContractionPlan, got Statement"),
+    ("no bindings", "bindings must be a mapping of names, got NoneType"),
+    ("a list", "bindings must be a mapping of names, got list"),
+])
+def test_arguments_of_the_wrong_type_are_refused(which, message):
+    x = _obj(3, (UP,), seed=48)
+    plan = validate(parse("y^r = x^r"), {"x": x})
+    args = {"no plan": (None, {"x": x}), "a statement": (parse("y^r = x^r"), {"x": x}),
+            "no bindings": (plan, None), "a list": (plan, [x])}[which]
+    with pytest.raises(ShapeError) as exc:
+        execute(*args)
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -356,3 +357,66 @@ def test_modes_survive_pickle_and_copy_as_themselves():
         for other in (pickle.loads(pickle.dumps(mode)), copy.copy(mode), copy.deepcopy(mode)):
             assert other is mode
             assert table[other] == mode.value[0]
+
+
+def _reschedule_every_term(plan):
+    """``order_contractions`` as it was before a term of fewer than three
+    factors was kept: every term rescheduled and ranked, and a new plan."""
+    terms = []
+    for term in plan.terms:
+        steps, output_axes, largest = planner._schedule(
+            term.factors, plan.free_letters, plan.dim, planner._smallest_pair
+        )
+        greedy = dataclasses.replace(
+            term, steps=steps, output_axes=output_axes, largest_intermediate=largest
+        )
+        terms.append(min(greedy, term, key=planner._schedule_rank))
+    return dataclasses.replace(plan, terms=tuple(terms))
+
+
+def test_a_term_of_fewer_than_three_factors_keeps_its_one_schedule():
+    rng = np.random.default_rng(2020)
+    cases = [random_statement(rng)[:2] for _ in range(300)]
+    cases += [_random_pattern(rng) for _ in range(200)]
+    cases.append(("t^r_s = 2 * a^r_k b^k_s + c^r_s",
+                  {n: (3, (UP, DOWN), 0) for n in "abc"}))
+    short = 0
+    for text, sigs in cases:
+        for mode in Mode:
+            plan = validate(parse(text), sigs, mode)
+            ordered, want = order_contractions(plan), _reschedule_every_term(plan)
+            assert (ordered.total_cost, ordered.naive_cost) == (
+                want.total_cost, want.naive_cost), text
+            assert ordered.terms == want.terms, text
+            for term, old in zip(ordered.terms, plan.terms):
+                if len(old.factors) < 3:
+                    assert term is old, text
+            if all(len(t.factors) < 3 for t in plan.terms):
+                short += 1
+                assert ordered is plan, text
+    assert short > 100
+
+
+@pytest.mark.parametrize("statement, signatures, kind", [
+    ("y^r = x^r", {"x": (3, (UP,), 0)}, "str"),
+    (None, {"x": (3, (UP,), 0)}, "NoneType"),
+])
+def test_a_statement_that_is_not_a_statement_is_refused(statement, signatures, kind):
+    with pytest.raises(ShapeError) as exc:
+        validate(statement, signatures)
+    assert str(exc.value) == f"statement must be a Statement, got {kind}"
+
+
+@pytest.mark.parametrize("signatures, kind", [(None, "NoneType"), (3, "int")])
+def test_signatures_that_are_no_mapping_are_refused(signatures, kind):
+    with pytest.raises(ShapeError) as exc:
+        validate(parse("y^r = x^r"), signatures)
+    assert str(exc.value) == f"signatures must be a mapping of names, got {kind}"
+
+
+@pytest.mark.parametrize("plan, kind", [(None, "NoneType"), (parse("y^r = x^r"), "Statement")])
+def test_order_contractions_refuses_what_is_not_a_plan(plan, kind):
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ShapeError) as exc:
+            order_contractions(plan)
+        assert str(exc.value) == f"plan must be a ContractionPlan, got {kind}"
