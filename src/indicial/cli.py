@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--old", required=True, metavar="FILE")
     p.add_argument("--new", required=True, metavar="FILE")
     p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=verify_transform_law.__defaults__[-1])
 
     products = (("dot", 2, inner), ("cross", 2, cross), ("triple", 3, triple))
     for name, nvec, product in products:
@@ -97,9 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-exercises", help="run the built-in check catalogue")
     p.set_defaults(handler=_cmd_check_exercises)
-    p.add_argument("--dim", type=int, default=3, help="dimension for generic checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    # the defaults are run_checks' own, read when the catalogue is imported
+    p.add_argument("--dim", type=int, help="dimension for generic checks")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--filter", metavar="PATTERN", help="glob on check ids")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument(
@@ -173,15 +174,18 @@ def _cmd_rapidity(args: argparse.Namespace) -> TensorObject:
 
 
 def _cmd_check_exercises(args: argparse.Namespace) -> int:
+    # the catalogue is large; only this command pays for importing it
+    from . import exercises
+
+    for name, default in zip(("dim", "seed", "tol"), exercises.run_checks.__defaults__):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if not 2 <= args.dim <= 6:
         return _usage_error("--dim must be between 2 and 6")
     if args.seed < 0:
         return _usage_error(f"--seed must be non-negative, got {args.seed}")
     if _bad_tol(args.tol):
         return _usage_error(f"--tol must be finite and non-negative, got {args.tol}")
-    # the catalogue is large; only this command pays for importing it
-    from . import exercises
-
     results = exercises.run_checks(
         dim=args.dim, seed=args.seed, tol=args.tol, pattern=args.filter
     )

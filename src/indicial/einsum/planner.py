@@ -546,11 +546,13 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
 
     A schedule with a step beyond ``MAX_COMPONENTS`` ranks last, and a tie
     goes to the greedy one, so the plan's ``total_cost`` never rises.  A
-    term with fewer than three factors has only one schedule and is kept as
-    it is.  Pure: returns the plan itself when no term changes, else a new
-    plan; values are unchanged, only the cost model.  Memoized on the plan
-    object.  Raises ShapeError for a ``plan`` that is not a ContractionPlan;
-    an unhashable one fails in the cache with ``TypeError``.
+    term with fewer than three factors has only one schedule, and a term
+    whose greedy schedule is the one it has (compared by content) is kept
+    as it is.  Pure: returns the plan itself when no term's schedule
+    changes, else a new plan; values are unchanged, only the cost model.
+    Memoized on the plan object.  Raises ShapeError for a ``plan`` that is
+    not a ContractionPlan; an unhashable one fails in the cache with
+    ``TypeError``.
     """
     if not isinstance(plan, ContractionPlan):
         raise ShapeError(f"plan must be a ContractionPlan, got {type(plan).__name__}")
@@ -561,10 +563,11 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
             steps, output_axes, largest = _schedule(
                 term.factors, free_letters, dim, _smallest_pair
             )
-            greedy = replace(
-                term, steps=steps, output_axes=output_axes, largest_intermediate=largest
-            )
-            term = min(greedy, term, key=_schedule_rank)
+            if (steps, output_axes) != (term.steps, term.output_axes):
+                greedy = replace(
+                    term, steps=steps, output_axes=output_axes, largest_intermediate=largest
+                )
+                term = min(greedy, term, key=_schedule_rank)
         terms.append(term)
     if all(new is old for new, old in zip(terms, plan.terms)):
         return plan

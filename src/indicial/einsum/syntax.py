@@ -94,23 +94,18 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def at_name(self) -> bool:
-        ch = self.peek()
-        return ch.isalpha() and ch not in "_^"
+        return self.peek().isalpha()
 
     def read_name(self) -> str:
+        # callers test at_name() first
         start = self.pos
-        if not self.at_name():
-            raise self.error("expected a name")
         while self.pos < len(self.text) and self.text[self.pos].isalnum():
             self.pos += 1
         return self.text[start : self.pos]
 
     def read_index_char(self) -> str:
         ch = self.peek()
-        if "a" <= ch <= "z":
-            self.pos += 1
-            return ch
-        if "1" <= ch <= "9":
+        if "a" <= ch <= "z" or "1" <= ch <= "9":
             self.pos += 1
             return ch
         raise self.error(

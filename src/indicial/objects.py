@@ -102,14 +102,6 @@ class TensorObject:
     def rank(self) -> int:
         return len(self.slots)
 
-    @property
-    def n_upper(self) -> int:
-        return sum(1 for s in self.slots if s is UP)
-
-    @property
-    def n_lower(self) -> int:
-        return sum(1 for s in self.slots if s is DOWN)
-
     def component(self, idx: Sequence[int]) -> float:
         """Return one component by 1-based multi-index."""
         idx = tuple(idx)

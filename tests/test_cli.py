@@ -18,6 +18,7 @@ from indicial.cli import run
 from indicial.documents import parse_tensor_document
 from indicial.errors import ShapeError
 from indicial.metric import orthonormal_metric
+from indicial.objects import UP, new_object
 
 
 def _invoke(capsys, *argv):
@@ -628,6 +629,35 @@ def test_ex34_fails_when_a_skew_basis_gives_the_identity(monkeypatch):
                         lambda basis: orthonormal_metric(basis[0].dim))
     (result,) = exercises.run_checks(pattern="ex34")
     assert result.status == "fail" and result.error is None
+
+
+_COVARIANCE_CHECKS = ("ex23", "ex28", "ex29", "ex30", "ex41", "ex42", "ex43")
+
+
+def _drop_weight(real):
+    return lambda t, f: new_object(t.dim, t.slots, 0, real(t, f).components)
+
+
+def _every_slot_upper(real):
+    def law(t, f):
+        as_upper = new_object(t.dim, (UP,) * t.rank, t.weight, t.components)
+        return new_object(t.dim, t.slots, t.weight, real(as_upper, f).components)
+    return law
+
+
+@pytest.mark.parametrize("broken, failing", [
+    (None, set()),
+    (_drop_weight, {"ex41"}),
+    (_every_slot_upper, {"ex28", "ex29", "ex30", "ex43"}),
+])
+def test_the_covariance_checks_catch_a_broken_frame_law(monkeypatch, broken, failing):
+    if broken is not None:
+        monkeypatch.setattr(exercises.frames, "transform", broken(exercises.frames.transform))
+    for dim in range(2, 7):
+        results = exercises.run_checks(dim=dim, seed=42, pattern="ex[234]?")
+        failed = {r.check_id for r in results
+                  if r.check_id in _COVARIANCE_CHECKS and r.status == "fail"}
+        assert failed == failing, dim
 
 
 @pytest.mark.parametrize("dim", [3, 5])

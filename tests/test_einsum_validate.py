@@ -397,6 +397,31 @@ def test_a_term_of_fewer_than_three_factors_keeps_its_one_schedule():
     assert short > 100
 
 
+def test_a_term_the_greedy_rule_gives_back_unchanged_is_kept():
+    rng = np.random.default_rng(2021)
+    kept = 0
+    for _ in range(300):
+        text, sigs = random_statement(rng)[:2]
+        for mode in Mode:
+            plan = validate(parse(text), sigs, mode)
+            ordered = order_contractions(plan)
+            assert ordered.terms == _reschedule_every_term(plan).terms, text
+            for term, old in zip(ordered.terms, plan.terms):
+                if term == old:
+                    assert term is old, text
+            if ordered.terms == plan.terms:
+                assert ordered is plan, text
+                kept += any(len(t.factors) > 2 for t in plan.terms)
+    assert kept > 100
+    mixed, vec = (3, (UP, DOWN), 0), (3, (UP,), 0)
+    for text, sigs in [
+        ("m^r_s = 2 * a^r_t b^t_u c^u_s", dict.fromkeys("abc", mixed)),
+        ("t = E_{rst} X^r Y^s Z^t", {"E": (3, (DOWN,) * 3, 0), **dict.fromkeys("XYZ", vec)}),
+    ]:
+        plan = validate(parse(text), sigs)
+        assert len(plan.terms[0].factors) > 2 and order_contractions(plan) is plan, text
+
+
 @pytest.mark.parametrize("statement, signatures, kind", [
     ("y^r = x^r", {"x": (3, (UP,), 0)}, "str"),
     (None, {"x": (3, (UP,), 0)}, "NoneType"),
