@@ -110,8 +110,13 @@ def determinant(t: TensorObject | Sequence[Sequence[float]]) -> float:
     return _det(t.components, t.dim)
 
 
+_max_reduce = np.maximum.reduce
+
+
 def _scale(m: np.ndarray) -> float:
-    return float(np.abs(m).max())
+    """max |entry|, NaN if an entry is NaN: the reduction ``ndarray.max``
+    runs, without its Python wrapper."""
+    return float(_max_reduce(np.abs(m), None))
 
 
 def _threshold(scale: float, dim: int) -> float:

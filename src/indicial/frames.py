@@ -24,6 +24,7 @@ from .determinants import (
     _det,
     _det_and_scale,
     _is_singular,
+    _scale,
     determinant,
 )
 from .errors import ShapeError, SingularityError
@@ -31,6 +32,8 @@ from .objects import (
     MIXED_SLOTS,
     UP,
     TensorObject,
+    _identity,
+    _identity_object,
     _result,
     matrix_object,
     new_object,
@@ -59,11 +62,10 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     # raises SingularityError for a degenerate mixing
     g = _checked_inverse(c.components, c.dim)
-    # max |gamma c - 1|, in place: the product is fresh and C-ordered, so
-    # every (dim + 1)-th entry of its ravel() view is on the diagonal
+    # max |gamma c - 1|, in place on the fresh product
     r = g @ c.components
-    r.ravel()[:: c.dim + 1] -= 1.0
-    residual = float(np.abs(r, out=r).max())
+    r -= _identity(c.dim)
+    residual = _scale(r)
     # written so that a NaN residual fails it too
     if not residual <= _FRAME_CHECK_TOL:
         raise SingularityError(
@@ -71,40 +73,56 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
             f"(residual {residual:.3e})"
         )
     gamma = _result(c.dim, MIXED_SLOTS, -c.weight, g)
-    return _frame(c.dim, c, gamma, _det(g, c.dim))
+    return Frame(c.dim, c, gamma, _checked_det(_det(g, c.dim)))
 
 
-def _frame(dim: int, c: TensorObject, gamma: TensorObject, det_gamma: float) -> Frame:
-    """A Frame; SingularityError when det(gamma) overflowed or underflowed
+def _checked_det(det_gamma: float) -> float:
+    """``det_gamma``; SingularityError when it overflowed or underflowed
     float64, since ``transform`` scales by its powers."""
     # written so that a NaN determinant fails it too
     if not 0.0 < abs(det_gamma) < math.inf:
         raise SingularityError(
             f"frame determinant is outside float64: det(gamma) = {det_gamma}"
         )
-    return Frame(dim, c, gamma, det_gamma)
+    return det_gamma
 
 
 def identity_frame(dim: int) -> Frame:
-    return frame_from_matrix(new_object(dim, MIXED_SLOTS, 0, np.eye(dim)))
+    return frame_from_matrix(_identity_object(dim, MIXED_SLOTS))
 
 
 def inverse_frame(f: Frame) -> Frame:
     """The frame mapping new coordinates back to old ones."""
-    return _frame(f.dim, f.gamma, f.c, _det(f.c.components, f.dim))
+    return Frame(f.dim, f.gamma, f.c, _checked_det(_det(f.c.components, f.dim)))
 
 
 def compose(first: Frame, second: Frame) -> Frame:
-    """The frame equivalent to applying ``first`` and then ``second``."""
+    """The frame equivalent to applying ``first`` and then ``second``.
+
+    det(gamma) is checked before the two matrix products.  For frames from
+    ``frame_from_matrix`` or ``inverse_frame``, the singularity threshold on
+    c bounds max|c| ** dim by 1e12 |det c|, and max|gamma| by a multiple of
+    1e12 / max|c|, so at dim >= 2 every product that would overflow float64
+    comes with a det(gamma) product that underflows to 0.0 or overflows, and
+    is refused first; the bound does not carry over to a frame that is
+    itself such a product.  At dim 1 a subnormal det(gamma) product can pass
+    while c overflows, so there the product of the two c entries, a Python
+    float that overflows without a warning, is tested as well.
+    """
     if first.dim != second.dim:
         raise ShapeError(f"dim mismatch: {first.dim} vs {second.dim}")
+    det_gamma = _checked_det(first.det_gamma * second.det_gamma)
+    if first.dim == 1 and not abs(
+        second.c.components.item() * first.c.components.item()
+    ) < math.inf:
+        raise SingularityError("composed frame matrix is outside float64")
     c = second.c.components @ first.c.components
     gamma = first.gamma.components @ second.gamma.components
-    return _frame(
+    return Frame(
         first.dim,
         _result(first.dim, MIXED_SLOTS, 0, c),
         _result(first.dim, MIXED_SLOTS, 0, gamma),
-        first.det_gamma * second.det_gamma,
+        det_gamma,
     )
 
 

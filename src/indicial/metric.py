@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import _inv, _lu_det
+from .determinants import _inv, _lu_det, _scale
 from .errors import ConventionError, DefinitenessError, ShapeError
 from .objects import (
     DEFAULT_SYMMETRY_TOL,
@@ -25,6 +25,8 @@ from .objects import (
     TensorObject,
     Variance,
     _check_slot,
+    _identity,
+    _identity_object,
     _result,
     matrix_object,
     new_object,
@@ -53,18 +55,25 @@ class Metric:
 
 
 def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
-    """Validate symmetry and positive-definiteness, cache inverse and det."""
+    """Validate symmetry and positive-definiteness, cache inverse and det.
+
+    The checks run in this order: finite components, then symmetry within
+    DEFAULT_SYMMETRY_TOL, then finite leading minors, then minors above
+    MINOR_TOL.  One pass over m - m.T decides the first two, since the
+    difference is inf or NaN wherever m is; finiteness is tested on its own
+    only to word a failure.
+    """
     g = matrix_object(g, (DOWN, DOWN), "metric")
     m = g.components
-    # every comparison with NaN is False, so the checks below would pass it
-    if not np.isfinite(m).all():
-        raise DefinitenessError("metric components must be finite")
-    d = m - m.T
-    if float(np.abs(d, out=d).max()) > DEFAULT_SYMMETRY_TOL:
-        raise DefinitenessError("metric must be symmetric")
-    # an overflowing minor is rejected below, and so is the 0.0 that LAPACK's
-    # det can reach on subnormal entries while setting "divide"
-    with np.errstate(over="ignore", divide="ignore"):
+    # an overflowing difference counts as asymmetric; an overflowing minor is
+    # refused below, and so is the 0.0 that LAPACK's det can reach on
+    # subnormal entries while setting "divide"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # written so that a NaN difference fails it too
+        if not _scale(m - m.T) <= DEFAULT_SYMMETRY_TOL:
+            if not np.isfinite(m).all():
+                raise DefinitenessError("metric components must be finite")
+            raise DefinitenessError("metric must be symmetric")
         minors = _leading_minors(m)
     if not all(math.isfinite(minor) for minor in minors):
         raise DefinitenessError(
@@ -99,10 +108,8 @@ def _minor_padding(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``(mask, identity)`` with ``mask[k, i, j] = max(i, j) <= k``."""
     k = np.arange(dim)
     mask = np.maximum.outer(k, k) <= k[:, None, None]
-    identity = np.eye(dim)
     mask.setflags(write=False)
-    identity.setflags(write=False)
-    return mask, identity
+    return mask, _identity(dim)
 
 
 def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
@@ -114,13 +121,14 @@ def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
         raise ShapeError("empty basis")
     dim = len(basis)
     rows = np.stack([require_vector(e, dim, "basis vector") for e in basis])
-    with np.errstate(over="ignore"):  # an overflowing Gram matrix is rejected as non-finite
+    # an overflowing Gram matrix, or a NaN from inf * 0, is rejected as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
         gram = rows @ rows.T
     return metric_from_tensor(_result(dim, (DOWN, DOWN), 0, gram))
 
 
 def orthonormal_metric(dim: int = 3) -> Metric:
-    return metric_from_tensor(new_object(dim, (DOWN, DOWN), 0, np.eye(dim)))
+    return metric_from_tensor(_identity_object(dim, (DOWN, DOWN)))
 
 
 def lower_index(t: TensorObject, slot: int, m: Metric) -> TensorObject:

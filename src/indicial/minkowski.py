@@ -27,12 +27,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, SuperluminalError
-from .objects import float_array
+from .objects import _identity, float_array
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
 
 _CONDITION_TOL = 1e-9
+
+# (s, r, expected value) for each unordered column pair s <= r
+_COLUMN_PAIRS = tuple(
+    (s, r, 0.0 if s != r else (1.0 if s == 0 else -1.0))
+    for s in range(4)
+    for r in range(s, 4)
+)
 
 
 def _as_four_vector(x: Sequence[float]) -> np.ndarray:
@@ -62,18 +69,16 @@ def is_lorentz(c: Sequence[Sequence[float]], tol: float = _CONDITION_TOL) -> boo
     For every column pair (s, r): c^0_s c^0_r - sum_i c^i_s c^i_r must be
     0 for s != r, 1 for s == r == 0, and -1 for s == r != 0.  IEEE products
     commute, so the value for (r, s) is that for (s, r) bit for bit, and
-    each unordered pair is evaluated once.
+    each of the ten unordered pairs is evaluated once, from a fixed table.
     """
     # Python floats: the same IEEE products as numpy scalars, without a
     # RuntimeWarning for an inf or NaN entry
     t, x, y, z = _as_matrix(c).tolist()
-    for s in range(4):
-        for r in range(s, 4):
-            value = t[s] * t[r] - x[s] * x[r] - y[s] * y[r] - z[s] * z[r]
-            expected = 0.0 if s != r else (1.0 if s == 0 else -1.0)
-            # written so that a NaN value fails it too
-            if not abs(value - expected) <= tol:
-                return False
+    for s, r, expected in _COLUMN_PAIRS:
+        value = t[s] * t[r] - x[s] * x[r] - y[s] * y[r] - z[s] * z[r]
+        # written so that a NaN value fails it too
+        if not abs(value - expected) <= tol:
+            return False
     return True
 
 
@@ -81,10 +86,13 @@ def eta_residual(c: Sequence[Sequence[float]]) -> float:
     """Independent check: max |C^T eta C - eta|.
 
     Zero exactly when the componentwise condition holds; the two routes are
-    required to agree and tests pin that equivalence.
+    required to agree and tests pin that equivalence.  A non-finite entry
+    gives NaN or inf, and so does a product beyond float64, with no
+    RuntimeWarning.
     """
     m = _as_matrix(c)
-    return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
 def _read_number(value: object, what: str) -> float:
@@ -105,11 +113,13 @@ def _check_beta(beta: float) -> float:
 
 
 def _boost_matrix(diagonal: float, off_diagonal: float) -> np.ndarray:
-    """The read-only boost along axis 1 with the given time-x block entries."""
-    m = np.eye(4)
+    """The read-only boost along axis 1 with the given time-x block entries,
+    filled into a copy of the shared identity (``np.eye`` is a Python
+    function, ``copy`` is not)."""
+    m = _identity(4).copy()
     m[0, 0] = m[1, 1] = diagonal
     m[0, 1] = m[1, 0] = off_diagonal
-    m.setflags(write=False)
+    m.setflags(False)
     return m
 
 

@@ -201,8 +201,7 @@ def _result(
     ``np.asarray(order="C")`` copies only a view that is not C-ordered, and
     turns a numpy scalar or a list into an array, keeping rank 0 as rank 0
     (``np.ascontiguousarray`` would promote it to shape (1,)).  The array is
-    then frozen in place, so ``arr`` must be fresh or a view of read-only
-    components.
+    then frozen in place, so ``arr`` must be fresh or already read-only.
     """
     arr = np.asarray(arr, order="C")
     arr.setflags(False)
@@ -259,7 +258,35 @@ def require_signature(dim: object, slots: tuple, weight: object) -> None:
 
 def zeros(dim: int, slots: Iterable[Variance], weight: int = 0) -> TensorObject:
     slots = tuple(slots)
-    return new_object(dim, slots, weight, np.zeros((dim,) * len(slots)))
+    # checked before np.zeros, which would allocate past the cap or fail
+    # with its own error on a bad dim
+    require_signature(dim, slots, weight)
+    require_storable(dim, len(slots))
+    return _result(dim, slots, weight, np.zeros((dim,) * len(slots)))
+
+
+def _frozen_eye(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(False)
+    return eye
+
+
+# one read-only identity per dim up to 16, shared by every caller (12 kB in all)
+_IDENTITIES = tuple(_frozen_eye(d) for d in range(17))
+
+
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity: a shared one up to dim 16, a fresh
+    one above, so that the shared ones stay small."""
+    return _IDENTITIES[dim] if dim < len(_IDENTITIES) else _frozen_eye(dim)
+
+
+def _identity_object(dim: int, slots: tuple[Variance, Variance]) -> TensorObject:
+    """The weight-0 identity with ``slots``; a bad or over-cap dim raises
+    ShapeError before anything is allocated."""
+    require_signature(dim, slots, 0)
+    require_storable(dim, 2)
+    return _result(dim, slots, 0, _identity(dim))
 
 
 def _require_same_signature(a: TensorObject, b: TensorObject) -> None:

@@ -16,9 +16,9 @@ from .objects import (
     UP,
     TensorObject,
     Variance,
+    _identity_object,
     _result,
     is_index_value,
-    new_object,
 )
 
 
@@ -53,7 +53,7 @@ def kronecker(dim: int, kind: KroneckerKind) -> TensorObject:
     """Kronecker delta of the requested variance signature (weight 0)."""
     if not isinstance(kind, KroneckerKind):
         raise ShapeError(f"{kind!r} is not a KroneckerKind")
-    return new_object(dim, kind.value, 0, np.eye(dim))
+    return _identity_object(dim, kind.value)
 
 
 @functools.lru_cache(maxsize=None)  # called with dims 1..6 only

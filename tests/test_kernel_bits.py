@@ -99,9 +99,13 @@ def _ref_checked_det(det_gamma: float) -> float:
 
 
 def ref_compose(first, second) -> tuple[np.ndarray, np.ndarray, float]:
-    c = second[0] @ first[0]
-    gamma = first[1] @ second[1]
-    return c, gamma, _ref_checked_det(first[2] * second[2])
+    det_gamma = _ref_checked_det(first[2] * second[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = second[0] @ first[0]
+        gamma = first[1] @ second[1]
+    if not (np.isfinite(c).all() and np.isfinite(gamma).all()):
+        raise SingularityError
+    return c, gamma, det_gamma
 
 
 def ref_metric(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -70,6 +70,26 @@ def test_non_finite_metric_is_rejected(bad, at):
         metric_from_tensor(new_object(2, (DOWN, DOWN), 0, arr))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_entry_is_named_before_an_asymmetry(bad):
+    # the metric is also asymmetric, and the finiteness message wins
+    with pytest.raises(DefinitenessError, match="must be finite"):
+        metric_from_tensor([[1.0, bad], [0.5, 1.0]])
+
+
+def test_an_overflowing_asymmetry_is_refused_as_asymmetric():
+    # m - m.T overflows to inf at (0, 1): refused, with no RuntimeWarning
+    with pytest.raises(DefinitenessError, match="must be symmetric"):
+        metric_from_tensor([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def test_a_basis_vector_holding_inf_is_refused_as_non_finite():
+    # inf * 0.0 in the Gram product is NaN, with no RuntimeWarning
+    basis = [new_object(2, (UP,), 0, row) for row in ([float("inf"), 0.0], [0.0, 1.0])]
+    with pytest.raises(DefinitenessError, match="must be finite"):
+        metric_from_basis(basis)
+
+
 def test_basis_whose_gram_matrix_overflows_is_rejected():
     basis = [new_object(2, (UP,), 0, row) for row in ([1e200, 0.0], [0.0, 1e200])]
     with pytest.raises(DefinitenessError, match="finite"):

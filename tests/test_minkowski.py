@@ -57,6 +57,8 @@ def test_non_finite_matrices_are_not_lorentz():
         inf_eye = np.eye(4) * np.inf
     for c in (np.full((4, 4), np.nan), inf_eye, np.diag([np.inf] * 4), boost(0.5) * 1e200):
         assert is_lorentz(c) is False
+        # NaN or inf, with no RuntimeWarning from inf * 0 or an overflow
+        assert not eta_residual(c) <= 1e-9
 
 
 def test_eta_residual_matches_loop_oracle():
@@ -172,8 +174,10 @@ def _reference_boost_from_rapidity(psi):
 
 def test_boosts_are_byte_equal_to_the_explicit_fill():
     rng = np.random.default_rng(13)
-    betas = [0.0, -0.0, 0.6, "0.6", "-0.25", 5e-324, 0.9999999999, -0.9999999999]
-    psis = [0.0, -0.0, 1.5, "-2.5", 709.0, -709.0, 1e-300]
+    edge = 1.0 - 2.0 ** -53  # the largest |beta| below 1
+    betas = [0.0, -0.0, 0.6, "0.6", "-0.25", 5e-324, 0.9999999999, -0.9999999999,
+             edge, -edge]
+    psis = [0.0, -0.0, 1.5, "-2.5", 709.0, -709.0, 1e-300, 710.0, -710.0, 710.4, -710.4]
     betas += rng.uniform(-0.9999, 0.9999, 200).tolist()
     psis += rng.uniform(-700.0, 700.0, 200).tolist()
     for beta in betas:
@@ -184,6 +188,8 @@ def test_boosts_are_byte_equal_to_the_explicit_fill():
         b = boost_from_rapidity(psi)
         assert not b.flags.writeable
         assert b.tobytes() == _reference_boost_from_rapidity(psi).tobytes()
+    # each boost is a matrix of its own
+    assert not np.shares_memory(boost(0.5), boost(0.5))
 
 
 def test_rapidity_values():
