@@ -14,6 +14,9 @@ Inverses, determinants at dim >= 5 (and the metric's leading minors) are
 numpy's LAPACK gufuncs, called as ``np.linalg.inv`` and ``np.linalg.det``
 call them for float64 input but without their Python wrapper: the same
 bits, without the wrapper's per-call cost.
+
+``_invertible_rows`` is the one sampler of random invertible matrices that
+``random_frame``, ``random_metric`` and the check catalogue draw through.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import SingularityError
-from .objects import MIXED_SLOTS, TensorObject, _result, matrix_object
+from .objects import MIXED_SLOTS, TensorObject, _result, _scale, matrix_object, require_signature
 from .symbols import _signed_permutations
 
-# |det| <= SINGULARITY_FACTOR * max|entry| ** dim counts as singular
+# |det| <= SINGULARITY_FACTOR * max|entry| ** dim, or beyond float64, counts as singular
 SINGULARITY_FACTOR = 1e-12
 
 
@@ -110,15 +113,6 @@ def determinant(t: TensorObject | Sequence[Sequence[float]]) -> float:
     return _det(t.components, t.dim)
 
 
-_max_reduce = np.maximum.reduce
-
-
-def _scale(m: np.ndarray) -> float:
-    """max |entry|, NaN if an entry is NaN: the reduction ``ndarray.max``
-    runs, without its Python wrapper."""
-    return float(_max_reduce(np.abs(m), None))
-
-
 def _threshold(scale: float, dim: int) -> float:
     """SINGULARITY_FACTOR * scale ** dim, saturating at inf."""
     try:
@@ -144,16 +138,15 @@ def _det_and_scale(m: np.ndarray, d: int) -> tuple[float, float]:
 
 
 def _is_singular(det: float, scale: float, dim: int) -> bool:
-    """|det| at or below the threshold for ``scale`` and ``dim``; a NaN det
-    (a NaN entry, or inf * 0 in an overflowing permutation sum) counts as
-    singular."""
-    return not abs(det) > _threshold(scale, dim)
+    """|det| at or below the threshold for ``scale`` and ``dim``, or beyond
+    float64; a NaN det (a NaN entry, or inf * 0 in an overflowing
+    permutation sum) counts as singular."""
+    return not _threshold(scale, dim) < abs(det) < math.inf
 
 
 def _checked_inverse(m: np.ndarray, d: int) -> np.ndarray:
-    """A fresh inverse of a d x d float64 matrix; SingularityError when |det|
-    falls at or below the scale-aware threshold, which also refuses every
-    non-finite entry."""
+    """A fresh inverse of a d x d float64 matrix; SingularityError when the
+    matrix counts as singular, which also refuses every non-finite entry."""
     det, scale = _det_and_scale(m, d)
     if _is_singular(det, scale, d):
         raise SingularityError(f"matrix is singular within tolerance: |det| = {abs(det)}")
@@ -164,8 +157,18 @@ def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
     """Matrix inverse of a rank-(1,1) object or a square array-like.
 
     Raises SingularityError when |det| falls at or below the scale-aware
-    threshold.  The result carries weight -t.weight so that the product
-    with t is weight-0; an array-like reads as weight 0.
+    threshold or overflows float64.  The result carries weight -t.weight so
+    that the product with t is weight-0; an array-like reads as weight 0.
     """
     t = matrix_object(t, MIXED_SLOTS, "inverse")
     return _result(t.dim, MIXED_SLOTS, -t.weight, _checked_inverse(t.components, t.dim))
+
+
+def _invertible_rows(rng: np.random.Generator, dim: int, min_det: float = 0.1) -> np.ndarray:
+    """Test sampler: dim x dim uniform [-1, 1] entries, redrawn until
+    ``abs(det) >= min_det``."""
+    require_signature(dim, (), 0)  # a 0 x 0 draw would never pass
+    while True:
+        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        if abs(_det(rows, dim)) >= min_det:
+            return rows

@@ -216,8 +216,6 @@ class ContractionPlan:
 
 
 def _signature(name: str, value: object) -> Signature:
-    if isinstance(value, TensorObject):
-        return (value.dim, value.slots, value.weight)
     try:
         dim, slots, weight = value  # type: ignore[misc]
         slots = tuple(slots)
@@ -329,7 +327,7 @@ def _resolve(
             if name not in signatures:
                 raise ShapeError(f"no binding for name {name!r}")
             t = signatures[name]
-            if type(t) is TensorObject:
+            if isinstance(t, TensorObject):
                 sig = (t.dim, t.slots, t.weight)
             else:
                 sig = _signature(name, t)

@@ -106,6 +106,18 @@ def _frame_gap(f: frames.Frame, op: Callable, *objs: TensorObject) -> float:
     return _max_abs(frames.transform(op(*objs), f).components - new.components)
 
 
+def _fixed_gap(f: frames.Frame, *objs: TensorObject) -> float:
+    """Max |transform(t) - t| over ``objs``: zero (to rounding) for objects
+    that the frame leaves fixed."""
+    return max(_max_abs(frames.transform(t, f).components - t.components) for t in objs)
+
+
+def _inverse_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Max deviation of ``a @ b`` and ``b @ a`` from the identity."""
+    eye = np.eye(len(a))
+    return max(_max_abs(a @ b - eye), _max_abs(b @ a - eye))
+
+
 def _raises(cls: type[Exception], fn: Callable, *args) -> bool:
     """True when ``fn(*args)`` raises ``cls``, False when it returns; any
     other exception propagates."""
@@ -133,14 +145,6 @@ def _rotation_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
         g[j, i] = math.sin(a)
         m = g @ m
     return m
-
-
-def _invertible_rows(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform [-1, 1] rows, redrawn until ``abs(det) >= 0.1``."""
-    while True:
-        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        if abs(np.linalg.det(rows)) >= 0.1:
-            return rows
 
 
 def _spatial_rotation4(rng: np.random.Generator) -> np.ndarray:
@@ -330,7 +334,7 @@ def _ex12(dim: int, rng: np.random.Generator) -> float:
     reflected = q @ np.diag([1.0, 1.0, -1.0])
     dev = max(dev, abs(abs(np.linalg.det(reflected)) - 1.0))
     # a genuine involution: V = P D P^-1 with D of +-1 entries
-    p = _invertible_rows(rng, 3)
+    p = determinants._invertible_rows(rng, 3)
     v = p @ np.diag([1.0, -1.0, 1.0]) @ np.linalg.inv(p)
     dev = max(dev, _max_abs(v @ v - np.eye(3)))
     vm = new_object(3, (UP, DOWN), 0, v)
@@ -428,17 +432,13 @@ def _ex19(dim: int, rng: np.random.Generator) -> float:
 @_check("ex20", "the mixing matrix and its inverse multiply to the identity")
 def _ex20(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    eye = np.eye(dim)
-    return max(
-        _max_abs(f.gamma.components @ f.c.components - eye),
-        _max_abs(f.c.components @ f.gamma.components - eye),
-    )
+    return _inverse_gap(f.gamma.components, f.c.components)
 
 
 @_check("ex21", "new basis vectors are gamma-combinations of the old ones")
 def _ex21(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    rows = _invertible_rows(rng, dim)
+    rows = determinants._invertible_rows(rng, dim)
     basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_basis = frames.transform_basis(f, basis)
     dev = 0.0
@@ -485,8 +485,7 @@ def _ex24(dim: int, rng: np.random.Generator) -> float:
 @_check("ex25", "the mixed delta is frame-invariant", limit=1e-12)
 def _ex25(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
-    return _max_abs(frames.transform(delta, f).components - np.eye(dim))
+    return _fixed_gap(f, symbols.kronecker(dim, symbols.KroneckerKind.MIXED))
 
 
 @_check("ex26", "the twice-lower delta moves under a stretch", limit=1e-12, fixed_dim=3)
@@ -546,7 +545,7 @@ def _ex34(dim: int, rng: np.random.Generator) -> float:
     basis = [new_object(dim, (UP,), 0, q[r]) for r in range(dim)]
     dev = _max_abs(metric.metric_from_basis(basis).g.components - np.eye(dim))
     # a skew basis must not give the identity too
-    rows = _invertible_rows(rng, dim)
+    rows = determinants._invertible_rows(rng, dim)
     skew = metric.metric_from_basis([new_object(dim, (UP,), 0, row) for row in rows])
     if _max_abs(skew.g.components - np.eye(dim)) <= 1e-3:
         return INF
@@ -556,11 +555,7 @@ def _ex34(dim: int, rng: np.random.Generator) -> float:
 @_check("ex35", "the metric and its inverse contract to the delta")
 def _ex35(dim: int, rng: np.random.Generator) -> float:
     m = metric.random_metric(rng, dim)
-    eye = np.eye(dim)
-    return max(
-        _max_abs(m.g.components @ m.g_inv.components - eye),
-        _max_abs(m.g_inv.components @ m.g.components - eye),
-    )
+    return _inverse_gap(m.g.components, m.g_inv.components)
 
 
 @_check("ex36", "the squared length agrees in raised and lowered form")
@@ -593,10 +588,7 @@ def _ex38(dim: int, rng: np.random.Generator) -> float:
     f = frames.frame_from_matrix(_rotation_matrix(rng, dim))
     lower = symbols.kronecker(dim, symbols.KroneckerKind.LOWER_LOWER)
     upper = symbols.kronecker(dim, symbols.KroneckerKind.UPPER_UPPER)
-    return max(
-        _max_abs(frames.transform(lower, f).components - np.eye(dim)),
-        _max_abs(frames.transform(upper, f).components - np.eye(dim)),
-    )
+    return _fixed_gap(f, lower, upper)
 
 
 @_check("ex39", "with the identity metric, raising and lowering change nothing")
@@ -664,19 +656,13 @@ _covered("ex44", "quotient rule at nonzero weight", "frames.verify_transform_law
 def _ex45(dim: int, rng: np.random.Generator) -> float:
     d = min(dim, 4)
     f = frames.random_frame(rng, d)
-    e_low = symbols.levi_civita_symbol(d, DOWN)
-    e_up = symbols.levi_civita_symbol(d, UP)
-    return max(
-        _max_abs(frames.transform(e_low, f).components - e_low.components),
-        _max_abs(frames.transform(e_up, f).components - e_up.components),
-    )
+    return _fixed_gap(f, symbols.levi_civita_symbol(d, DOWN), symbols.levi_civita_symbol(d, UP))
 
 
 @_check("ex46", "the zero object stays zero in every frame", limit=0.0)
 def _ex46(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    z = objects.zeros(dim, (UP, DOWN, DOWN), weight=2)
-    return _max_abs(frames.transform(z, f).components)
+    return _fixed_gap(f, objects.zeros(dim, (UP, DOWN, DOWN), weight=2))
 
 
 @_check("ex47", "equal objects stay equal in every frame", limit=0.0)
@@ -921,7 +907,7 @@ def _eq10(dim: int, rng: np.random.Generator) -> float:
 @_check("eq13", "old basis vectors are mixing-matrix combinations of the new")
 def _eq13(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
-    rows = _invertible_rows(rng, dim)
+    rows = determinants._invertible_rows(rng, dim)
     basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
     new_rows = np.stack([e.components for e in frames.transform_basis(f, basis)])
     return _max_abs(f.c.components.T @ new_rows - rows)

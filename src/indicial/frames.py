@@ -19,14 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import (
-    _checked_inverse,
-    _det,
-    _det_and_scale,
-    _is_singular,
-    _scale,
-    determinant,
-)
+from .determinants import _checked_inverse, _det, _det_and_scale, _invertible_rows, _is_singular
 from .errors import ShapeError, SingularityError
 from .objects import (
     MIXED_SLOTS,
@@ -35,8 +28,8 @@ from .objects import (
     _identity,
     _identity_object,
     _result,
+    _scale,
     matrix_object,
-    new_object,
     require_vector,
 )
 
@@ -225,8 +218,4 @@ def random_frame(
     rng: np.random.Generator, dim: int = 3, min_det: float = 0.1
 ) -> Frame:
     """Test helper: uniform [-1, 1] entries, resampled until |det| >= min_det."""
-    while True:
-        arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        candidate = new_object(dim, MIXED_SLOTS, 0, arr)
-        if abs(determinant(candidate)) >= min_det:
-            return frame_from_matrix(candidate)
+    return frame_from_matrix(_invertible_rows(rng, dim, min_det))

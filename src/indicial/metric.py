@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import _inv, _lu_det, _scale
+from .determinants import _inv, _invertible_rows, _lu_det
 from .errors import ConventionError, DefinitenessError, ShapeError
 from .objects import (
     DEFAULT_SYMMETRY_TOL,
@@ -28,6 +28,7 @@ from .objects import (
     _identity,
     _identity_object,
     _result,
+    _scale,
     matrix_object,
     new_object,
     require_vector,
@@ -204,8 +205,5 @@ def triple(x: TensorObject, y: TensorObject, z: TensorObject, m: Metric) -> floa
 
 def random_metric(rng: np.random.Generator, dim: int = 3, min_det: float = 0.1) -> Metric:
     """Test helper: Gram metric of a random well-conditioned basis."""
-    while True:
-        rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        if abs(np.linalg.det(rows)) >= min_det:
-            basis = [new_object(dim, (UP,), 0, rows[r]) for r in range(dim)]
-            return metric_from_basis(basis)
+    rows = _invertible_rows(rng, dim, min_det)
+    return metric_from_basis([new_object(dim, (UP,), 0, row) for row in rows])

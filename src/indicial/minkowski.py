@@ -13,10 +13,10 @@ beta/sqrt(1-beta^2) and cosh psi = 1/sqrt(1-beta^2)), the two agree as
 
 i.e. the conventions differ by the sign of the rapidity argument.
 
-``beta`` and ``psi`` are read as ``float(value)``, numeric strings included.
-An int beyond float64 reads as +-inf and so raises SuperluminalError, as a
-float 1e400 does; a value ``float`` cannot read (None, "abc", [0.5]) raises
-ShapeError.
+``beta`` and ``psi`` are read by ``objects._read_number`` as
+``float(value)``, numeric strings included.  An int beyond float64 reads as
++-inf and so raises SuperluminalError, as a float 1e400 does; a value
+``float`` cannot read (None, "abc", [0.5]) raises ShapeError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, SuperluminalError
-from .objects import _identity, float_array
+from .objects import _identity, _read_number, _scale, float_array
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
@@ -92,17 +92,7 @@ def eta_residual(c: Sequence[Sequence[float]]) -> float:
     """
     m = _as_matrix(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
-
-
-def _read_number(value: object, what: str) -> float:
-    """``float(value)``; an int beyond float64 reads as +-inf, like ``1e400``."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise ShapeError(f"{what} must be a real number, got {value!r}") from None
+        return _scale(m.T @ ETA @ m - ETA)
 
 
 def _check_beta(beta: float) -> float:

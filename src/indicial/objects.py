@@ -14,11 +14,14 @@ library has just computed: it freezes that array in place.
 and freezes that through ``_result``.  Pickling and copying rebuild through
 ``new_object``.  Every operation is a pure function, so values can be
 shared freely across threads.
+The geometry modules share two rules from here: ``_scale`` (max |entry|)
+and ``_read_number`` (a caller's real number, read as ``float(value)``).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import FrozenInstanceError
 from typing import Iterable, Sequence
@@ -305,8 +308,19 @@ def add(a: TensorObject, b: TensorObject) -> TensorObject:
 
 
 def scale(a: TensorObject, k: float) -> TensorObject:
-    """Multiply every component by the real number k."""
-    return _result(a.dim, a.slots, a.weight, a.components * float(k))
+    """Multiply every component by the real number k, read by ``_read_number``."""
+    return _result(a.dim, a.slots, a.weight, a.components * _read_number(k, "scale factor"))
+
+
+def _read_number(value: object, what: str) -> float:
+    """``float(value)``; an int beyond float64 reads as +-inf, like ``1e400``,
+    and a value ``float`` cannot read raises ShapeError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} must be a real number, got {value!r}") from None
 
 
 def outer_product(a: TensorObject, b: TensorObject) -> TensorObject:
@@ -372,6 +386,13 @@ def contract(t: TensorObject, up_slot: int, down_slot: int) -> TensorObject:
 
 
 _add_reduce = np.add.reduce
+_max_reduce = np.maximum.reduce
+
+
+def _scale(m: np.ndarray) -> float:
+    """max |entry|, NaN if an entry is NaN: the reduction ``ndarray.max``
+    runs, without its Python wrapper."""
+    return float(_max_reduce(np.abs(m), None))
 
 
 def _trace(arr: np.ndarray, a: int, b: int) -> np.ndarray | np.float64:
@@ -411,9 +432,9 @@ def symmetry_check(
     if t.slots[i] is not t.slots[j]:
         raise ConventionError("symmetry is only defined for slots of equal variance")
     swapped = np.swapaxes(t.components, i, j)
-    if float(np.max(np.abs(t.components - swapped), initial=0.0)) <= tol:
+    if _scale(t.components - swapped) <= tol:
         return Symmetry.SYMMETRIC
-    if float(np.max(np.abs(t.components + swapped), initial=0.0)) <= tol:
+    if _scale(t.components + swapped) <= tol:
         return Symmetry.ANTISYMMETRIC
     return Symmetry.NEITHER
 

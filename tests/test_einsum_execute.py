@@ -441,3 +441,34 @@ def test_arguments_of_the_wrong_type_are_refused(which, message):
     with pytest.raises(ShapeError) as exc:
         execute(*args)
     assert str(exc.value) == message
+
+
+def test_a_scalar_statement_without_a_target_runs():
+    a = new_object(3, (DOWN,), 0, [1.0, 2.0, 3.0])
+    x = new_object(3, (UP,), 0, [4.0, 5.0, 6.0])
+    plan = validate(parse("a_r x^r"), {"a": a, "x": x})
+    assert plan.result_slots == () and plan.free_letters == ()
+    assert execute(plan, {"a": a, "x": x}).as_scalar() == 32.0
+
+
+def test_orthogonal_mode_runs_a_binding_of_other_variances_but_not_other_weight():
+    a = new_object(3, (UP, DOWN), 0, np.arange(9.0))
+    x = new_object(3, (UP,), 0, [1.0, 1.0, 1.0])
+    plan = validate(parse("y^r = a^r_s x^s"), {"a": a, "x": x}, Mode.ORTHOGONAL)
+    coerced = new_object(3, (DOWN, DOWN), 0, np.arange(9.0))
+    assert list(execute(plan, {"a": coerced, "x": x}).components) == [3.0, 12.0, 21.0]
+    heavier = new_object(3, (DOWN, DOWN), 1, np.arange(9.0))
+    with pytest.raises(ShapeError, match="has weight 1, plan expects 0"):
+        execute(plan, {"a": heavier, "x": x})
+
+
+class _Sub(TensorObject):
+    __slots__ = ()
+
+
+def test_a_tensor_object_subclass_validates_and_executes_as_a_binding():
+    a = _Sub(2, (UP, DOWN), 0, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = new_object(2, (UP,), 0, [1.0, 1.0])
+    plan = validate(parse("y^r = a^r_s x^s"), {"a": a, "x": x})
+    assert plan.signatures["a"] == (2, (UP, DOWN), 0)
+    assert list(execute(plan, {"a": a, "x": x}).components) == [3.0, 7.0]

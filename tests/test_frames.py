@@ -158,8 +158,9 @@ def test_frame_whose_det_gamma_overflows_is_singular():
 
 
 def test_inverse_frame_whose_det_c_overflows_is_singular():
-    a = 1.2e154  # det(c) = 2 * a**2 overflows, while a**2 (the cutoff scale) does not
-    f = frame_from_matrix([[a, -a], [a, a]])
+    # frame_from_matrix refuses a c whose det overflows, but a product of two
+    # frames can carry one: det(gamma) = 1e-308 * 1e-2 = 1e-310, det(c) = 1e310
+    f = compose(frame_from_matrix(np.diag([1e154, 1e154])), frame_from_matrix(np.diag([10.0, 10.0])))
     assert 0.0 < f.det_gamma < 1e-300
     with pytest.raises(SingularityError, match="det\\(gamma\\) = inf"):
         inverse_frame(f)
@@ -292,9 +293,9 @@ def test_verify_transform_law_at_a_weight_other_than_the_objects():
 
 
 def test_transform_raises_when_the_determinant_power_overflows():
-    # det(gamma) is finite but subnormal, so det(gamma) ** -2 is not
-    a = 1.2e154
-    f = frame_from_matrix([[a, -a], [a, a]])
+    # det(c) = 1e308 is finite and det(gamma) = 1e-308 subnormal, so
+    # det(gamma) ** -2 is not finite
+    f = frame_from_matrix(np.diag([1e154, 1e154]))
     assert 0.0 < f.det_gamma < 1e-300
     with pytest.raises(SingularityError, match="outside float64"):
         transform(new_object(2, (), -2, [1.0]), f)
@@ -355,3 +356,8 @@ def test_random_frame_is_reproducible_and_conditioned():
     for seed in range(10):
         f = random_frame(np.random.default_rng(seed), 4, min_det=0.2)
         assert abs(determinant(f.c)) >= 0.2
+
+
+def test_compose_refuses_frames_of_different_dims():
+    with pytest.raises(ShapeError, match="dim mismatch: 2 vs 3"):
+        compose(identity_frame(2), identity_frame(3))

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indicial import determinants
 from indicial.errors import ShapeError, SingularityError, TensorError
 from indicial.frames import (
     Frame,
@@ -26,6 +27,7 @@ from indicial.frames import (
     frame_from_matrix,
     identity_frame,
     inverse_frame,
+    transform_basis,
 )
 from indicial.metric import (
     Metric,
@@ -212,6 +214,21 @@ def test_compose_at_dim_1_refuses_a_product_beyond_float64():
     with pytest.raises(SingularityError, match="outside float64"):
         compose(f, f)
     assert compose(f, inverse_frame(f)).c.components.item() == pytest.approx(1.0)
+
+
+def test_a_finite_matrix_whose_determinant_overflows_counts_as_singular():
+    # det = 2 a**2 = inf lies above the finite threshold 1e-12 a**2 = 9.2e295;
+    # frame_from_matrix used to build a frame with det(gamma) = 5.4e-309
+    a = 9.6e153
+    m = [[a, a], [-a, a]]
+    assert determinants.determinant(m) == math.inf
+    with pytest.raises(SingularityError, match="singular within tolerance: \\|det\\| = inf"):
+        frame_from_matrix(m)
+    with pytest.raises(SingularityError, match="singular within tolerance: \\|det\\| = inf"):
+        determinants.inverse(m)
+    basis = [new_object(2, (UP,), 0, row) for row in m]
+    with pytest.raises(SingularityError, match="linearly dependent"):
+        transform_basis(identity_frame(2), basis)
 
 
 @pytest.mark.parametrize("dim, message", [

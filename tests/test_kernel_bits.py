@@ -75,7 +75,7 @@ def ref_threshold(m: np.ndarray) -> float:
 
 
 def ref_singular(m: np.ndarray) -> bool:
-    return not abs(ref_det(m)) > ref_threshold(m)
+    return not ref_threshold(m) < abs(ref_det(m)) < math.inf
 
 
 def ref_inverse(m: np.ndarray) -> np.ndarray:

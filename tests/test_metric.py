@@ -302,3 +302,38 @@ def test_random_metric_is_positive_definite():
         assert m.det_g > 0
         v = rng.uniform(-1, 1, 3)
         assert v @ m.g.components @ v > 0
+
+
+def test_metric_from_basis_refuses_an_empty_basis():
+    with pytest.raises(ShapeError, match="empty basis"):
+        metric_from_basis([])
+
+
+@pytest.mark.parametrize("move, slots", [(lower_index, (UP,)), (raise_index, (DOWN,))])
+def test_moving_an_index_refuses_a_metric_of_another_dim(move, slots):
+    with pytest.raises(ShapeError, match="object has dim 2, metric has dim 3"):
+        move(new_object(2, slots, 0, [1.0, 2.0]), 0, orthonormal_metric(3))
+
+
+def test_inner_refuses_vectors_of_another_dim_than_the_metric():
+    x = new_object(2, (UP,), 0, [1.0, 2.0])
+    with pytest.raises(ShapeError, match="vector has dim 2, expected 3"):
+        inner(x, x, orthonormal_metric(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda x, m: levi_civita_tensor(m, UP), "the epsilon tensor is provided for dim 3 only"),
+    (lambda x, m: cross(x, x, m), "cross product is dim-3 only"),
+    (lambda x, m: triple(x, x, x, m), "triple product is dim-3 only"),
+])
+def test_the_dim_3_products_refuse_a_metric_of_another_dim(call, message):
+    with pytest.raises(ShapeError, match=f"{message}, got (metric dim )?2"):
+        call(new_object(2, (UP,), 0, [1.0, 2.0]), orthonormal_metric(2))
+
+
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+@pytest.mark.parametrize("helper", [random_frame, random_metric])
+def test_the_random_helpers_refuse_a_bad_dim_before_drawing(helper, dim):
+    # a 0 x 0 draw would pass no determinant test: the sampler checks first
+    with pytest.raises(ShapeError, match="dim must be a positive integer"):
+        helper(np.random.default_rng(0), dim)

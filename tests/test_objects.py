@@ -495,3 +495,27 @@ def test_every_producer_returns_frozen_objects_that_pickle_and_copy(producer):
         assert type(r) is TensorObject
         _assert_frozen(r)
         _assert_round_trips(r)
+
+
+@pytest.mark.parametrize("k", [None, "abc", [2.0]])
+def test_scale_refuses_a_factor_that_is_not_a_number(k):
+    t = new_object(2, (UP,), 0, [1.0, -2.0])
+    with pytest.raises(ShapeError, match="scale factor must be a real number"):
+        scale(t, k)
+
+
+def test_scale_reads_its_factor_as_float_does():
+    t = new_object(2, (UP,), 0, [1.0, -2.0])
+    assert list(scale(t, "2.5").components) == [2.5, -5.0]
+    # an int beyond float64 reads as inf, as boost's beta does
+    assert list(scale(t, 10**400).components) == [np.inf, -np.inf]
+
+
+def test_outer_product_refuses_objects_of_different_dims():
+    with pytest.raises(ShapeError, match="dim mismatch: 2 vs 3"):
+        outer_product(zeros(2, (UP,)), zeros(3, (UP,)))
+
+
+def test_symmetry_check_refuses_slots_of_different_variance():
+    with pytest.raises(ConventionError, match="equal variance"):
+        symmetry_check(zeros(2, (UP, DOWN)), 0, 1)

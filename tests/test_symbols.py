@@ -143,3 +143,8 @@ def test_levi_civita_symbol_rejects_bad_variance_also_after_a_cache_hit(variance
     with pytest.raises(ShapeError) as err:
         levi_civita_symbol(3, variance)
     assert str(err.value) == f"{variance!r} is not a Variance"
+
+
+def test_kronecker_refuses_a_kind_given_as_a_string():
+    with pytest.raises(ShapeError, match="is not a KroneckerKind"):
+        kronecker(3, "mixed")
