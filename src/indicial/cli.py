@@ -28,8 +28,21 @@ from .minkowski import boost, rapidity
 from .objects import MIXED_SLOTS, TensorObject, new_object
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for ``run`` to report on one ``error:`` line,
+    where argparse would print its usage block and exit 2; subcommand
+    parsers are built with the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indicial",
         description="Index-notation calculus on dense numeric tensors.",
     )
@@ -186,9 +199,12 @@ def _cmd_check_exercises(args: argparse.Namespace) -> int:
         return _usage_error(f"--seed must be non-negative, got {args.seed}")
     if _bad_tol(args.tol):
         return _usage_error(f"--tol must be finite and non-negative, got {args.tol}")
-    results = exercises.run_checks(
-        dim=args.dim, seed=args.seed, tol=args.tol, pattern=args.filter
-    )
+    # numpy warns inside a check as it would outside run's errstate, so that
+    # under -W error::RuntimeWarning a warning fails the check that raised it
+    with np.errstate(divide="warn", over="warn", invalid="warn"):
+        results = exercises.run_checks(
+            dim=args.dim, seed=args.seed, tol=args.tol, pattern=args.filter
+        )
     print(
         exercises.format_report(
             results, args.dim, args.seed, args.tol,
@@ -205,13 +221,15 @@ _PARSER = _build_parser()
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; usage errors are
-        # caller mistakes, same class as bad documents
-        return 0 if exc.code == 0 else 1
+    except _UsageError as exc:
+        # a caller mistake, same class as a bad document
+        return _usage_error(str(exc))
+    except SystemExit:  # --help printed its text
+        return 0
     try:
-        # numpy's floating-point warnings never reach stderr: a result that
-        # overflowed is refused when it is emitted, with one error line
+        # numpy's floating-point warnings never reach stderr (check-exercises
+        # turns them back on inside its checks): a result that overflowed is
+        # refused when it is emitted, with one error line
         with np.errstate(all="ignore"):
             result = args.handler(args)
             if not isinstance(result, TensorObject):

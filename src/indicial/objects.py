@@ -432,10 +432,12 @@ def symmetry_check(
     if t.slots[i] is not t.slots[j]:
         raise ConventionError("symmetry is only defined for slots of equal variance")
     swapped = np.swapaxes(t.components, i, j)
-    if _scale(t.components - swapped) <= tol:
-        return Symmetry.SYMMETRIC
-    if _scale(t.components + swapped) <= tol:
-        return Symmetry.ANTISYMMETRIC
+    # a difference or sum beyond float64 is a miss, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _scale(t.components - swapped) <= tol:
+            return Symmetry.SYMMETRIC
+        if _scale(t.components + swapped) <= tol:
+            return Symmetry.ANTISYMMETRIC
     return Symmetry.NEITHER
 
 

@@ -510,6 +510,28 @@ def test_unknown_subcommand(capsys):
     assert _invoke(capsys, "frobnicate")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "-=", "--bindings", "vars.json", "--mode", "strict"],
+    ["eval", "-x^r", "--bindings", "vars.json"],
+    ["eval", "--bindings", "vars.json"],
+    ["boost", "--beta", "fast"],
+    ["rapidity", "--beta", "0.5", "--bogus"],
+    ["frobnicate"],
+    [],
+])
+def test_a_usage_error_is_one_error_line(capsys, argv):
+    # argparse would print its usage block and exit 2
+    code, out, err = _invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_an_expression_that_starts_with_a_minus_goes_after_double_dash(tmp_path, capsys):
+    bindings = _write(tmp_path, "vars.json", {"x": _vec([1, 2, 3])})
+    code, out, _ = _invoke(capsys, "eval", "--bindings", bindings, "--", "-x^1")
+    assert code == 0 and parse_tensor_document(json.loads(out)).as_scalar() == -1.0
+
+
 def test_missing_document_file(tmp_path, capsys):
     code, _, err = _invoke(
         capsys, "eval", "--bindings", str(tmp_path / "nope.json"), "s = x^r x_r"
@@ -544,7 +566,8 @@ def test_check_exercises_json(capsys):
     assert payload["all_passed"] is True
     assert payload["dim"] == 3 and payload["seed"] == 0
     statuses = {entry["status"] for entry in payload["checks"]}
-    assert statuses <= {"pass", "covered"}
+    assert statuses == {"pass"}
+    assert all("covered_by" not in entry for entry in payload["checks"])
 
 
 def test_check_exercises_filter(capsys):
@@ -606,6 +629,17 @@ def test_check_exercises_names_a_crashing_check(capsys, monkeypatch):
     assert all("error" not in e for e in entries[1:])
 
 
+def test_a_numpy_warning_fails_the_check_under_warnings_as_errors(capsys, monkeypatch):
+    # pyproject turns RuntimeWarning into an error, as CI's catalogue loop does
+    def overflow(dim, rng):
+        return float(np.float64(1e308) * 10.0) * 0.0
+
+    check = dataclasses.replace(exercises._REGISTRY[0], fn=overflow)
+    monkeypatch.setattr(exercises, "_REGISTRY", [check])
+    code, out, _ = _invoke(capsys, "check-exercises")
+    assert code == 1 and out.splitlines()[2].endswith(" [error: RuntimeWarning]")
+
+
 def test_a_numeric_miss_carries_no_error(monkeypatch):
     check = exercises._REGISTRY[0]
     monkeypatch.setattr(exercises, "_REGISTRY",
@@ -630,11 +664,19 @@ def test_ex34_fails_when_a_skew_basis_gives_the_identity(monkeypatch):
     assert result.status == "fail" and result.error is None
 
 
-_COVARIANCE_CHECKS = ("ex23", "ex28", "ex29", "ex30", "ex41", "ex42", "ex43")
+_COVARIANCE_CHECKS = ("ex23", "ex28", "ex29", "ex30", "ex31", "ex32", "ex33",
+                      "ex41", "ex42", "ex43", "ex44")
 
 
 def _drop_weight(real):
     return lambda t, f: new_object(t.dim, t.slots, 0, real(t, f).components)
+
+
+def _drop_det_power(real):
+    def law(t, f):
+        unweighted = new_object(t.dim, t.slots, 0, t.components)
+        return new_object(t.dim, t.slots, t.weight, real(unweighted, f).components)
+    return law
 
 
 def _every_slot_upper(real):
@@ -647,7 +689,10 @@ def _every_slot_upper(real):
 @pytest.mark.parametrize("broken, failing", [
     (None, set()),
     (_drop_weight, {"ex41"}),
-    (_every_slot_upper, {"ex28", "ex29", "ex30", "ex43"}),
+    # covariance checks compare the law with itself, so only the quotient
+    # rule at nonzero weight, which builds its own law, sees a missing power
+    (_drop_det_power, {"ex44"}),
+    (_every_slot_upper, {"ex28", "ex29", "ex30", "ex43", "ex31", "ex32", "ex33", "ex44"}),
 ])
 def test_the_covariance_checks_catch_a_broken_frame_law(monkeypatch, broken, failing):
     if broken is not None:

@@ -316,6 +316,17 @@ def test_symmetry_check_classifies():
     assert symmetry_check(zeros(2, (DOWN, DOWN)), 0, 1) is Symmetry.SYMMETRIC
 
 
+def test_symmetry_check_classifies_entries_whose_difference_overflows():
+    # 1e308 - (-1e308) is inf: under pyproject's error::RuntimeWarning the
+    # overflow used to raise instead of classifying
+    anti = new_object(2, (DOWN, DOWN), 0, [[0.0, 1e308], [-1e308, 0.0]])
+    assert symmetry_check(anti, 0, 1) is Symmetry.ANTISYMMETRIC
+    sym = new_object(2, (DOWN, DOWN), 0, [[0.0, 1e308], [1e308, 0.0]])
+    assert symmetry_check(sym, 0, 1) is Symmetry.SYMMETRIC
+    neither = new_object(2, (DOWN, DOWN), 0, [[0.0, 1e308], [-1e308, 1e308]])
+    assert symmetry_check(neither, 0, 1) is Symmetry.NEITHER
+
+
 def test_symmetry_check_at_zero_tolerance_is_exact():
     sym = new_object(2, (DOWN, DOWN), 0, [[1.0, 2.0], [2.0, 3.0]])
     anti = new_object(2, (DOWN, DOWN), 0, [[0.0, 2.0], [-2.0, 0.0]])
