@@ -162,12 +162,14 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
             )
     arr = t.components
     # x-bar^r = c^r_s x^s: an upper slot, moved last, times c.T;
-    # a-bar_r = gamma^s_r a_s: a lower slot, moved last, times gamma
+    # a-bar_r = gamma^s_r a_s: a lower slot, moved last, times gamma.
+    # ndarray.swapaxes is the method np.swapaxes ends in, on the same view,
+    # so the bits are the same without the wrapper's per-call cost.
     c_t = f.c.components.T
     g = f.gamma.components
     for k, variance in enumerate(t.slots):
         m = c_t if variance is UP else g
-        arr = np.swapaxes(np.swapaxes(arr, k, -1) @ m, k, -1)
+        arr = (arr.swapaxes(k, -1) @ m).swapaxes(k, -1)
     if t.weight != 0:
         arr = arr * factor
     return _result(t.dim, t.slots, t.weight, arr)
@@ -181,7 +183,7 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     """
     if len(basis) != f.dim:
         raise ShapeError(f"expected {f.dim} basis vectors, got {len(basis)}")
-    rows = np.stack([require_vector(e, f.dim, "basis vector") for e in basis])
+    rows = np.array([require_vector(e, f.dim, "basis vector") for e in basis])
     det, scale = _det_and_scale(rows, f.dim)
     if _is_singular(det, scale, f.dim):
         raise SingularityError("basis vectors are linearly dependent")

@@ -121,7 +121,7 @@ def metric_from_basis(basis: Sequence[TensorObject]) -> Metric:
     if not basis:
         raise ShapeError("empty basis")
     dim = len(basis)
-    rows = np.stack([require_vector(e, dim, "basis vector") for e in basis])
+    rows = np.array([require_vector(e, dim, "basis vector") for e in basis])
     # an overflowing Gram matrix, or a NaN from inf * 0, is rejected as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows @ rows.T
@@ -156,8 +156,10 @@ def _move_index(
         raise ConventionError(
             f"slot {slot} is {t.slots[slot].value}, expected {before.value}"
         )
-    # the slot, moved last, times matrix.T: sum it against the matrix's column axis
-    arr = np.swapaxes(np.swapaxes(t.components, slot, -1) @ matrix.T, slot, -1)
+    # the slot, moved last, times matrix.T: sum it against the matrix's column
+    # axis.  ndarray.swapaxes is the method np.swapaxes ends in, so the bits
+    # are the same without the wrapper's per-call cost.
+    arr = (t.components.swapaxes(slot, -1) @ matrix.T).swapaxes(slot, -1)
     slots = t.slots[:slot] + (after,) + t.slots[slot + 1 :]
     return _result(t.dim, slots, t.weight, arr)
 

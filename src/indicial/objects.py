@@ -416,7 +416,7 @@ def swap_slots(t: TensorObject, i: int, j: int) -> TensorObject:
         )
     if i == j:
         return t
-    return _result(t.dim, t.slots, t.weight, np.swapaxes(t.components, i, j))
+    return _result(t.dim, t.slots, t.weight, t.components.swapaxes(i, j))
 
 
 def symmetry_check(
@@ -431,7 +431,7 @@ def symmetry_check(
     _check_slot(t, j)
     if t.slots[i] is not t.slots[j]:
         raise ConventionError("symmetry is only defined for slots of equal variance")
-    swapped = np.swapaxes(t.components, i, j)
+    swapped = t.components.swapaxes(i, j)
     # a difference or sum beyond float64 is a miss, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if _scale(t.components - swapped) <= tol:
