@@ -13,6 +13,13 @@ that specific bound, and ``limit=None`` uses the report tolerance (--tol).
 A check that expects an error asks ``_raises``: the expected class counts
 as a rejection, a normal return does not, and any other exception
 propagates, so run_checks fails the check and names that class.
+
+Every check can fail: each is named by at least one row of the fault table
+in ``tests/test_catalogue_faults.py``, a plausible library fault under which
+it fails, and each of its failure arms is taken by some row.  A check that
+no such fault reaches is strengthened against an independent value or
+deleted, and a check that fails under exactly the faults another fails
+under, through the same library path, is merged into that one.
 """
 
 from __future__ import annotations
@@ -150,14 +157,6 @@ def _oriented_rows(rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def _antisymmetric_part(t: TensorObject) -> np.ndarray:
-    """The fully antisymmetric part of a dim-3 rank-3 object."""
-    arr = np.zeros_like(t.components)
-    for sign, perm in symbols._signed_permutations(3):
-        arr += sign * np.transpose(t.components, perm)
-    return arr / 6.0
-
-
 def _sym_rand(rng: np.random.Generator, dim: int) -> TensorObject:
     a = rng.uniform(-1.0, 1.0, size=(dim, dim))
     return new_object(dim, (DOWN, DOWN), 0, 0.5 * (a + a.T))
@@ -203,33 +202,7 @@ def _quotient_gap(f: frames.Frame, a: TensorObject, relation: Callable) -> float
     return _scale(frames.transform(a, f).components - np.stack(new, axis=-1))
 
 
-def _polarize(q: Callable[[np.ndarray], float], vectors: np.ndarray) -> np.ndarray:
-    """The symmetric bilinear form of the quadratic form ``q`` on each pair of
-    ``vectors``."""
-    return np.array([[0.5 * (q(u + v) - q(u) - q(v)) for v in vectors] for u in vectors])
-
-
 # ------------------------------------------------------------- exercises
-
-@_check("ex01", "expanded linear index equation matches the evaluator")
-def _ex01(dim: int, rng: np.random.Generator) -> float:
-    a = _rand(rng, dim, (DOWN, DOWN))
-    x = _rand(rng, dim, (UP,))
-    got = _eval("b_r = a_{rs} x^s", {"a": a, "x": x})
-    dev = 0.0
-    for r in range(1, dim + 1):
-        manual = sum(a.component((r, s)) * x.component((s,)) for s in range(1, dim + 1))
-        dev = max(dev, abs(got.component((r,)) - manual))
-    return dev
-
-
-@_check("ex02", "a triple contraction sums dim**3 products", limit=0.0)
-def _ex02(dim: int, rng: np.random.Generator) -> float:
-    a = _rand(rng, dim, (DOWN, DOWN, DOWN))
-    x, y, z = (_rand(rng, dim, (UP,)) for _ in range(3))
-    plan = validate(parse("t = a_{rst} x^r y^s z^t"), {"a": a, "x": x, "y": y, "z": z})
-    return float(abs(plan.naive_cost - dim ** 3))
-
 
 @_check("ex03", "contracting a mixed object with a vector is first order")
 def _ex03(dim: int, rng: np.random.Generator) -> float:
@@ -241,68 +214,26 @@ def _ex03(dim: int, rng: np.random.Generator) -> float:
     return _scale(got.components - x.components @ y.components)
 
 
-@_check("ex04", "fully symmetric rank-3 objects have C(d+2,3) distinct entries", limit=1e-12)
-def _ex04(dim: int, rng: np.random.Generator) -> float:
-    t = _rand(rng, dim, (DOWN, DOWN, DOWN))
-    arr = np.zeros_like(t.components)
-    for perm in itertools.permutations(range(3)):
-        arr += np.transpose(t.components, perm)
-    arr /= 6.0
-    orbits: dict[tuple[int, ...], list[float]] = {}
-    for idx in itertools.product(range(dim), repeat=3):
-        orbits.setdefault(tuple(sorted(idx)), []).append(float(arr[idx]))
-    if len(orbits) != math.comb(dim + 2, 3):
-        return INF
-    return max(max(vals) - min(vals) for vals in orbits.values())
-
-
-@_check("ex05", "fully antisymmetric rank-3 entries: six equal magnitudes", limit=1e-12, fixed_dim=3)
-def _ex05(dim: int, rng: np.random.Generator) -> float:
-    arr = _antisymmetric_part(_rand(rng, 3, (DOWN, DOWN, DOWN)))
-    dev = 0.0
-    magnitudes = []
-    for idx in itertools.product(range(3), repeat=3):
-        if len(set(idx)) < 3:
-            dev = max(dev, abs(float(arr[idx])))
-        else:
-            magnitudes.append(abs(float(arr[idx])))
-    if len(magnitudes) != 6:
-        return INF
-    dev = max(dev, max(magnitudes) - min(magnitudes))
-    return dev
-
-
 @_check("ex06", "antisymmetric forms vanish on repeated vectors, and conversely", limit=1e-12)
 def _ex06(dim: int, rng: np.random.Generator) -> float:
-    raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    anti = new_object(dim, (DOWN, DOWN), 0, 0.5 * (raw - raw.T))
-    x = _rand(rng, dim, (UP,))
-    form = float(x.components @ anti.components @ x.components)
-    # converse: the quadratic form determines the symmetric part
     b = _rand(rng, dim, (DOWN, DOWN))
-    recovered = _polarize(lambda v: float(v @ b.components @ v), np.eye(dim))
-    return max(abs(form), _scale(recovered - 0.5 * (b.components + b.components.T)))
+    x = rng.uniform(-1.0, 1.0, size=dim)
+    sym = objects.symmetrize(b, 0, 1)
+    anti = objects.add(b, objects.scale(sym, -1.0))
+
+    def q(a: TensorObject, v: np.ndarray) -> float:
+        return _eval("q = a_{rs} x^r x^s", {"a": a, "x": new_object(dim, (UP,), 0, v)}).as_scalar()
+
+    # converse: polarizing the form of b gives its symmetric part
+    units = np.eye(dim)
+    polar = [[0.5 * (q(b, u + v) - q(b, u) - q(b, v)) for v in units] for u in units]
+    return max(abs(q(anti, x)), _scale(np.array(polar) - sym.components))
 
 
 @_check("ex07", "trace of the mixed Kronecker delta equals the dimension", limit=0.0)
 def _ex07(dim: int, rng: np.random.Generator) -> float:
     delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
     return abs(objects.contract(delta, 0, 1).as_scalar() - dim)
-
-
-@_check("ex08", "contracting with the mixed delta returns the operand exactly", limit=0.0)
-def _ex08(dim: int, rng: np.random.Generator) -> float:
-    delta = symbols.kronecker(dim, symbols.KroneckerKind.MIXED)
-    x = _rand(rng, dim, (UP,))
-    got = _eval("y^r = d^r_s x^s", {"d": delta, "x": x})
-    return _scale(got.components - x.components)
-
-
-@_check("ex09", "a fully antisymmetric rank-3 object is its (1,2,3) entry times the symbol", limit=1e-12, fixed_dim=3)
-def _ex09(dim: int, rng: np.random.Generator) -> float:
-    arr = _antisymmetric_part(_rand(rng, 3, (DOWN, DOWN, DOWN)))
-    e = symbols.levi_civita_symbol(3, DOWN)
-    return _scale(arr - arr[0, 1, 2] * e.components)
 
 
 @_check("ex10", "closed polynomial form of the rank-3 symbol", limit=0.0, fixed_dim=3)
@@ -321,21 +252,14 @@ def _ex11(dim: int, rng: np.random.Generator) -> float:
     return abs(determinants.determinant(delta) - 1.0)
 
 
-@_check("ex12", "self-inverse and orthogonal matrices have determinant +-1", fixed_dim=3)
+@_check("ex12", "rotations have determinant +1, reflections and odd involutions -1", fixed_dim=3)
 def _ex12(dim: int, rng: np.random.Generator) -> float:
-    dev = 0.0
     q = _rotation_matrix(rng, 3)
-    dev = max(dev, _scale(q @ q.T - np.eye(3)))
-    dev = max(dev, abs(abs(np.linalg.det(q)) - 1.0))
-    reflected = q @ np.diag([1.0, 1.0, -1.0])
-    dev = max(dev, abs(abs(np.linalg.det(reflected)) - 1.0))
-    # a genuine involution: V = P D P^-1 with D of +-1 entries
+    # an involution V = P D P^-1, D = diag(1, -1, 1)
     p = determinants._invertible_rows(rng, 3)
-    v = p @ np.diag([1.0, -1.0, 1.0]) @ np.linalg.inv(p)
-    dev = max(dev, _scale(v @ v - np.eye(3)))
-    vm = new_object(3, (UP, DOWN), 0, v)
-    dev = max(dev, abs(abs(determinants.determinant(vm)) - 1.0))
-    return dev
+    involution = p @ np.diag([1.0, -1.0, 1.0]) @ np.linalg.inv(p)
+    cases = ((q, 1.0), (q @ np.diag([1.0, 1.0, -1.0]), -1.0), (involution, -1.0))
+    return max(abs(determinants.determinant(m) - det) for m, det in cases)
 
 
 @_check("ex13", "row expansion of the determinant and row-swap sign", limit=1e-12, fixed_dim=3)
@@ -388,40 +312,6 @@ def _ex15(dim: int, rng: np.random.Generator) -> float:
     return dev
 
 
-@_check("ex16", "one-index symbol contraction gives a delta difference (81 cases)", limit=0.0, fixed_dim=3)
-def _ex16(dim: int, rng: np.random.Generator) -> float:
-    e = symbols.levi_civita_symbol(3, DOWN)
-    dev = 0.0
-    for m, n, r, s in itertools.product(range(1, 4), repeat=4):
-        lhs = sum(e.component((m, n, p)) * e.component((r, s, p)) for p in range(1, 4))
-        rhs = (1.0 if m == r else 0.0) * (1.0 if n == s else 0.0) - (
-            1.0 if m == s else 0.0
-        ) * (1.0 if n == r else 0.0)
-        dev = max(dev, abs(lhs - rhs))
-    return dev
-
-
-@_check("ex17", "two-index symbol contraction gives twice the delta", limit=0.0, fixed_dim=3)
-def _ex17(dim: int, rng: np.random.Generator) -> float:
-    e = symbols.levi_civita_symbol(3, DOWN)
-    dev = 0.0
-    for m, r in itertools.product(range(1, 4), repeat=2):
-        lhs = sum(
-            e.component((m, n, p)) * e.component((r, n, p))
-            for n in range(1, 4)
-            for p in range(1, 4)
-        )
-        dev = max(dev, abs(lhs - (2.0 if m == r else 0.0)))
-    return dev
-
-
-@_check("ex18", "full symbol contraction counts the permutations", limit=0.0, fixed_dim=3)
-def _ex18(dim: int, rng: np.random.Generator) -> float:
-    e = symbols.levi_civita_symbol(3, DOWN)
-    total = float(np.sum(e.components * e.components))
-    return abs(total - 6.0)
-
-
 @_check("ex19", "covariant components pull back through the mixing matrix")
 def _ex19(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
@@ -433,6 +323,8 @@ def _ex19(dim: int, rng: np.random.Generator) -> float:
 @_check("ex20", "the mixing matrix and its inverse multiply to the identity")
 def _ex20(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
+    if _scale(f.c.components - np.eye(dim)) <= 1e-3:  # a trivial draw proves nothing
+        return INF
     return _inverse_gap(f.gamma.components, f.c.components)
 
 
@@ -448,20 +340,6 @@ def _ex21(dim: int, rng: np.random.Generator) -> float:
             f.gamma.components[s, r] * rows[s] for s in range(dim)
         )
         dev = max(dev, _scale(new_basis[r].components - expected))
-    return dev
-
-
-@_check("ex22", "written-out laws for twice-upper and mixed third-rank objects")
-def _ex22(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    c = f.c.components
-    g = f.gamma.components
-    x2 = _rand(rng, dim, (UP, UP))
-    expected2 = np.einsum("rm,sn,mn->rs", c, c, x2.components)
-    dev = _scale(frames.transform(x2, f).components - expected2)
-    x3 = _rand(rng, dim, (UP, DOWN, DOWN))
-    expected3 = np.einsum("rp,ms,nt,pmn->rst", c, g, g, x3.components)
-    dev = max(dev, _scale(frames.transform(x3, f).components - expected3))
     return dev
 
 
@@ -537,13 +415,6 @@ def _ex30(dim: int, rng: np.random.Generator) -> float:
     return _frame_gap(f, lambda a, b, x: _eval(text, {"a": a, "b": b, "x": x}), a, b, x)
 
 
-@_check("ex31", "quotient rule for a contracted vector relation")
-def _ex31(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    a = _rand(rng, dim, (DOWN,))
-    return _quotient_gap(f, a, lambda x: _eval("t = a_r x^r", {"a": a, "x": x}))
-
-
 @_check("ex32", "quotient rule for a matrix-vector relation")
 def _ex32(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
@@ -551,34 +422,22 @@ def _ex32(dim: int, rng: np.random.Generator) -> float:
     return _quotient_gap(f, a, lambda x: _eval("y^r = a^r_s x^s", {"a": a, "x": x}))
 
 
-@_check("ex33", "quotient rule for a quadratic form")
-def _ex33(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    a = _rand(rng, dim, (DOWN, DOWN))
-
-    def q(v: np.ndarray) -> float:
-        return _eval("q = a_{rs} x^r x^s", {"a": a, "x": new_object(dim, (UP,), 0, v)}).as_scalar()
-
-    new = frames.transform(a, f).components
-    return _scale(_polarize(q, f.gamma.components.T) - 0.5 * (new + new.T))
-
-
-@_check("ex34", "the Gram matrix of an orthonormal basis is the identity")
+@_check("ex34", "Gram matrices: the identity for orthonormal rows, row products for skew ones")
 def _ex34(dim: int, rng: np.random.Generator) -> float:
+    def gram(rows: np.ndarray) -> np.ndarray:
+        basis = [new_object(dim, (UP,), 0, row) for row in rows]
+        return metric.metric_from_basis(basis).g.components
+
     q = _rotation_matrix(rng, dim)
-    basis = [new_object(dim, (UP,), 0, q[r]) for r in range(dim)]
-    dev = _scale(metric.metric_from_basis(basis).g.components - np.eye(dim))
-    # a skew basis must not give the identity too
     rows = determinants._invertible_rows(rng, dim)
-    skew = metric.metric_from_basis([new_object(dim, (UP,), 0, row) for row in rows])
-    if _scale(skew.g.components - np.eye(dim)) <= 1e-3:
-        return INF
-    return dev
+    return max(_scale(gram(q) - np.eye(dim)), _scale(gram(rows) - rows @ rows.T))
 
 
 @_check("ex35", "the metric and its inverse contract to the delta")
 def _ex35(dim: int, rng: np.random.Generator) -> float:
     m = metric.random_metric(rng, dim)
+    if _scale(m.g.components - np.eye(dim)) <= 1e-3:  # a trivial draw proves nothing
+        return INF
     return _inverse_gap(m.g.components, m.g_inv.components)
 
 
@@ -605,14 +464,6 @@ def _ex37(dim: int, rng: np.random.Generator) -> float:
     dev = _rel(direct, float(xl.components @ y.components))
     dev = max(dev, _rel(direct, float(xl.components @ m.g_inv.components @ yl.components)))
     return dev
-
-
-@_check("ex38", "both fixed-variance deltas are invariant under rotations")
-def _ex38(dim: int, rng: np.random.Generator) -> float:
-    f = frames.frame_from_matrix(_rotation_matrix(rng, dim))
-    lower = symbols.kronecker(dim, symbols.KroneckerKind.LOWER_LOWER)
-    upper = symbols.kronecker(dim, symbols.KroneckerKind.UPPER_UPPER)
-    return _fixed_gap(f, lower, upper)
 
 
 @_check("ex39", "with the identity metric, raising and lowering change nothing")
@@ -644,12 +495,14 @@ def _ex40(dim: int, rng: np.random.Generator) -> float:
     return _scale(lhs.components - rhs)
 
 
-@_check("ex41", "equal-weight sums transform term by term")
+@_check("ex41", "equal-weight sums add componentwise and transform term by term")
 def _ex41(dim: int, rng: np.random.Generator) -> float:
     f = frames.random_frame(rng, dim)
     a = _rand(rng, dim, (UP, DOWN), weight=2)
     b = _rand(rng, dim, (UP, DOWN), weight=2)
-    if frames.transform(objects.add(a, b), f).weight != 2:
+    total = objects.add(a, b)
+    exact = np.array_equal(total.components, a.components + b.components)
+    if not exact or frames.transform(total, f).weight != 2:
         return INF
     return _frame_gap(f, objects.add, a, b)
 
@@ -683,25 +536,11 @@ def _ex44(dim: int, rng: np.random.Generator) -> float:
 @_check("ex45", "both permutation symbols are invariant at their declared weights")
 def _ex45(dim: int, rng: np.random.Generator) -> float:
     d = min(dim, 4)
-    f = frames.random_frame(rng, d)
-    return _fixed_gap(f, symbols.levi_civita_symbol(d, DOWN), symbols.levi_civita_symbol(d, UP))
-
-
-@_check("ex46", "the zero object stays zero in every frame", limit=0.0)
-def _ex46(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    return _fixed_gap(f, objects.zeros(dim, (UP, DOWN, DOWN), weight=2))
-
-
-@_check("ex47", "equal objects stay equal in every frame", limit=0.0)
-def _ex47(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    arr = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    a = new_object(dim, (DOWN, DOWN), 1, arr)
-    b = new_object(dim, (DOWN, DOWN), 1, arr.copy())
-    return _scale(
-        frames.transform(a, f).components - frames.transform(b, f).components
-    )
+    c = determinants._invertible_rows(rng, d)
+    mirrored = c.copy()
+    mirrored[0] = -mirrored[0]  # one of the two frames reverses orientation
+    symbol_pair = (symbols.levi_civita_symbol(d, DOWN), symbols.levi_civita_symbol(d, UP))
+    return max(_fixed_gap(frames.frame_from_matrix(m), *symbol_pair) for m in (c, mirrored))
 
 
 @_check("ex48", "the law inverts with the opposite matrices and weight power")
@@ -718,16 +557,11 @@ def _ex48(dim: int, rng: np.random.Generator) -> float:
     return _scale(back - t.components)
 
 
-def _invariant_gap(dim: int, rng: np.random.Generator, scalar: Callable) -> float:
-    """Relative change of ``scalar`` of a random mixed tensor under a random frame."""
-    f = frames.random_frame(rng, dim)
-    a = _rand(rng, dim, (UP, DOWN))
-    return _rel(scalar(frames.transform(a, f)), scalar(a))
-
-
 @_check("ex49", "the determinant of a mixed tensor is frame-invariant")
 def _ex49(dim: int, rng: np.random.Generator) -> float:
-    return _invariant_gap(dim, rng, determinants.determinant)
+    f = frames.random_frame(rng, dim)
+    a = _rand(rng, dim, (UP, DOWN))
+    return _rel(determinants.determinant(frames.transform(a, f)), determinants.determinant(a))
 
 
 def _det_power_gap(dim: int, rng: np.random.Generator, slots, power: int) -> float:
@@ -760,20 +594,6 @@ def _ex52(dim: int, rng: np.random.Generator) -> float:
         eps_new = metric.levi_civita_tensor(g_new, variance)
         dev = max(dev, _scale(frames.transform(eps_old, f).components - eps_new.components))
     return dev
-
-
-@_check("ex53", "roots of the pencil determinant are frame-invariant", fixed_dim=3)
-def _ex53(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, 3)
-    x = _sym_rand(rng, 3)
-    y = metric.random_metric(rng, 3).g
-    eigs = np.linalg.eigvals(np.linalg.inv(y.components) @ x.components)
-    alpha = float(np.real(eigs[0]))
-    x_new = frames.transform(x, f).components
-    y_new = frames.transform(y, f).components
-    pencil = x_new - alpha * y_new
-    scale = max(1.0, _scale(pencil)) ** 3
-    return abs(float(np.linalg.det(pencil))) / scale
 
 
 @_check("ex54", "the upper symbol tensor is the thrice-raised lower one", fixed_dim=3)
@@ -813,14 +633,10 @@ def _ex56(dim: int, rng: np.random.Generator) -> float:
     return _scale(lhs.components - rhs)
 
 
-def _lorentz_gap(matrices) -> float:
-    """Max eta residual over ``matrices``; INF if one fails ``is_lorentz``."""
-    return max(minkowski.eta_residual(m) if minkowski.is_lorentz(m) else INF for m in matrices)
-
-
 @_check("ex57", "velocity boosts satisfy the interval-preservation condition", fixed_dim=4)
 def _ex57(dim: int, rng: np.random.Generator) -> float:
-    return _lorentz_gap(minkowski.boost(float(beta)) for beta in rng.uniform(-0.95, 0.95, size=8))
+    boosts = [minkowski.boost(float(beta)) for beta in rng.uniform(-0.95, 0.95, size=8)]
+    return max(minkowski.eta_residual(m) if minkowski.is_lorentz(m) else INF for m in boosts)
 
 
 @_check("ex58", "the componentwise condition is exactly interval preservation", fixed_dim=4)
@@ -832,6 +648,8 @@ def _ex58(dim: int, rng: np.random.Generator) -> float:
         minkowski.boost(-0.8) @ _spatial_rotation4(rng) @ minkowski.boost(0.3),
         np.eye(4) + 1e-3,
         rng.uniform(-1.0, 1.0, size=(4, 4)),
+        # unit columns, the first two not orthogonal: only an off-diagonal pair refuses it
+        np.column_stack([minkowski.boost(0.5)[:, 0], np.eye(4)[:, 1:]]),
     ]
     dev = 0.0
     for c in candidates:
@@ -984,21 +802,6 @@ def _eq19(dim: int, rng: np.random.Generator) -> float:
     return _scale(lowered.components - m.g.components @ x.components)
 
 
-@_check("eq20", "a positive-definite metric annihilates only the zero vector")
-def _eq20(dim: int, rng: np.random.Generator) -> float:
-    m = metric.random_metric(rng, dim)
-    if m.det_g <= 1e-12:
-        return INF
-    solved = np.linalg.solve(m.g.components, np.zeros(dim))
-    dev = _scale(solved)
-    for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, size=dim)
-        x /= max(1e-3, _scale(x))
-        if _scale(m.g.components @ x) == 0.0:
-            return INF
-    return dev
-
-
 @_check("eq21", "raising undoes lowering")
 def _eq21(dim: int, rng: np.random.Generator) -> float:
     m = metric.random_metric(rng, dim)
@@ -1079,37 +882,6 @@ def _det_singular(dim: int, rng: np.random.Generator) -> float:
         SingularityError, frames.frame_from_matrix, arr
     )
     return 0.0 if rejected else INF
-
-
-@_check("scalar-invariance", "weight-0 scalars do not change under frames")
-def _scalar_invariance(dim: int, rng: np.random.Generator) -> float:
-    f = frames.random_frame(rng, dim)
-    s = new_object(dim, (), 0, [float(rng.uniform(-2.0, 2.0))])
-    dev = abs(frames.transform(s, f).as_scalar() - s.as_scalar())
-    a = _rand(rng, dim, (DOWN,))
-    x = _rand(rng, dim, (UP,))
-    old = _eval("t = a_r x^r", {"a": a, "x": x}).as_scalar()
-    new = _eval(
-        "t = a_r x^r",
-        {"a": frames.transform(a, f), "x": frames.transform(x, f)},
-    ).as_scalar()
-    return max(dev, _rel(old, new))
-
-
-@_check("trace-invariance", "the trace of a mixed tensor is frame-invariant")
-def _trace_invariance(dim: int, rng: np.random.Generator) -> float:
-    return _invariant_gap(dim, rng, lambda t: objects.contract(t, 0, 1).as_scalar())
-
-
-@_check("conv1-renaming", "renaming a summed letter is bit-identical", limit=0.0)
-def _conv1_renaming(dim: int, rng: np.random.Generator) -> float:
-    a = _rand(rng, dim, (DOWN, DOWN))
-    x = _rand(rng, dim, (UP,))
-    y = _rand(rng, dim, (UP,))
-    bind = {"a": a, "x": x, "y": y}
-    first = _eval("t = a_{rs} x^r y^s", bind)
-    second = _eval("t = a_{mn} x^m y^n", bind)
-    return 0.0 if first.components.tobytes() == second.components.tobytes() else INF
 
 
 @_check("conv-violations", "convention violations raise the documented errors", limit=0.0)
@@ -1222,40 +994,39 @@ def _einsum_oracle(dim: int, rng: np.random.Generator) -> float:
     return dev
 
 
-def _cost_gap(text: str, bindings: dict[str, TensorObject], ordered_cost: int, naive_cost: int) -> float:
-    """0.0 when ``text``'s ordered schedule costs ``ordered_cost``, no more than
-    the unordered one, and its single-loop cost is ``naive_cost``; else INF."""
+def _cost_gap(text: str, bindings: dict[str, TensorObject], costs: tuple[int, int, int]) -> float:
+    """0.0 when ``text``'s written schedule, its ordered schedule and its
+    single-loop evaluation cost ``costs``; else INF."""
     plan = validate(parse(text), bindings)
-    ordered = order_contractions(plan)
-    exact = (ordered.total_cost, plan.naive_cost) == (ordered_cost, naive_cost)
-    return 0.0 if exact and ordered.total_cost <= plan.total_cost else INF
+    got = (plan.total_cost, order_contractions(plan).total_cost, plan.naive_cost)
+    return 0.0 if got == costs else INF
 
 
-@_check("plan-cost", "pairwise scheduling beats single-loop summation", limit=0.0)
+@_check("plan-cost", "the greedy schedule beats the written one and single loops", limit=0.0)
 def _plan_cost(dim: int, rng: np.random.Generator) -> float:
     chain = {name: _rand(rng, 8, (UP, DOWN)) for name in "abc"}
+    chain["x"] = _rand(rng, 8, (UP,))
     rot = {name: _rand(rng, 3, (UP, DOWN)) for name in "xyz"}
     rot["e"] = symbols.levi_civita_symbol(3, DOWN)
     return max(
-        _cost_gap("w^r_s = a^r_m b^m_n c^n_s", chain, 2 * 8 ** 3, 8 ** 4),
-        _cost_gap("f_{mnp} = e_{rst} x^r_m y^s_n z^t_p", rot, 243, 729),
+        _cost_gap("w^r_s = a^r_m b^m_n c^n_s", chain, (2 * 8 ** 3, 2 * 8 ** 3, 8 ** 4)),
+        _cost_gap("f_{mnp} = e_{rst} x^r_m y^s_n z^t_p", rot, (243, 243, 729)),
+        # written (a b) x: 8**3 + 8**2; greedy a (b x): 2 * 8**2
+        _cost_gap("y^r = a^r_m b^m_n x^n", chain, (8 ** 3 + 8 ** 2, 2 * 8 ** 2, 8 ** 3)),
     )
 
 
 @_check("plan-order-invariance", "reordering the schedule never changes values", limit=1e-12)
 def _plan_order_invariance(dim: int, rng: np.random.Generator) -> float:
     bindings = {
-        "a": _rand(rng, dim, (DOWN, DOWN)),
         "u": _rand(rng, dim, (UP,)),
-        "v": _rand(rng, dim, (UP,)),
-        "w": _rand(rng, dim, (DOWN,)),
-        "z": _rand(rng, dim, (UP,)),
+        "x": _rand(rng, dim, (UP,)),
+        "a": _rand(rng, dim, (UP, DOWN)),
     }
-    plan = validate(parse("s = a_{rm} u^r v^m w_k z^k"), bindings)
+    # the written (u x) a ends in the letters (s, r), the greedy (u a) x in (r, s)
+    plan = validate(parse("z^{rs} = u^m x^s a^r_m"), bindings)
     ordered = order_contractions(plan)
-    first = execute(plan, bindings).as_scalar()
-    second = execute(ordered, bindings).as_scalar()
-    return _rel(first, second)
+    return _scale(execute(plan, bindings).components - execute(ordered, bindings).components)
 
 
 @_check("frame-singular", "degenerate mixing matrices are rejected", limit=0.0)
@@ -1267,8 +1038,8 @@ def _frame_singular(dim: int, rng: np.random.Generator) -> float:
 
 @_check("metric-definite", "non-metrics are rejected", limit=0.0)
 def _metric_definite(dim: int, rng: np.random.Generator) -> float:
-    asym = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    asym[0, -1] += 1.0  # force asymmetry
+    asym = np.eye(dim)
+    asym[0, -1] = 0.5  # positive leading minors: only the symmetry test refuses it
     rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
     rows[-1] = rows[0]  # dependent basis
     basis = [new_object(dim, (UP,), 0, row) for row in rows]
@@ -1290,27 +1061,12 @@ def _superluminal(dim: int, rng: np.random.Generator) -> float:
     return 0.0 if rejected else INF
 
 
-@_check("lorentz-closure", "boost and rotation compositions stay in the group", fixed_dim=4)
-def _lorentz_closure(dim: int, rng: np.random.Generator) -> float:
-    def composed() -> np.ndarray:
-        m = np.eye(4)
-        for _ in range(int(rng.integers(2, 5))):
-            if rng.uniform() < 0.5:
-                m = minkowski.boost(float(np.tanh(rng.uniform(-1.5, 1.5)))) @ m
-            else:
-                m = _spatial_rotation4(rng) @ m
-        return m
-
-    return _lorentz_gap(composed() for _ in range(10))
-
-
-@_check("core-dot", "outer product plus contraction is the dot product")
+@_check("core-dot", "outer product plus contraction is the matrix-vector product")
 def _core_dot(dim: int, rng: np.random.Generator) -> float:
-    a = _rand(rng, dim, (DOWN,))
+    m = _rand(rng, dim, (UP, DOWN))
     x = _rand(rng, dim, (UP,))
-    got = objects.contract(objects.outer_product(a, x), 1, 0).as_scalar()
-    manual = sum(a.component((k,)) * x.component((k,)) for k in range(1, dim + 1))
-    return _rel(got, manual)
+    got = objects.contract(objects.outer_product(m, x), 2, 1)
+    return _scale(got.components - m.components @ x.components)
 
 
 # ---------------------------------------------------------------- runner

@@ -17,8 +17,6 @@ from indicial import exercises
 from indicial.cli import run
 from indicial.documents import parse_tensor_document
 from indicial.errors import ShapeError
-from indicial.metric import orthonormal_metric
-from indicial.objects import UP, new_object
 
 
 def _invoke(capsys, *argv):
@@ -554,7 +552,7 @@ def test_check_exercises_passes_and_reproduces(capsys):
 @pytest.mark.parametrize("flag", ["--seed=-1", "--tol=nan", "--tol=-1", "--tol=inf"])
 def test_check_exercises_rejects_a_bad_seed_or_tolerance(capsys, flag):
     # a negative seed used to crash numpy's generator with a traceback
-    code, out, err = _invoke(capsys, "check-exercises", "--filter", "ex01", flag)
+    code, out, err = _invoke(capsys, "check-exercises", "--filter", "ex03", flag)
     assert code == 1 and out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
 
@@ -578,7 +576,7 @@ def test_check_exercises_filter(capsys):
 
 
 def test_check_exercises_timings_column(capsys):
-    code, out, _ = _invoke(capsys, "check-exercises", "--timings", "--filter", "ex01")
+    code, out, _ = _invoke(capsys, "check-exercises", "--timings", "--filter", "ex03")
     assert code == 0 and "[ms]" in out
 
 
@@ -591,9 +589,9 @@ def test_check_exercises_dim_range(capsys):
 @pytest.mark.parametrize("argv, code", [(("--dim", "6"), 0), (("--dim", "7"), 1),
                                          (("--tol", "0"), 0)])
 def test_check_exercises_option_bounds(capsys, argv, code):
-    got, out, err = _invoke(capsys, "check-exercises", "--filter", "ex02", *argv)
+    got, out, err = _invoke(capsys, "check-exercises", "--filter", "ex03", *argv)
     assert got == code
-    assert (err == "") is (code == 0) and ("ex02" in out) is (code == 0)
+    assert (err == "") is (code == 0) and ("ex03" in out) is (code == 0)
 
 
 def test_check_exercises_other_dims_and_seeds(capsys):
@@ -655,53 +653,6 @@ def test_an_unexpected_error_fails_a_check_that_expects_another(monkeypatch):
     monkeypatch.setattr(exercises.metric, "metric_from_tensor", refuse)
     (result,) = exercises.run_checks(pattern="metric-definite")
     assert result.status == "fail" and result.error == "ShapeError"
-
-
-def test_ex34_fails_when_a_skew_basis_gives_the_identity(monkeypatch):
-    monkeypatch.setattr(exercises.metric, "metric_from_basis",
-                        lambda basis: orthonormal_metric(basis[0].dim))
-    (result,) = exercises.run_checks(pattern="ex34")
-    assert result.status == "fail" and result.error is None
-
-
-_COVARIANCE_CHECKS = ("ex23", "ex28", "ex29", "ex30", "ex31", "ex32", "ex33",
-                      "ex41", "ex42", "ex43", "ex44")
-
-
-def _drop_weight(real):
-    return lambda t, f: new_object(t.dim, t.slots, 0, real(t, f).components)
-
-
-def _drop_det_power(real):
-    def law(t, f):
-        unweighted = new_object(t.dim, t.slots, 0, t.components)
-        return new_object(t.dim, t.slots, t.weight, real(unweighted, f).components)
-    return law
-
-
-def _every_slot_upper(real):
-    def law(t, f):
-        as_upper = new_object(t.dim, (UP,) * t.rank, t.weight, t.components)
-        return new_object(t.dim, t.slots, t.weight, real(as_upper, f).components)
-    return law
-
-
-@pytest.mark.parametrize("broken, failing", [
-    (None, set()),
-    (_drop_weight, {"ex41"}),
-    # covariance checks compare the law with itself, so only the quotient
-    # rule at nonzero weight, which builds its own law, sees a missing power
-    (_drop_det_power, {"ex44"}),
-    (_every_slot_upper, {"ex28", "ex29", "ex30", "ex43", "ex31", "ex32", "ex33", "ex44"}),
-])
-def test_the_covariance_checks_catch_a_broken_frame_law(monkeypatch, broken, failing):
-    if broken is not None:
-        monkeypatch.setattr(exercises.frames, "transform", broken(exercises.frames.transform))
-    for dim in range(2, 7):
-        results = exercises.run_checks(dim=dim, seed=42, pattern="ex[234]?")
-        failed = {r.check_id for r in results
-                  if r.check_id in _COVARIANCE_CHECKS and r.status == "fail"}
-        assert failed == failing, dim
 
 
 @pytest.mark.parametrize("dim", [3, 5])
