@@ -82,6 +82,9 @@ def _all_of(items: list, exact: frozenset, accept: Callable[[type], bool]) -> bo
     return exact.issuperset(map(type, items)) or all(map(accept, set(map(type, items))))
 
 
+_all_reduce = np.logical_and.reduce
+
+
 def _read_array(node: object, dim: int, rank: int, what: str) -> np.ndarray:
     """Read ``rank`` levels of nested lists of length ``dim`` holding numbers.
 
@@ -107,7 +110,8 @@ def _read_array(node: object, dim: int, rank: int, what: str) -> np.ndarray:
     except OverflowError:
         raise DocumentError(f"{what} holds an integer outside the float64 range") from None
     finite = np.isfinite(arr)
-    if not finite.all():
+    # the reduction ``ndarray.all`` runs, without its Python wrapper
+    if not _all_reduce(finite, None):
         raise DocumentError(f"{what} must be finite, got {arr[~finite][0]}")
     return arr.reshape((dim,) * rank)
 

@@ -43,7 +43,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -179,20 +179,20 @@ class ContractionPlan:
         first = terms[0]
         object.__setattr__(self, "_replay", (
             tuple(self.signatures.items()),
-            max(t.largest_intermediate for t in terms),
-            tuple(
+            max([t.largest_intermediate for t in terms]),
+            tuple([
                 (
-                    tuple((f.name, f.index or None, f.traces) for f in t.factors),
-                    tuple(
+                    tuple([(f.name, f.index or None, f.traces) for f in t.factors]),
+                    tuple([
                         (s.left, s.right, s.left_perm, s.left_shape,
                          s.right_perm, s.right_shape, s.result_shape)
                         for s in t.steps
-                    ),
+                    ]),
                     t.output_axes,
                     t.coefficient,
                 )
                 for t in terms
-            ),
+            ]),
             len(terms) == 1 and not first.steps and first.coefficient == 1.0
             and not first.factors[0].traces,
             (self.dim, self.result_slots, self.weight),
@@ -228,54 +228,74 @@ def _signature(name: str, value: object) -> Signature:
     return (dim, slots, weight)
 
 
-def _resolve_slots(factor: FactorRef, slots: tuple[Variance, ...], mode: Mode) -> list[int]:
-    """Map written index position -> bound slot position."""
-    if len(factor.indices) != len(slots):
+def _lower_factor(
+    factor: FactorRef,
+    slots: tuple[Variance, ...],
+    mode: Mode,
+    dim: int,
+    occurrences: dict[str, list[Variance]],
+) -> tuple[FactorPlan, int]:
+    """Lower one factor against its bound slots; return its plan and the
+    cost of its self-contractions.
+
+    Each written letter's variance is appended to ``occurrences``, in
+    written order.  A digit pins its slot, and a letter written twice in the
+    factor is traced, leftmost pair first.
+    """
+    indices = factor.indices
+    if len(indices) != len(slots):
         raise ShapeError(
-            f"factor {factor.name!r} is written with {len(factor.indices)} "
+            f"factor {factor.name!r} is written with {len(indices)} "
             f"indices but is bound to a rank-{len(slots)} object"
         )
-    if mode is Mode.ORTHOGONAL:
-        return list(range(len(slots)))
-    by_variance = {UP: [k for k, s in enumerate(slots) if s is UP],
-                   DOWN: [k for k, s in enumerate(slots) if s is DOWN]}
-    mapping: list[int] = []
-    taken = {UP: 0, DOWN: 0}
-    for spec in factor.indices:
-        pool = by_variance[spec.variance]
-        if taken[spec.variance] >= len(pool):
-            ups = sum(1 for i in factor.indices if i.variance is UP)
-            raise ShapeError(
-                f"factor {factor.name!r} is written with {ups} upper and "
-                f"{len(factor.indices) - ups} lower indices but is bound to "
-                f"slots ({', '.join(s.value for s in slots)})"
-            )
-        mapping.append(pool[taken[spec.variance]])
-        taken[spec.variance] += 1
-    return mapping
-
-
-def _lower_factor(
-    name: str, slot_letters: list[str | None], index: tuple[int | slice, ...], dim: int
-) -> tuple[FactorPlan, int]:
-    """Number one factor's self-contractions; return its plan and their cost.
-
-    ``slot_letters`` is None where a digit pins the slot.  A letter written
-    twice in the factor is traced, leftmost pair first.
-    """
-    letters = [l for l in slot_letters if l is not None]
+    for spec in indices:
+        letter = spec.letter
+        if letter in occurrences:
+            occurrences[letter].append(spec.variance)
+        elif not letter.isdigit():
+            occurrences[letter] = [spec.variance]
+    # the written indices in slot order
+    if mode is Mode.STRICT and tuple([spec.variance for spec in indices]) != slots:
+        indices = _in_slot_order(factor, slots)
+    letters = [spec.letter for spec in indices]
+    index: tuple[int | slice, ...] = ()
+    if not "".join(letters).isalpha():  # a digit pins a slot
+        for spec in factor.indices:
+            if spec.is_fixed and int(spec.letter) > dim:
+                raise AddressingError(
+                    f"fixed index {spec.letter} outside 1..{dim} "
+                    f"in factor {factor.name!r}"
+                )
+        index = tuple([int(l) - 1 if l.isdigit() else slice(None) for l in letters])
+        letters = [l for l in letters if not l.isdigit()]
     traces: list[tuple[int, int]] = []
     cost = 0
-    a = 0
-    while a < len(letters):
-        if letters.count(letters[a]) == 1:
-            a += 1
-            continue
-        b = letters.index(letters[a], a + 1)
-        traces.append((a, b))
-        cost += dim ** len(letters)
-        del letters[b], letters[a]
-    return FactorPlan(name, index, tuple(traces), tuple(letters)), cost
+    if len(set(letters)) < len(letters):
+        a = 0
+        while a < len(letters):
+            if letters.count(letters[a]) == 1:
+                a += 1
+                continue
+            b = letters.index(letters[a], a + 1)
+            traces.append((a, b))
+            cost += dim ** len(letters)
+            del letters[b], letters[a]
+    return FactorPlan(factor.name, index, tuple(traces), tuple(letters)), cost
+
+
+def _in_slot_order(factor: FactorRef, slots: tuple[Variance, ...]) -> list:
+    """Strict mode's matching: the k-th written upper index binds the k-th
+    upper slot, and likewise for lower ones."""
+    ups = sum(1 for spec in factor.indices if spec.variance is UP)
+    if ups != slots.count(UP):
+        raise ShapeError(
+            f"factor {factor.name!r} is written with {ups} upper and "
+            f"{len(factor.indices) - ups} lower indices but is bound to "
+            f"slots ({', '.join(s.value for s in slots)})"
+        )
+    written = {UP: iter([s for s in factor.indices if s.variance is UP]),
+               DOWN: iter([s for s in factor.indices if s.variance is DOWN])}
+    return [next(written[s]) for s in slots]
 
 
 def validate(
@@ -373,40 +393,25 @@ def _lower(
     for term in statement.terms:
         # letter -> written variance of each occurrence
         occurrences: dict[str, list[Variance]] = {}
-        factor_plans: list[FactorPlan] = []
-        prep_cost = 0
+        factor_plans = []
+        prep_cost = weight = 0
         for factor in term.factors:
-            _, slots, _ = signatures[factor.name]
-            mapping = _resolve_slots(factor, slots, mode)
-            slot_letters: list[str | None] = [None] * len(slots)
-            index: list[int | slice] = [slice(None)] * len(slots)
-            for spec, slot in zip(factor.indices, mapping):
-                if spec.is_fixed:
-                    value = int(spec.letter)
-                    if value > dim:
-                        raise AddressingError(
-                            f"fixed index {value} outside 1..{dim} "
-                            f"in factor {factor.name!r}"
-                        )
-                    index[slot] = value - 1
-                else:
-                    slot_letters[slot] = spec.letter
-                    occurrences.setdefault(spec.letter, []).append(spec.variance)
-            pinned = tuple(index) if None in slot_letters else ()
-            fp, cost = _lower_factor(factor.name, slot_letters, pinned, dim)
+            _, slots, w = signatures[factor.name]
+            fp, cost = _lower_factor(factor, slots, mode, dim, occurrences)
             factor_plans.append(fp)
             prep_cost += cost
+            weight += w
 
         free: dict[str, Variance] = {}
         for letter, variances in occurrences.items():
-            if len(variances) > 2:
+            if len(variances) == 1:
+                free[letter] = variances[0]
+            elif len(variances) > 2:
                 raise ConventionError(
                     f"index {letter!r} appears {len(variances)} times in one term; "
                     "an index may appear at most twice"
                 )
-            if len(variances) == 1:
-                free[letter] = variances[0]
-            elif mode is Mode.STRICT and set(variances) != {UP, DOWN}:
+            elif mode is Mode.STRICT and variances[0] is variances[1]:
                 v1, v2 = variances
                 raise ConventionError(
                     f"summed index {letter!r} must appear once as an upper and "
@@ -416,11 +421,11 @@ def _lower(
             (term.coefficient, tuple(factor_plans), prep_cost, dim ** len(occurrences))
         )
         term_free.append(free)
-        term_weights.append(sum(signatures[f.name][2] for f in term.factors))
+        term_weights.append(weight)
 
     first_free = term_free[0]
     for k, free in enumerate(term_free[1:], start=2):
-        if set(free) != set(first_free):
+        if free.keys() != first_free.keys():
             raise ConventionError(
                 f"free indices differ between terms: "
                 f"{sorted(first_free)} in term 1 vs {sorted(free)} in term {k}"
@@ -448,10 +453,9 @@ def _lower(
         free_letters: tuple[str, ...] = ()
         result_slots: tuple[Variance, ...] = ()
     else:
-        for spec in target.indices:
-            if spec.is_fixed:
-                raise ConventionError("target indices must be letters, not digits")
         target_letters = [spec.letter for spec in target.indices]
+        if any(letter.isdigit() for letter in target_letters):
+            raise ConventionError("target indices must be letters, not digits")
         if sorted(target_letters) != sorted(first_free):
             raise ConventionError(
                 f"target layout {target_letters} is not a permutation of the "
@@ -466,36 +470,41 @@ def _lower(
                         f"{first_free[spec.letter].value}"
                     )
         free_letters = tuple(target_letters)
-        result_slots = tuple(spec.variance for spec in target.indices)
+        result_slots = tuple([spec.variance for spec in target.indices])
     require_storable(dim, len(free_letters))
 
     terms = []
     for coeff, factors, prep, naive in lowered:
-        schedule = _schedule(factors, free_letters, dim, lambda *_: (0, 1))
+        schedule = _schedule(factors, free_letters, dim, _first_pair)
         terms.append(TermPlan(coeff, factors, *schedule, prep, naive))
     return ContractionPlan(
-        mode, dim, result_slots, term_weights[0], free_letters, signatures,
-        tuple(terms),
+        mode, dim, result_slots, term_weights[0], free_letters,
+        MappingProxyType(signatures), tuple(terms),
     )
+
+
+def _first_pair(items: list[tuple[str, ...]], dim: int) -> tuple[int, int]:
+    """The written schedule's pick: left to right."""
+    return 0, 1
 
 
 def _smallest_pair(items: list[tuple[str, ...]], dim: int) -> tuple[int, int]:
     """The pair whose result has the fewest components; ties go to the first."""
-    def size(pair: tuple[int, int]) -> int:
-        left, right = items[pair[0]], items[pair[1]]
-        shared = sum(1 for l in left if l in right)
-        return dim ** (len(left) + len(right) - 2 * shared)
+    best = (0, 1)
+    if len(items) > 2:
+        fewest = None
+        for pair in itertools.combinations(range(len(items)), 2):
+            left, right = items[pair[0]], items[pair[1]]
+            size = dim ** (len(left) + len(right) - 2 * len(set(left).intersection(right)))
+            if fewest is None or size < fewest:
+                best, fewest = pair, size
+    return best
 
-    return min(itertools.combinations(range(len(items)), 2), key=size)
 
-
-def _perm(
-    letters: tuple[str, ...], order: list[str] | tuple[str, ...]
-) -> tuple[int, ...] | None:
+def _perm(letters: tuple[str, ...], order: tuple[str, ...]) -> tuple[int, ...] | None:
     """The transpose taking axes named ``letters`` into ``order``; None for
     the identity."""
-    perm = tuple(letters.index(l) for l in order)
-    return None if perm == tuple(range(len(perm))) else perm
+    return None if order == letters else tuple(map(letters.index, order))
 
 
 def _schedule(
@@ -507,33 +516,31 @@ def _schedule(
     """Contract the pairs ``pick`` chooses; return the steps, the output
     transpose and the largest step product."""
     items = [f.open_letters for f in factors]
-    steps: list[ScheduleStep] = []
+    steps = []
+    largest = 0
     while len(items) > 1:
         i, j = pick(items, dim)
         left, right = items[i], items[j]
-        shared = [l for l in left if l in right]
-        kept_left = [l for l in left if l not in shared]
-        kept_right = [l for l in right if l not in shared]
-        inner = dim ** len(shared)
-        left_shape: tuple[int, ...] = (dim ** len(kept_left), inner)
-        right_shape: tuple[int, ...] = (inner, dim ** len(kept_right))
+        shared = tuple([l for l in left if l in right])
+        kept_left, kept_right = left, right
         if shared:
-            # a side that keeps no letter is a vector, so the product is
-            # A.dot(x) or x.dot(w) with no reshape
-            if not kept_left:
-                left_shape = (inner,)
-            if not kept_right:
-                right_shape = (inner,)
-        result = tuple(kept_left + kept_right)
+            kept_left = tuple([l for l in left if l not in right])
+            kept_right = tuple([l for l in right if l not in left])
+        inner = dim ** len(shared)
+        # a side that keeps no letter but shares one is a vector, so the
+        # product is A.dot(x) or x.dot(w) with no reshape
+        left_shape = (dim ** len(kept_left), inner) if kept_left or not shared else (inner,)
+        right_shape = (inner, dim ** len(kept_right)) if kept_right or not shared else (inner,)
+        result = kept_left + kept_right
         steps.append(ScheduleStep(
             i, j,
             _perm(left, kept_left + shared), left_shape,
             _perm(right, shared + kept_right), right_shape,
             (dim,) * len(result),
         ))
+        largest = max(largest, dim ** len(result))
         items[i] = result
         del items[j]
-    largest = max((dim ** len(s.result_shape) for s in steps), default=0)
     return tuple(steps), _perm(items[0], free_letters), largest
 
 
@@ -562,14 +569,18 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
                 term.factors, free_letters, dim, _smallest_pair
             )
             if (steps, output_axes) != (term.steps, term.output_axes):
-                greedy = replace(
-                    term, steps=steps, output_axes=output_axes, largest_intermediate=largest
+                greedy = TermPlan(
+                    term.coefficient, term.factors, steps, output_axes, largest,
+                    term.prep_cost, term.naive_cost,
                 )
                 term = min(greedy, term, key=_schedule_rank)
         terms.append(term)
     if all(new is old for new, old in zip(terms, plan.terms)):
         return plan
-    return replace(plan, terms=tuple(terms))
+    return ContractionPlan(
+        plan.mode, dim, plan.result_slots, plan.weight, free_letters,
+        plan.signatures, tuple(terms),
+    )
 
 
 def _schedule_rank(term: TermPlan) -> tuple[bool, int]:

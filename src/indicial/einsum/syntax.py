@@ -10,22 +10,33 @@
     index  := 'a'..'z' | '1'..'9'
 
 Factors multiply by juxtaposition; whitespace between tokens is
-insignificant.  A lowercase letter is a symbolic index; a digit is a fixed
-1-based index value (a slice, never summed).  Index letters are
-case-sensitive and lowercase only.  A target before '=' names the result
-and fixes the output slot order; it may carry no indices for a scalar.
+insignificant.  A name starts with a letter (``str.isalpha``) and goes on
+with letters and digits (``str.isalnum``).  A lowercase letter is a
+symbolic index; a digit is a fixed 1-based index value (a slice, never
+summed).  Index letters are case-sensitive and lowercase only.  A target
+before '=' names the result and fixes the output slot order; it may carry
+no indices for a scalar.  A coefficient must read as a finite float:
+``1e999`` is a syntax error at its first column, while ``1e-999`` reads as
+0.0.
+
+``parse`` reads a text one token at a time, each with one compiled pattern
+matched at the current position: a name with its whole run of index
+groups, a number with its '*', or a sign (a leading target is one more
+pattern, ending in '=').  Where no token fits, the same parser names the
+error and its column from the position the last token left.  Every
+``IndexSpec`` comes from one table of the 70 (symbol, variance) pairs, so
+statements share them; a spec still compares and hashes by its two fields.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
 from ..errors import ExpressionSyntaxError
 from ..objects import DOWN, UP, Variance
-
-_NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
 # entries per memo of the einsum stages (parse here, validate and
 # order_contractions in the planner): enough for a working set of reused
@@ -70,119 +81,67 @@ class Statement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.target, self.terms)))
         object.__setattr__(self, "names", tuple(
-            dict.fromkeys(f.name for term in self.terms for f in term.factors)
+            dict.fromkeys([f.name for term in self.terms for f in term.factors])
         ))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# A name with its whole run of well-formed index groups.  ``[^\W_]`` is
+# ``str.isalnum``; a name's first character must also pass ``str.isalpha``,
+# which no character class spells, so the parser tests it.
+_NAME = r"(?P<name>[^\W\d_][^\W_]*)(?P<indices>(?:[_^](?:[a-z1-9]|\{[a-z1-9]+\}))*)"
+# a leading "name indices? =", the target
+_TARGET = re.compile(r"\s*" + _NAME + r"\s*=")
+# One token at the current position, after the whitespace in group 1: a
+# name, a number with the '*' after it, or a sign.  ``lastgroup`` names the
+# kind: "indices" for a name (whose run may be empty), "star" or "number"
+# for a number with or without its '*', "sign", or None when no token
+# starts there.  ``\s`` is ``str.isspace`` and ``\d`` is ``str.isdecimal``.
+_TOKEN = re.compile(
+    r"(\s*)(?:" + _NAME
+    + r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(?P<star>\*)?"
+    + r"|(?P<sign>[-+]))?"
+)
+_INDEX_CHARS = re.compile(r"[a-z1-9]*")
 
-    def error(self, message: str, pos: int | None = None) -> ExpressionSyntaxError:
-        where = self.pos if pos is None else pos
-        return ExpressionSyntaxError(message, where + 1)
+# the 70 written indices, shared by every statement: marker -> symbol -> spec
+_SPECS = {
+    marker: {symbol: IndexSpec(symbol, variance)
+             for symbol in "abcdefghijklmnopqrstuvwxyz123456789"}
+    for marker, variance in (("_", DOWN), ("^", UP))
+}
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _index_specs(run: str) -> tuple[IndexSpec, ...]:
+    """The specs of a run of well-formed index groups, such as ``^r_{st}``."""
+    specs = []
+    for ch in run:
+        if ch in _SPECS:
+            table = _SPECS[ch]
+        elif ch != "{" and ch != "}":
+            specs.append(table[ch])
+    return tuple(specs)
 
-    def at_name(self) -> bool:
-        return self.peek().isalpha()
 
-    def read_name(self) -> str:
-        # callers test at_name() first
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def read_index_char(self) -> str:
-        ch = self.peek()
-        if "a" <= ch <= "z" or "1" <= ch <= "9":
-            self.pos += 1
-            return ch
-        raise self.error(
-            f"index must be a lowercase letter a..z or a digit 1..9, got {ch!r}"
-        )
-
-    def read_group(self, variance: Variance) -> list[IndexSpec]:
-        if self.peek() == "{":
-            self.pos += 1
-            specs: list[IndexSpec] = []
-            while self.peek() != "}":
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated '{' index group")
-                specs.append(IndexSpec(self.read_index_char(), variance))
-            if not specs:
-                raise self.error("empty '{}' index group")
-            self.pos += 1
-            return specs
-        return [IndexSpec(self.read_index_char(), variance)]
-
-    def read_indices(self) -> tuple[IndexSpec, ...]:
-        specs: list[IndexSpec] = []
-        while self.peek() in ("_", "^"):
-            variance = DOWN if self.peek() == "_" else UP
-            self.pos += 1
-            specs.extend(self.read_group(variance))
-        return tuple(specs)
-
-    def read_factor(self) -> FactorRef:
-        name = self.read_name()
-        at = self.pos
-        indices = self.read_indices()
-        if not indices:
-            raise self.error("a factor needs at least one index", at)
-        return FactorRef(name, indices)
-
-    def read_coefficient(self) -> float | None:
-        m = _NUMBER.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        self.skip_ws()
-        if self.peek() != "*":
-            raise self.error("expected '*' after a numeric coefficient")
-        self.pos += 1
-        return float(m.group(0))
-
-    def read_term(self, sign: float) -> Term:
-        self.skip_ws()
-        coeff = self.read_coefficient()
-        if coeff is None:
-            coeff = 1.0
-        factors: list[FactorRef] = []
-        while True:
-            self.skip_ws()
-            if not self.at_name():
-                break
-            factors.append(self.read_factor())
-        if not factors:
-            raise self.error("expected a factor")
-        return Term(sign * coeff, tuple(factors))
-
-    def read_expr(self) -> tuple[Term, ...]:
-        self.skip_ws()
-        sign = 1.0
-        if self.peek() in ("+", "-"):
-            sign = -1.0 if self.peek() == "-" else 1.0
-            self.pos += 1
-        terms = [self.read_term(sign)]
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch not in ("+", "-"):
-                break
-            self.pos += 1
-            terms.append(self.read_term(-1.0 if ch == "-" else 1.0))
-        return tuple(terms)
+def _factor_error(text: str, end: int) -> ExpressionSyntaxError:
+    """The error for a name whose run of good index groups ends at ``end``
+    and is empty or followed by a malformed group."""
+    if not text.startswith(("_", "^"), end):
+        return ExpressionSyntaxError("a factor needs at least one index", end + 1)
+    pos = end + 1
+    if text.startswith("{", pos):
+        pos = _INDEX_CHARS.match(text, pos + 1).end()
+        if pos == len(text):
+            return ExpressionSyntaxError("unterminated '{' index group", pos + 1)
+        if text[pos] == "}":
+            # a '}' after index symbols would have closed a good group
+            return ExpressionSyntaxError("empty '{}' index group", pos + 1)
+    return ExpressionSyntaxError(
+        f"index must be a lowercase letter a..z or a digit 1..9, got {text[pos:pos + 1]!r}",
+        pos + 1,
+    )
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -198,24 +157,53 @@ def parse(text: str) -> Statement:
         raise ExpressionSyntaxError(
             f"statement text must be a str, got {type(text).__name__}", 1
         )
-    sc = _Scanner(text)
     target: FactorRef | None = None
+    pos = 0
+    m = _TARGET.match(text)
+    if m is not None and m.group("name")[0].isalpha():
+        target = FactorRef(m.group("name"), _index_specs(m.group("indices")))
+        pos = m.end()
+    token = _TOKEN.match
+    m = token(text, pos)
+    kind = m.lastgroup
 
-    # a leading "name indices? =" is a target; otherwise rewind
-    sc.skip_ws()
-    mark = sc.pos
-    if sc.at_name():
-        name = sc.read_name()
-        indices = sc.read_indices()
-        sc.skip_ws()
-        if sc.peek() == "=":
-            sc.pos += 1
-            target = FactorRef(name, indices)
-        else:
-            sc.pos = mark
-
-    terms = sc.read_expr()
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise sc.error(f"unexpected {sc.peek()!r}")
-    return Statement(target, terms)
+    # the first term's sign is optional and every later term's is not
+    terms = []
+    while not terms or kind == "sign":
+        sign = 1.0
+        if kind == "sign":
+            sign = -1.0 if m.group("sign") == "-" else 1.0
+            m = token(text, m.end())
+            kind = m.lastgroup
+        coefficient = 1.0
+        if kind == "number":
+            raise ExpressionSyntaxError(
+                "expected '*' after a numeric coefficient", m.end() + 1
+            )
+        if kind == "star":
+            coefficient = float(m.group("number"))
+            if not math.isfinite(coefficient):
+                raise ExpressionSyntaxError(
+                    f"coefficient {m.group('number')} is not a finite number",
+                    m.end(1) + 1,
+                )
+            m = token(text, m.end())
+            kind = m.lastgroup
+        factors = []
+        while kind == "indices":
+            name, run = m.group("name", "indices")
+            if not name[0].isalpha():
+                break
+            end = m.end()
+            if not run or text.startswith(("_", "^"), end):
+                raise _factor_error(text, end)
+            factors.append(FactorRef(name, _index_specs(run)))
+            m = token(text, end)
+            kind = m.lastgroup
+        if not factors:
+            raise ExpressionSyntaxError("expected a factor", m.end(1) + 1)
+        terms.append(Term(sign * coefficient, tuple(factors)))
+    at = m.end(1)
+    if at != len(text):
+        raise ExpressionSyntaxError(f"unexpected {text[at]!r}", at + 1)
+    return Statement(target, tuple(terms))

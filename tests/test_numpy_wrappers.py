@@ -1,4 +1,5 @@
-"""No public kernel enters one of numpy's Python wrapper modules per call.
+"""No public kernel or document reader enters one of numpy's Python
+wrapper modules per call.
 
 A wrapper such as ``np.swapaxes`` or ``np.stack`` costs a few tenths of a
 µs of Python before it reaches the ``ndarray`` method or C function it
@@ -14,6 +15,7 @@ allowed: neither is a wrapper around a method the kernel could call.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from indicial.determinants import determinant, inverse
+from indicial.documents import load_bindings, parse_tensor_document
 from indicial.einsum import execute, parse, validate
 from indicial.frames import (
     compose,
@@ -153,6 +156,16 @@ def _cases():
         yield name, lambda plan=plan: execute(plan, bindings)
 
 
+    for rank in range(4):
+        doc = _document(_obj(3, (UP, DOWN, DOWN)[:rank]))
+        yield f"parse_tensor_document-rank{rank}", lambda doc=doc: parse_tensor_document(doc)
+
+
+def _document(t) -> dict:
+    return {"dim": t.dim, "slots": [s.value for s in t.slots], "weight": t.weight,
+            "components": t.components.tolist()}
+
+
 CASES = list(_cases())
 
 
@@ -165,3 +178,14 @@ def test_kernel_enters_no_numpy_wrapper(fn):
 def test_the_profile_sees_a_wrapper():
     arr = np.zeros((2, 3))
     assert "fromnumeric.py:swapaxes" in _wrappers_entered(lambda: np.swapaxes(arr, 0, 1))
+
+
+def test_load_bindings_enters_no_numpy_wrapper(tmp_path):
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"a": _document(_obj(3, (UP, DOWN))),
+                                 "b": _document(_obj(3, (DOWN,)))}))
+    single = tmp_path / "x.json"
+    single.write_text(json.dumps(_document(_obj(3, (UP,)))))
+    paths = [str(named), str(single)]
+    load_bindings(paths)
+    assert _wrappers_entered(lambda: load_bindings(paths)) == []
