@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -36,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
     """Raises a usage error for ``run`` to report on one ``error:`` line,
     where argparse would print its usage block and exit 2; subcommand
     parsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "--beta -1e-05" would read as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")

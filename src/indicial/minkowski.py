@@ -1,8 +1,9 @@
 """Minkowski products, Lorentz-condition checks, boosts, rapidities.
 
 Four-vectors are length-4 arrays (index 0 is the time component) and
-transformation matrices are 4x4 arrays, row = upper index.  The metric
-signature is (+, -, -, -).
+transformation matrices are 4x4 arrays, row = upper index, both read by
+``objects._read_array`` and then checked for shape, so each refusal is a
+ShapeError.  The metric signature is (+, -, -, -).
 
 Two boost parameterizations are provided.  ``boost(beta)`` has off-diagonal
 entries -beta*gamma; ``boost_from_rapidity(psi)`` has off-diagonal entries
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError, SuperluminalError
-from .objects import _identity, _read_number, _scale, float_array
+from .objects import _identity, _read_array, _read_number, _scale
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 ETA.setflags(write=False)
@@ -42,24 +43,17 @@ _COLUMN_PAIRS = tuple(
 )
 
 
-def _as_four_vector(x: Sequence[float]) -> np.ndarray:
-    arr = float_array(x, "a four-vector")
-    if arr.shape != (4,):
-        raise ShapeError(f"a four-vector needs exactly 4 components, got {arr.shape}")
-    return arr
-
-
-def _as_matrix(c: Sequence[Sequence[float]]) -> np.ndarray:
-    arr = float_array(c, "a transformation matrix")
-    if arr.shape != (4, 4):
-        raise ShapeError(f"a transformation matrix must be 4x4, got {arr.shape}")
+def _read(x: object, shape: tuple[int, ...], what: str) -> np.ndarray:
+    arr = _read_array(x, what)
+    if arr.shape != shape:
+        raise ShapeError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
 def mink_product(x: Sequence[float], y: Sequence[float]) -> float:
     """x0*y0 - x1*y1 - x2*y2 - x3*y3."""
-    xv = _as_four_vector(x)
-    yv = _as_four_vector(y)
+    xv = _read(x, (4,), "a four-vector")
+    yv = _read(y, (4,), "a four-vector")
     return float(xv[0] * yv[0] - xv[1] * yv[1] - xv[2] * yv[2] - xv[3] * yv[3])
 
 
@@ -73,7 +67,7 @@ def is_lorentz(c: Sequence[Sequence[float]], tol: float = _CONDITION_TOL) -> boo
     """
     # Python floats: the same IEEE products as numpy scalars, without a
     # RuntimeWarning for an inf or NaN entry
-    t, x, y, z = _as_matrix(c).tolist()
+    t, x, y, z = _read(c, (4, 4), "a transformation matrix").tolist()
     for s, r, expected in _COLUMN_PAIRS:
         value = t[s] * t[r] - x[s] * x[r] - y[s] * y[r] - z[s] * z[r]
         # written so that a NaN value fails it too
@@ -90,7 +84,7 @@ def eta_residual(c: Sequence[Sequence[float]]) -> float:
     gives NaN or inf, and so does a product beyond float64, with no
     RuntimeWarning.
     """
-    m = _as_matrix(c)
+    m = _read(c, (4, 4), "a transformation matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         return _scale(m.T @ ETA @ m - ETA)
 

@@ -13,9 +13,9 @@ library has just computed: it freezes that array in place.
 ``matrix_object`` reads a square array-like into one fresh copy of its own
 and freezes that through ``_result``.  Pickling and copying rebuild through
 ``new_object``.  Every operation is a pure function, so values can be
-shared freely across threads.
-The geometry modules share two rules from here: ``_scale`` (max |entry|)
-and ``_read_number`` (a caller's real number, read as ``float(value)``).
+shared freely across threads.  The geometry modules share three rules from
+here: ``_read_array`` (every array a caller passes), ``_read_number`` (a
+real number, read as ``float(value)``) and ``_scale`` (max |entry|).
 """
 
 from __future__ import annotations
@@ -173,16 +173,9 @@ def new_object(
             require_signature(dim, slots, weight)
     rank = len(slots)
     size = require_storable(dim, rank)
-    if type(components) is np.ndarray and components.dtype is _FLOAT64:
-        # ndarray.copy() is C-ordered: the same array as np.array below
-        arr = components.copy()
-    else:
-        try:
-            arr = np.array(components, dtype=np.float64, order="C")
-        except (TypeError, ValueError) as exc:  # non-numeric or ragged
-            raise ShapeError(
-                f"components must be a rectangular array of numbers ({exc})"
-            ) from None
+    # the reader's fast path inline, so a float64 ndarray pays no extra call
+    fast = type(components) is np.ndarray and components.dtype is _FLOAT64
+    arr = components.copy() if fast else _read_array(components, "components")
     shape = (dim,) * rank
     if arr.shape != shape:
         if arr.ndim == 1 and arr.size == size:
@@ -211,14 +204,24 @@ def _result(
     return TensorObject(dim, slots, weight, arr)
 
 
-def float_array(x: object, what: str) -> np.ndarray:
-    """``x`` as a float64 array; ShapeError for a non-numeric or ragged one."""
+def _read_array(x: object, what: str) -> np.ndarray:
+    """A caller's array-like as float64: an exact float64 ndarray as itself,
+    else a fresh C-ordered array.  ShapeError when it is non-numeric or ragged,
+    or holds None (numpy reads NaN) or an int beyond float64 (OverflowError)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     try:
-        return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(
-            f"{what} must be a rectangular array of numbers ({exc})"
-        ) from None
+        arr = np.array(x, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"{what} must be a rectangular array of numbers ({exc})") from None
+    # None reads as NaN: look for it only in Python objects after a non-finite sum
+    if (
+        (not isinstance(x, np.ndarray) or x.dtype.hasobject)
+        and not math.isfinite(sum(arr.ravel().tolist()))
+        and None in np.array(x, dtype=object).ravel().tolist()
+    ):
+        raise ShapeError(f"{what} must be a rectangular array of numbers, not None")
+    return arr
 
 
 def matrix_object(
@@ -232,19 +235,15 @@ def matrix_object(
             names = ", ".join(s.value for s in slots)
             raise ShapeError(f"{what} needs slots ({names}), got {x!r}")
         return x
-    try:
-        arr = np.array(x, dtype=np.float64, order="C")
-    except (TypeError, ValueError) as exc:  # non-numeric or ragged
-        raise ShapeError(
-            f"{what} must be a rectangular array of numbers ({exc})"
-        ) from None
+    arr = _read_array(x, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {arr.shape}")
     dim = arr.shape[0]
     if dim == 0:
         require_signature(dim, slots, 0)  # words the rejection of 0 x 0
     require_storable(dim, 2)
-    return _result(dim, slots, 0, arr)
+    # the reader hands a float64 ndarray back as itself: copy the caller's array
+    return _result(dim, slots, 0, arr.copy() if arr is x else arr)
 
 
 def require_signature(dim: object, slots: tuple, weight: object) -> None:

@@ -493,6 +493,13 @@ def test_rapidity_scalar(capsys):
     assert abs(value - math.log(2.0)) <= 1e-15
 
 
+@pytest.mark.parametrize("command", ["boost", "rapidity"])
+@pytest.mark.parametrize("beta", ["-1e-05", "-1.0871483637098223e-05", "-.5E-1", "-0.5", "-1"])
+def test_a_negative_beta_reads_as_a_separate_value(capsys, command, beta):
+    joined = _invoke(capsys, command, f"--beta={beta}")
+    assert _invoke(capsys, command, "--beta", beta) == joined
+
+
 # usage and file errors
 
 

@@ -196,7 +196,9 @@ def _invocation(draw, directory):
         return [command] + vectors + geometry + out_args
     if command in ("boost", "rapidity"):
         beta = draw(st.one_of(st.floats(-1.5, 1.5), st.floats()))
-        return [command, f"--beta={beta}"] + out_args
+        # a separate value that starts with "-" must not read as an option
+        beta_args = draw(st.sampled_from([[f"--beta={beta}"], ["--beta", str(beta)]]))
+        return [command] + beta_args + out_args
     return [
         "check-exercises",
         f"--dim={draw(st.integers(-1, 8))}",

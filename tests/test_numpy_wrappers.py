@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from indicial.determinants import determinant, inverse
+from indicial.determinants import determinant, inverse, singularity_threshold
 from indicial.documents import load_bindings, parse_tensor_document
 from indicial.einsum import execute, parse, validate
 from indicial.frames import (
@@ -130,6 +130,13 @@ def _cases():
         yield f"inverse-dim{dim}", lambda t=t: inverse(t)
         g = _metric(dim).g.components
         yield f"metric_from_tensor-dim{dim}", lambda g=g: metric_from_tensor(g)
+        # nested lists take the array reader's slow path
+        rows, g_rows = m.tolist(), g.tolist()
+        yield (f"new_object-nested-dim{dim}",
+               lambda dim=dim, rows=rows: new_object(dim, (UP, DOWN), 0, rows))
+        for fn in (determinant, inverse, singularity_threshold, frame_from_matrix):
+            yield f"{fn.__name__}-nested-dim{dim}", lambda fn=fn, rows=rows: fn(rows)
+        yield f"metric_from_tensor-nested-dim{dim}", lambda g=g_rows: metric_from_tensor(g)
         basis, f = _basis(dim), _frame(dim)
         yield f"metric_from_basis-dim{dim}", lambda basis=basis: metric_from_basis(basis)
         yield f"transform_basis-dim{dim}", lambda f=f, basis=basis: transform_basis(f, basis)

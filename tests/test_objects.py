@@ -102,6 +102,22 @@ def test_new_object_copies_an_ndarray(slots, make):
         assert np.array_equal(t.components, want)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: np.diag([2.0, 3.0, 4.0]),
+    lambda: np.diag([2.0, 3.0, 4.0]).T.copy().T,  # F-ordered
+    lambda: np.diag([2, 3, 4]),
+], ids=["float64", "f-ordered", "int64"])
+@pytest.mark.parametrize("read", [
+    lambda m: frame_from_matrix(m).c, lambda m: metric_from_tensor(m).g,
+], ids=["frame_from_matrix", "metric_from_tensor"])
+def test_a_matrix_read_from_an_ndarray_is_a_private_copy(make, read):
+    source = make()
+    c = read(source).components
+    assert c.dtype == np.float64 and c.flags.c_contiguous and not c.flags.writeable
+    assert source.flags.writeable and not np.shares_memory(c, source)
+    assert np.array_equal(c, make())
+
+
 def test_new_object_copies_a_nested_list():
     rows = [[0.0, 1.0], [2.0, 3.0]]
     t = new_object(2, (UP, DOWN), 0, rows)
