@@ -26,7 +26,7 @@ from .errors import TensorError
 from .frames import transform, verify_transform_law
 from .metric import Metric, cross, inner, metric_from_basis, metric_from_tensor, triple
 from .minkowski import boost, rapidity
-from .objects import MIXED_SLOTS, TensorObject, new_object
+from .objects import MIXED_SLOTS, TensorObject, _result, new_object
 
 
 class _UsageError(Exception):
@@ -181,7 +181,7 @@ def _cmd_product(args: argparse.Namespace) -> TensorObject:
     value = args.product(*(load_tensor_document(p) for p in args.vectors), m)
     if isinstance(value, TensorObject):
         return value
-    return new_object(m.dim, (), 0, [value])
+    return _result(m.dim, (), 0, np.float64(value))
 
 
 def _cmd_boost(args: argparse.Namespace) -> TensorObject:
@@ -189,7 +189,7 @@ def _cmd_boost(args: argparse.Namespace) -> TensorObject:
 
 
 def _cmd_rapidity(args: argparse.Namespace) -> TensorObject:
-    return new_object(4, (), 0, [rapidity(args.beta)])
+    return _result(4, (), 0, np.float64(rapidity(args.beta)))
 
 
 def _cmd_check_exercises(args: argparse.Namespace) -> int:

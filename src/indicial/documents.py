@@ -21,9 +21,15 @@ once (the item types, the list lengths, then the leaf types), so a read
 costs little more than numpy's own conversion of the nested lists; a Python
 scan runs only to name the first offending leaf of a rejected document.
 
-Emission goes through the same ``json`` module: each float is written as
-the shortest decimal that reads back as the same float64 (``-0.0`` kept), so
-reading a written document reproduces the exact values.
+Emission is one ``orjson.dumps`` call that writes the float64 components
+straight from the array, each as the shortest decimal that reads back as
+the same float64 (``-0.0`` kept; exponents spelled ``1e300``, ``2.5e-7``),
+so reading a written document with ``json`` reproduces the exact values.
+The text is compact: ``{"dim":2,"slots":["up"],"weight":0,...}``.  orjson
+writes NaN and Infinity as ``null``, so every component is checked finite
+first.  Loading stays on ``json``: orjson's parser takes more peak memory
+on large documents, refuses NaN and ``1e400`` as invalid JSON before
+``_read_array`` can name them, and reads integers beyond 64 bits as floats.
 """
 
 from __future__ import annotations
@@ -133,22 +139,25 @@ def parse_tensor_document(obj: object) -> TensorObject:
     return new_object(dim, slots, weight, arr)
 
 
-# allow_nan=False makes the encoder refuse NaN and Infinity, which are not JSON
-_ENCODE = json.JSONEncoder(allow_nan=False).encode
-
-
 def format_tensor_document(t: TensorObject) -> str:
     """Serialize with a stable key order and shortest round-trip floats."""
-    try:
-        return _ENCODE({
-            "dim": t.dim,
-            "slots": [s.value for s in t.slots],
-            "weight": t.weight,
-            "components": t.components.tolist(),
-        })
-    except ValueError:
-        bad = t.components[~np.isfinite(t.components)]
-        raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}") from None
+    # imported here: orjson's own imports (uuid, zoneinfo, sysconfig) cost
+    # ~5 ms that a process writing no document never pays
+    import orjson
+
+    components = t.components
+    finite = np.isfinite(components)
+    if not _all_reduce(finite, None):
+        bad = components[~finite]
+        raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}")
+    # orjson writes a C-contiguous float64 array itself; ``default`` turns a
+    # 0-d array or a non-C-contiguous view into Python floats instead
+    return orjson.dumps(
+        {"dim": t.dim, "slots": [s.value for s in t.slots], "weight": t.weight,
+         "components": components},
+        option=orjson.OPT_SERIALIZE_NUMPY,
+        default=np.ndarray.tolist,
+    ).decode()
 
 
 def _load(path: str, parse: Callable[[object], _T]) -> _T:

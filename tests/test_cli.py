@@ -459,9 +459,9 @@ def test_boost_document(capsys):
     assert abs(m[0, 1] + 0.75) <= 1e-12
     assert np.array_equal(m[2:, 2:], np.eye(2))
     assert out == (
-        '{"dim": 4, "slots": ["up", "down"], "weight": 0, "components": '
-        "[[1.25, -0.75, 0.0, 0.0], [-0.75, 1.25, 0.0, 0.0], "
-        "[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]}\n"
+        '{"dim":4,"slots":["up","down"],"weight":0,"components":'
+        "[[1.25,-0.75,0.0,0.0],[-0.75,1.25,0.0,0.0],"
+        "[0.0,0.0,1.0,0.0],[0.0,0.0,0.0,1.0]]}\n"
     )
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import read_array_per_item
 
@@ -14,6 +14,7 @@ from indicial import (
     UP,
     DocumentError,
     SingularityError,
+    TensorObject,
     format_tensor_document,
     load_basis_document,
     load_bindings,
@@ -55,13 +56,14 @@ def test_emission_has_stable_key_order():
         "components": [1.0, 2.0],
     }
     text = format_tensor_document(new_object(2, (DOWN,), -1, [0.5, 3.0]))
-    assert text.startswith('{"dim": 2, "slots": ["down"], "weight": -1, "components": ')
+    assert text.startswith('{"dim":2,"slots":["down"],"weight":-1,"components":')
 
 
 def test_floats_are_written_as_their_shortest_round_trip_repr():
-    t = new_object(5, (UP,), 0, [0.1, 1.0, -0.0, 1e300, 5e-324])
-    text = format_tensor_document(t)
-    assert text.endswith('"components": [0.1, 1.0, -0.0, 1e+300, 5e-324]}')
+    # repr spells the last four 1e+300, 1e-05, 2.5e-07 and 1e+16
+    values = [0.1, 1.0, -0.0, 5e-324, 1e300, 1e-05, 2.5e-07, 1e16]
+    text = format_tensor_document(new_object(8, (UP,), 0, values))
+    assert text.endswith('"components":[0.1,1.0,-0.0,5e-324,1e300,0.00001,2.5e-7,1e16]}')
 
 
 def test_seventeen_digit_floats_round_trip():
@@ -135,15 +137,24 @@ def test_rank_zero_rejects_a_nested_list():
 
 
 def test_non_finite_components_cannot_be_emitted():
+    deep = np.ones((2, 2, 2))
+    deep[1, 0, 1] = -math.inf
     for components, named in [
         ([1.0, math.inf], "inf"),
         ([math.nan, 0.0], "nan"),
         ([math.nan, math.inf], "nan"),  # the first in C order
         ([[1.0, -math.inf], [math.nan, 1.0]], "-inf"),
+        # orjson alone would write each of these as null
+        (math.nan, "nan"),
+        (deep, "-inf"),
     ]:
         t = new_object(2, (UP,) * np.ndim(components), 0, components)
         with pytest.raises(DocumentError, match=f"^cannot emit non-finite component {named}$"):
             format_tensor_document(t)
+    # a raw object over a transposed view: inf comes first in memory, nan in C order
+    t = TensorObject(2, (UP, DOWN), 0, np.array([[0.0, math.inf], [math.nan, 3.0]]).T)
+    with pytest.raises(DocumentError, match="^cannot emit non-finite component nan$"):
+        format_tensor_document(t)
 
 
 def test_load_reports_the_file_path(tmp_path):
@@ -473,6 +484,36 @@ def test_valid_documents_round_trip_bit_exactly(data):
     back = parse_tensor_document(json.loads(format_tensor_document(t)))
     assert back == t
     assert back.components.tobytes() == t.components.tobytes()
+
+
+@st.composite
+def _emitted_objects(draw):
+    """Objects of rank 0-3 over any finite floats, some as raw objects over a
+    transposed view, which orjson cannot write from the buffer."""
+    dim, rank = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=dim**rank,
+            max_size=dim**rank,
+        )
+    )
+    slots = tuple(draw(st.lists(st.sampled_from([UP, DOWN]), min_size=rank, max_size=rank)))
+    arr = np.array(values).reshape((dim,) * rank)
+    if rank >= 2 and draw(st.booleans()):
+        return TensorObject(dim, slots, 0, arr.T)
+    return new_object(dim, slots, draw(st.integers(-3, 3)), arr)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_emitted_objects())
+@example(new_object(5, (UP,), 0, [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+                                  -2.2250738585072014e-308]))
+def test_emitted_floats_read_back_bit_exactly_with_json(t):
+    doc = json.loads(format_tensor_document(t))
+    assert doc["dim"] == t.dim and doc["weight"] == t.weight
+    assert doc["slots"] == [s.value for s in t.slots]
+    assert np.array(doc["components"], dtype=np.float64).tobytes() == t.components.tobytes()
 
 
 # the reader against the per-item reference

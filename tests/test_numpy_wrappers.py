@@ -1,5 +1,5 @@
-"""No public kernel or document reader enters one of numpy's Python
-wrapper modules per call.
+"""No public kernel, document reader or document writer enters one of
+numpy's Python wrapper modules per call.
 
 A wrapper such as ``np.swapaxes`` or ``np.stack`` costs a few tenths of a
 µs of Python before it reaches the ``ndarray`` method or C function it
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from indicial.determinants import determinant, inverse, singularity_threshold
-from indicial.documents import load_bindings, parse_tensor_document
+from indicial.documents import format_tensor_document, load_bindings, parse_tensor_document
 from indicial.einsum import execute, parse, validate
 from indicial.frames import (
     compose,
@@ -164,8 +164,11 @@ def _cases():
 
 
     for rank in range(4):
-        doc = _document(_obj(3, (UP, DOWN, DOWN)[:rank]))
+        t = _obj(3, (UP, DOWN, DOWN)[:rank])
+        doc = _document(t)
         yield f"parse_tensor_document-rank{rank}", lambda doc=doc: parse_tensor_document(doc)
+        # rank 0 is written through orjson's ``default``, ndarray.tolist
+        yield f"format_tensor_document-rank{rank}", lambda t=t: format_tensor_document(t)
 
 
 def _document(t) -> dict:
