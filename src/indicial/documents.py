@@ -27,13 +27,27 @@ the same float64 (``-0.0`` kept; exponents spelled ``1e300``, ``2.5e-7``),
 so reading a written document with ``json`` reproduces the exact values.
 The text is compact: ``{"dim":2,"slots":["up"],"weight":0,...}``.  orjson
 writes NaN and Infinity as ``null``, so every component is checked finite
-first.  Loading stays on ``json``: orjson's parser takes more peak memory
-on large documents, refuses NaN and ``1e400`` as invalid JSON before
-``_read_array`` can name them, and reads integers beyond 64 bits as floats.
+first, and it writes integers in [-2**63, 2**64) only, so a ``dim`` or
+``weight`` outside that range is refused with a ``DocumentError``.
+
+Loading reads the file as bytes and decodes them with ``orjson.loads`` when
+they hold fewer than ``_ORJSON_MAX_OPENERS`` (14,000) ``[`` bytes, each
+``{`` counting three.  That count is a crash guard: orjson's parser
+recurses once per nesting level without a limit and overflows the C stack
+on a deep enough text, and the depth never exceeds the count (a loadable
+document nests at most 34 levels).  A text over the count, or one orjson
+refuses, is read by ``json`` from the same UTF-8 text with universal
+newlines that ``open(path, encoding="utf-8")`` gives, so ``NaN``,
+``Infinity``, ``1e400``, integers over 4,300 digits, a BOM, bad UTF-8,
+lone surrogates and over-deep nesting keep ``json``'s readings and
+messages.  The one difference is that orjson reads an integer beyond 64
+bits as a float: as a component it becomes the float64 that numpy's cast
+gives, and as a ``dim`` or ``weight`` it is refused as not an integer.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from itertools import chain
@@ -43,7 +57,7 @@ import numpy as np
 
 from .errors import DocumentError
 from .frames import Frame, frame_from_matrix
-from .objects import MIXED_SLOTS, UP, TensorObject, Variance, new_object
+from .objects import MAX_RANK, MIXED_SLOTS, UP, TensorObject, Variance, new_object
 
 _VARIANCES = {v.value: v for v in Variance}
 
@@ -131,12 +145,21 @@ def parse_tensor_document(obj: object) -> TensorObject:
         not isinstance(s, str) or s not in _VARIANCES for s in raw_slots
     ):
         raise DocumentError('"slots" must be a list of "up"/"down" strings')
+    if len(raw_slots) > MAX_RANK:
+        raise DocumentError(
+            f'"slots" holds {len(raw_slots)} slots, more than the {MAX_RANK} allowed'
+        )
     slots = tuple(_VARIANCES[s] for s in raw_slots)
     weight = _require_int(obj, "weight") if "weight" in obj else 0
     if "components" not in obj:
         raise DocumentError('missing "components"')
     arr = _read_array(obj["components"], dim, len(slots), '"components"')
     return new_object(dim, slots, weight, arr)
+
+
+# the integers orjson writes: int64 and uint64
+_EMITTABLE_INT_MIN = -(2**63)
+_EMITTABLE_INT_MAX = 2**64 - 1
 
 
 def format_tensor_document(t: TensorObject) -> str:
@@ -150,6 +173,9 @@ def format_tensor_document(t: TensorObject) -> str:
     if not _all_reduce(finite, None):
         bad = components[~finite]
         raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}")
+    for key, value in (("dim", t.dim), ("weight", t.weight)):
+        if not _EMITTABLE_INT_MIN <= value <= _EMITTABLE_INT_MAX:
+            raise DocumentError(f'cannot emit "{key}" {value}: outside the 64-bit integer range')
     # orjson writes a C-contiguous float64 array itself; ``default`` turns a
     # 0-d array or a non-C-contiguous view into Python floats instead
     return orjson.dumps(
@@ -160,11 +186,38 @@ def format_tensor_document(t: TensorObject) -> str:
     ).decode()
 
 
+# orjson.loads (3.8) recurses once per nesting level with no limit, and a
+# deep enough text overflows the C stack.  A level takes about 64 bytes of
+# stack for an array and 161 for an object, so a "{" counts as three "[":
+# below this weighted count, a text cannot nest deep enough to overflow a
+# 1 MiB thread stack (measured: 16,300 arrays or 6,550 objects do).  The
+# largest benchmark document counts about 12,230.
+_ORJSON_MAX_OPENERS = 14_000
+
+
+def _decode(data: bytes) -> object:
+    """The JSON value in ``data``: orjson's reading when the weighted opener
+    count is below the guard and orjson accepts the text, else ``json``'s
+    reading of the UTF-8 text with universal newlines, which raises what
+    ``json.load`` on the open file would raise."""
+    # imported here, as for emission
+    import orjson
+
+    if data.count(b"[") + 3 * data.count(b"{") < _ORJSON_MAX_OPENERS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+        return json.load(text)
+
+
 def _load(path: str, parse: Callable[[object], _T]) -> _T:
     """Read the JSON file at ``path`` and parse it; errors name the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        # the bytes are referenced only while _decode runs
+        with open(path, "rb") as fh:
+            obj = _decode(fh.read())
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit;

@@ -32,6 +32,8 @@ from .errors import AddressingError, ConventionError, ShapeError
 
 # dense storage cap: dim ** rank may not exceed this
 MAX_COMPONENTS = 10_000_000
+# slot cap: numpy 1.x arrays have at most 32 dimensions (2.x: 64)
+MAX_RANK = 32
 
 DEFAULT_SYMMETRY_TOL = 1e-12
 
@@ -340,12 +342,15 @@ def is_index_value(v: object) -> bool:
 
 
 def require_storable(dim: int, rank: int) -> int:
-    """``dim ** rank``; ShapeError when it exceeds the dense storage cap."""
+    """``dim ** rank``; ShapeError when it exceeds the dense storage cap or
+    ``rank`` exceeds the slot cap (at dim >= 2 the storage cap binds first)."""
     size = dim ** rank
     if size > MAX_COMPONENTS:
         raise ShapeError(
             f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
         )
+    if rank > MAX_RANK:
+        raise ShapeError(f"rank {rank} exceeds the slot cap of {MAX_RANK}")
     return size
 
 

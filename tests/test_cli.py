@@ -213,6 +213,28 @@ def test_transform_whose_determinant_power_overflows_exits_two(tmp_path):
     assert "det(gamma) ** -2" in done.stderr
 
 
+def test_transform_of_more_slots_than_the_rank_cap_exits_one(tmp_path, capsys):
+    # 65 slots at dim 1 used to reach numpy's reshape, a ValueError traceback
+    frame = _write(tmp_path, "f.json", {"dim": 1, "c": [[2.0]]})
+    doc = _write(tmp_path, "t.json", {"dim": 1, "slots": ["up"] * 65,
+                                      "components": json.loads("[" * 65 + "1" + "]" * 65)})
+    code, out, err = _invoke(capsys, "transform", "--frame", frame, "--input", doc)
+    assert code == 1 and out == ""
+    assert err == f'error: {doc}: "slots" holds 65 slots, more than the 32 allowed\n'
+
+
+def test_a_weight_beyond_64_bits_is_refused_at_emission(tmp_path, capsys):
+    # orjson writes no integer outside [-2**63, 2**64): the weights of two
+    # 2**63 factors add to 2**64, and --weight can name any integer
+    x = _write(tmp_path, "x.json", {"dim": 2, "slots": ["up"], "weight": 2**63,
+                                    "components": [1.0, 2.0]})
+    frame = _write(tmp_path, "f.json", {"dim": 2, "c": [[1, 0], [0, 1]]})
+    message = 'error: cannot emit "weight" 18446744073709551616: outside the 64-bit integer range\n'
+    for argv in (["eval", "t^{rs} = x^r x^s", "--bindings", x],
+                 ["transform", "--frame", frame, "--input", x, f"--weight={2**64}"]):
+        assert _invoke(capsys, *argv) == (1, "", message)
+
+
 def test_transform_whose_determinant_power_underflows_exits_two(tmp_path, capsys):
     # det(gamma) = 0.25, and 0.25 ** 1100 is 0.0 in float64: the vector
     # used to transform to [0, 0] with exit 0

@@ -32,6 +32,17 @@ def _number(draw):
 
 _NUMBERS = _number()
 
+# 2**63 and -(2**63), two of which add to +-2**64, and the integers just
+# outside the [-2**63, 2**64) that orjson writes
+_BIG_WEIGHTS = st.sampled_from([2 ** 63, -(2 ** 63), 2 ** 64, -(2 ** 63) - 1])
+
+
+@st.composite
+def _weight(draw):
+    """Mostly a small weight; one in eight is big."""
+    return draw(_BIG_WEIGHTS if draw(st.integers(0, 7)) == 0 else st.integers(-3, 3))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -66,12 +77,16 @@ def _matrix(draw, dim):
 @st.composite
 def _tensor_doc(draw, dim, slots=None):
     if slots is None:
-        slots = draw(st.lists(st.sampled_from(["up", "down"]), max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            # dim 1 and more slots than the cap of 32, or than numpy 2's 64
+            dim, slots = 1, ["up"] * draw(st.sampled_from([33, 65]))
+        else:
+            slots = draw(st.lists(st.sampled_from(["up", "down"]), max_size=3))
     size = dim ** len(slots)
     doc = {
         "dim": dim,
         "slots": slots,
-        "weight": draw(st.integers(-3, 3)),
+        "weight": draw(_weight()),
         "components": _nest(draw(_flat(size)), dim, len(slots)),
     }
     damage = draw(st.sampled_from(["none"] * 16 + ["drop", "extra", "dim", "any"]))
@@ -175,9 +190,16 @@ def _invocation(draw, directory):
         return ["eval", text, "--bindings",
                 doc("vars.json", st.just(bindings)), "--mode", mode] + out_args
     if command in ("transform", "verify-law"):
-        frame = doc("frame.json", st.fixed_dictionaries({"dim": st.just(dim), "c": _matrix(dim)}))
+        if draw(st.booleans()):
+            # the identity raises det(gamma) to any power, so a big weight
+            # reaches the emitted result
+            c = st.just([[int(r == s) for s in range(dim)] for r in range(dim)])
+            weight = draw(_BIG_WEIGHTS)
+        else:
+            c = _matrix(dim)
+            weight = draw(st.one_of(st.none(), st.integers(-3, 3)))
+        frame = doc("frame.json", st.fixed_dictionaries({"dim": st.just(dim), "c": c}))
         old = doc("old.json", _tensor_doc(dim))
-        weight = draw(st.one_of(st.none(), st.integers(-3, 3)))
         weight_args = [] if weight is None else [f"--weight={weight}"]
         if command == "transform":
             return ["transform", "--frame", frame, "--input", old] + weight_args + out_args

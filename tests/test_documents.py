@@ -2,8 +2,15 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +32,8 @@ from indicial import (
     parse_frame_document,
     parse_tensor_document,
 )
-from indicial.documents import _read_array
+from indicial import documents
+from indicial.documents import _ORJSON_MAX_OPENERS, _read_array
 
 
 def _awkward(rng, dim, rank):
@@ -155,6 +163,26 @@ def test_non_finite_components_cannot_be_emitted():
     t = TensorObject(2, (UP, DOWN), 0, np.array([[0.0, math.inf], [math.nan, 3.0]]).T)
     with pytest.raises(DocumentError, match="^cannot emit non-finite component nan$"):
         format_tensor_document(t)
+
+
+@pytest.mark.parametrize(
+    "dim, weight, key, value",
+    [(1, 2**64, "weight", 2**64), (2**64, 0, "dim", 2**64),
+     (1, -(2**63) - 1, "weight", -(2**63) - 1)],
+    ids=["weight-2**64", "dim-2**64", "weight-below-int64"],
+)
+def test_integers_orjson_cannot_write_are_refused_at_emission(dim, weight, key, value):
+    t = new_object(dim, (), weight, 1.0)
+    message = f'cannot emit "{key}" {value}: outside the 64-bit integer range'
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        format_tensor_document(t)
+
+
+@pytest.mark.parametrize("weight", [-(2**63), 2**64 - 1])
+def test_the_ends_of_the_emittable_integer_range_round_trip(weight):
+    t = new_object(2**64 - 1, (), weight, 0.5)
+    back = json.loads(format_tensor_document(t))
+    assert (back["dim"], back["weight"]) == (2**64 - 1, weight)
 
 
 def test_load_reports_the_file_path(tmp_path):
@@ -342,23 +370,26 @@ def _document_text(kind, number):
 
 @pytest.mark.parametrize("kind", sorted(_LOADERS))
 @pytest.mark.parametrize(
-    "number",
+    "number, message",
     [
-        _BEYOND_FLOAT64,
-        "-" + _BEYOND_FLOAT64,
-        _BEYOND_DIGIT_LIMIT,
-        "NaN",
-        "Infinity",
-        "-Infinity",
-        "1e400",  # parses as inf
+        (_BEYOND_FLOAT64, ': "{key}" holds an integer outside the float64 range'),
+        ("-" + _BEYOND_FLOAT64, ': "{key}" holds an integer outside the float64 range'),
+        (_BEYOND_DIGIT_LIMIT, " is not valid JSON: Exceeds the limit (4300 digits)"),
+        ("NaN", ': "{key}" must be finite, got nan'),
+        ("Infinity", ': "{key}" must be finite, got inf'),
+        ("-Infinity", ': "{key}" must be finite, got -inf'),
+        ("1e400", ': "{key}" must be finite, got inf'),  # parses as inf
     ],
     ids=["1e400-int", "-1e400-int", "5000-digits", "nan", "inf", "-inf", "1e400"],
 )
-def test_numbers_float64_cannot_hold_are_rejected_at_load(tmp_path, kind, number):
+def test_numbers_float64_cannot_hold_are_rejected_at_load(tmp_path, kind, number, message):
+    # orjson refuses each of these texts, and json's reading is named
     p = tmp_path / "doc.json"
     p.write_text(_document_text(kind, number))
-    with pytest.raises(DocumentError, match="doc.json"):
+    key = {"frame": "c", "basis": "vectors"}.get(kind, "components")
+    with pytest.raises(DocumentError) as caught:
         _LOADERS[kind](str(p))
+    assert str(caught.value).startswith(str(p) + message.format(key=key))
 
 
 @pytest.mark.parametrize(
@@ -395,6 +426,177 @@ def test_load_rejects_undecodable_text(tmp_path, raw):
     p.write_bytes(raw)
     with pytest.raises(DocumentError, match="odd.json is not valid JSON"):
         load_tensor_document(str(p))
+
+
+def test_more_slots_than_the_rank_cap_are_refused_before_the_components_are_read():
+    # 65 slots at dim 1: numpy's reshape would raise its own ValueError
+    def doc(rank):
+        nested = json.loads("[" * rank + "2.5" + "]" * rank)
+        return {"dim": 1, "slots": ["up"] * rank, "components": nested}
+
+    for rank in (33, 65):
+        message = f'"slots" holds {rank} slots, more than the 32 allowed'
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            parse_tensor_document(doc(rank))
+    assert parse_tensor_document(doc(32)).rank == 32
+
+
+# the decoder: orjson below the opener count, json for the rest
+
+def test_a_shallow_document_over_the_opener_count_reads_through_json(tmp_path, monkeypatch):
+    # dim 2, rank 14: 2**14 - 1 lists and 2**14 components
+    t = new_object(2, (UP,) * 14, 0, _awkward(np.random.default_rng(9), 2, 14))
+    text = format_tensor_document(t)
+    assert text.count("[") + 3 * text.count("{") >= _ORJSON_MAX_OPENERS
+    p = tmp_path / "wide.json"
+    p.write_text(text)
+    monkeypatch.setattr(orjson, "loads", None)  # json reads it, or this fails
+    assert load_tensor_document(str(p)).components.tobytes() == t.components.tobytes()
+
+
+@pytest.mark.parametrize("key", ["dim", "weight"])
+@pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+def test_a_dim_or_weight_beyond_64_bits_is_read_as_a_float_and_refused(tmp_path, key, value):
+    doc = {"dim": 1, "slots": [], "weight": 0, "components": 1.0}
+    doc[key] = value
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    message = f'big.json: "{key}" must be an integer, got {float(value)!r}'
+    with pytest.raises(DocumentError, match=re.escape(message) + "$"):
+        load_tensor_document(str(p))
+
+
+def test_components_beyond_64_bits_read_as_numpys_cast_of_the_integer(tmp_path):
+    # a tie that rounds to even, one just past it, and far beyond 64 bits
+    values = [2**64, 2**64 + 1, 2**70 + 2**17, 2**70 + 2**17 + 1, -(2**63) - 1,
+              10**308 + 1, 3**600]
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"dim": len(values), "slots": ["up"], "components": values}))
+    got = load_tensor_document(str(p)).components
+    assert got.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+def _orjson_limits_depth():
+    """Whether orjson refuses deep nesting (later versions stop at 1,024
+    levels) instead of recursing without a limit, as 3.8 does."""
+    try:
+        orjson.loads(b"[" * 2000 + b"]" * 2000)
+    except orjson.JSONDecodeError:
+        return True
+    return False
+
+
+_CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(documents.__file__).parents[1]))
+
+
+def _child(code, *args):
+    """Run ``code`` in a new interpreter, so that a crash fails the test
+    instead of ending pytest."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=_CHILD_ENV, timeout=120)
+
+
+_DEEP_LOAD = """
+import sys
+from indicial import DocumentError, load_tensor_document
+from indicial.cli import run
+path = sys.argv[1]
+try:
+    load_tensor_document(path)
+except DocumentError as exc:
+    print(str(exc).removeprefix(path))
+print(run(["transform", "--frame", path, "--input", path]))
+"""
+
+
+@pytest.mark.parametrize(
+    "opener, closer", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"]
+)
+def test_a_valid_document_nested_200000_deep_is_not_valid_json(tmp_path, opener, closer):
+    # well past the depth at which orjson's unbounded recursion overflows
+    # the 8 MB main stack (150,000 arrays), and json refuses it
+    p = tmp_path / "deep.json"
+    p.write_text(opener * 200_000 + "1" + closer * 200_000)
+    done = _child(_DEEP_LOAD, str(p))
+    assert done.returncode == 0, done.stderr
+    message, code = done.stdout.splitlines()
+    assert message.startswith(" is not valid JSON: maximum recursion depth exceeded")
+    assert code == "1"
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+_THREAD_DECODE = """
+import sys, threading
+import orjson
+from indicial.documents import _decode
+
+opener, closer = sys.argv[1], sys.argv[2]
+
+
+def text(depth):
+    return (opener * depth + "1" + closer * depth).encode()
+
+
+class Handed(Exception):
+    pass
+
+
+def handed_to_orjson(depth):
+    def loads(data):
+        raise Handed
+    real, orjson.loads = orjson.loads, loads
+    try:
+        _decode(text(depth))
+    except Handed:
+        return True
+    except RecursionError:
+        pass
+    finally:
+        orjson.loads = real
+    return False
+
+
+# the deepest text that the decoder hands to orjson
+low, high = 0, 200_000
+while high - low > 1:
+    mid = (low + high) // 2
+    low, high = (mid, high) if handed_to_orjson(mid) else (low, mid)
+
+
+def decode():
+    try:
+        value = _decode(text(low))
+    except RecursionError:
+        # an orjson with a depth limit refuses the text, and so does json
+        print(low, "refused")
+        return
+    while not isinstance(value, int):
+        value = value[0] if isinstance(value, list) else value["a"]
+    print(low, value)
+
+
+threading.stack_size(1 << 20)
+thread = threading.Thread(target=decode)
+thread.start()
+thread.join()
+"""
+
+
+@pytest.mark.parametrize(
+    "opener, closer",
+    [("[", "]"), ('{"a":', "}"), ('[{"a":', "}]")],
+    ids=["array", "object", "mixed"],
+)
+def test_the_deepest_text_the_guard_hands_to_orjson_decodes_on_a_1_mib_thread(opener, closer):
+    # orjson's recursion crashes a 1 MiB thread at about 16,300 arrays or
+    # 6,550 objects; json could not read these at all (recursion limit)
+    done = _child(_THREAD_DECODE, opener, closer)
+    assert done.returncode == 0, done.stderr
+    depth, value = done.stdout.split()
+    assert value == ("refused" if _orjson_limits_depth() else "1")
+    if opener == "[":
+        # the largest benchmark document holds about 12,230 lists
+        assert int(depth) >= 12_230
 
 
 def test_negative_zero_round_trips():
@@ -609,3 +811,136 @@ def test_a_bool_in_the_deepest_last_row_is_named():
     with pytest.raises(DocumentError, match=f"^{message}$"):
         parse_tensor_document(doc)
     assert _outcome(read_array_per_item, components, 10, 5) == ("error", message)
+
+
+# the decoder against json.load(open(path, encoding="utf-8"))
+
+def _reference_load(path, parse):
+    """``_load`` with ``json.load`` over the file opened as UTF-8 text in
+    place of the decoder, giving the same messages."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
+
+
+_DECODER_KINDS = {
+    "tensor": (load_tensor_document, parse_tensor_document),
+    "frame": (load_frame_document, parse_frame_document),
+    "basis": (load_basis_document, parse_basis_document),
+    "bindings": (lambda path: load_bindings([path]),
+                 lambda obj, path: documents._parse_bindings(obj, path)),
+}
+
+
+def _fingerprint(value):
+    """Types, signatures and float bits of what a loader returned."""
+    if isinstance(value, TensorObject):
+        return (type(value.dim), value.dim, value.slots, type(value.weight), value.weight,
+                value.components.shape, value.components.tobytes())
+    if isinstance(value, list):
+        return [_fingerprint(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _fingerprint(v) for k, v in value.items()}
+    return _fingerprint(value.c), _fingerprint(value.gamma), value.det_gamma
+
+
+def _decoder_outcome(load, path):
+    try:
+        return "ok", _fingerprint(load(path))
+    except (DocumentError, SingularityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=40)
+_NUMBER_SPELLINGS = st.one_of(
+    # a mantissa of up to 40 digits, a fraction and an exponent within +-350
+    st.builds(
+        lambda sign, whole, fraction, e, exponent: (
+            sign + whole.lstrip("0").rjust(1, "0") + fraction + e + exponent),
+        st.sampled_from(["", "-"]),
+        _DIGITS,
+        st.sampled_from([""]) | _DIGITS.map(lambda d: "." + d),
+        st.sampled_from(["", "e", "E", "e+", "e-", "E-"]),
+        st.integers(0, 350).map(str),
+    ).map(lambda text: text + "0" if text[-1] in "eE+-" else text),
+    st.sampled_from([
+        "-0", "0", "-0.0", "0e0", "NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+        "1e-400", "-1e-400", "4.9e-324", "2.4703282292062327e-324", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+    ]),
+    # integers around 2**53, 2**63 and 2**64, of either sign
+    st.builds(lambda base, offset, sign: str(sign * (base + offset)),
+              st.sampled_from([2**53, 2**63, 2**64]), st.integers(-3, 3),
+              st.sampled_from([1, -1])),
+)
+
+
+_INSERTED = [bytes([c]) for c in b'[]{},:" 0-.eE\r\nx']
+
+
+@st.composite
+def _decoder_texts(draw):
+    """A document text of one kind with its numbers spelled many ways, now
+    and then with CRLF line ends, a BOM, an invalid UTF-8 byte, a lone
+    surrogate or one character inserted or deleted."""
+    kind = draw(st.sampled_from(sorted(_DECODER_KINDS)))
+    dim = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, 2)) if kind in ("tensor", "bindings") else 2
+
+    def nest(depth):
+        if depth == rank:
+            return draw(_NUMBER_SPELLINGS)
+        return "[" + ", ".join(nest(depth + 1) for _ in range(dim)) + "]"
+
+    spellings = st.sampled_from(['"up"', '"down"', '"\\ud800"'])
+    slots = ", ".join(draw(spellings) for _ in range(rank))
+    if kind == "frame":
+        text = f'{{"dim": {dim},\n "c": {nest(0)}}}'
+    elif kind == "basis":
+        text = f'{{"dim": {dim},\n "vectors": {nest(0)}}}'
+    else:
+        weight = draw(st.integers(-3, 3))
+        text = (f'{{"dim": {dim},\n "slots": [{slots}],\n "weight": {weight},\n'
+                f' "components": {nest(0)}}}')
+        if kind == "bindings" and draw(st.booleans()):
+            text = f'{{"x": {text},\n "y": {text}}}'
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "bom", "xff"]))
+        if edit == "insert":
+            data = data[:at] + draw(st.sampled_from(_INSERTED)) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + 1:]
+        elif edit == "bom":
+            data = b"\xef\xbb\xbf" + data
+        else:
+            data = data[:at] + b"\xff" + data[at:]
+    return kind, data
+
+
+@settings(max_examples=500, deadline=None)
+@given(_decoder_texts())
+@example(("tensor", b'{"dim": 2, "slots": ["up"],\r\n"components": [1,\r\n 2 x]}'))
+@example(("tensor", b'\xef\xbb\xbf{"dim": 1, "slots": [], "components": 1}'))
+@example(("tensor", b'{"dim": 1, "slots": ["\\ud800"], "components": [1]}'))
+@example(("frame", b'{"dim": 1, "c": [[1e400]]}'))
+@example(("basis", b'{"dim": 1, "vectors": [[18446744073709551617]]}'))
+def test_the_decoder_reads_every_text_as_json_load_does(case):
+    kind, data = case
+    load, parse = _DECODER_KINDS[kind]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        reference = (lambda obj: parse(obj, path)) if kind == "bindings" else parse
+        assert _decoder_outcome(load, path) == _decoder_outcome(
+            lambda p: _reference_load(p, reference), path)

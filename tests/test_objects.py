@@ -361,6 +361,20 @@ def test_exactly_the_storage_cap_is_stored(monkeypatch):
             build()
 
 
+def test_more_slots_than_the_rank_cap_are_refused():
+    # numpy 1.x arrays hold at most 32 dimensions and 2.x at most 64; at
+    # dim 1 only the slot cap stops a build before numpy's own ValueError
+    for build in (lambda: zeros(1, (UP,) * 65),
+                  lambda: new_object(1, (DOWN,) * 33, 0, [2.0]),
+                  lambda: outer_product(zeros(1, (UP,) * 20), zeros(1, (DOWN,) * 20))):
+        with pytest.raises(ShapeError, match=r"^rank (33|40|65) exceeds the slot cap of 32$"):
+            build()
+    assert outer_product(zeros(1, (UP,) * 16), zeros(1, (DOWN,) * 16)).rank == 32
+    # at dim 2 the storage cap binds first, from rank 24
+    with pytest.raises(ShapeError, match="dense storage cap exceeded"):
+        zeros(2, (UP,) * 33)
+
+
 def test_symmetrize():
     rng = np.random.default_rng(7)
     t = new_object(3, (UP, UP), 0, rng.uniform(-1, 1, (3, 3)))
