@@ -14,18 +14,25 @@ contraction's.  A side that shares letters but keeps none is planned 1-D, so
 a mat-vec runs ``A.dot(x)`` and an inner product ``x.dot(w)``: numpy's BLAS
 dispatch makes the same call for a ``(k,)`` vector as for the ``(k, 1)``
 column or ``(1, k)`` row numpy's contraction builds, so the bytes are
-unchanged.  A reshape that would not change an operand's or a product's
-shape is skipped; the plan keeps every shape, since a step's ``cost`` reads
-them.  The bindings are checked inline against the plan's signatures, and
-only a mismatch calls ``_check_binding``, which words the failure.  A plan
-rescheduled by ``order_contractions`` is a new plan with its own replay, so
-it runs in its new order, and a plan whose schedule has a step product
-beyond the dense storage cap is refused before anything is allocated.  The
-result signature was proved by ``validate``, so the result is built without
-re-validation.  It is C-ordered and shares no memory with a binding: only a
-lone factor that is neither traced, multiplied nor scaled can be a view of
-its binding, and only that result is copied; every other one is already a
-fresh array, which ``_result`` freezes in place.
+unchanged.  What the plan fixes is decided when the plan is built, not
+tested per call: a reshape that would not change an operand's or a
+product's shape is absent from the replay (the plan keeps every shape, since
+a step's ``cost`` reads them), each factor names its binding by position, and
+the replay says how the result is owned.  The bindings are checked inline
+against the plan's signatures, each read once, and only a mismatch calls
+``_check_binding``, which words the failure.  A plan rescheduled by
+``order_contractions`` is a new plan with its own replay, so it runs in its
+new order, and a plan whose schedule has a step product beyond the dense
+storage cap is refused before anything is allocated.  The result signature
+was proved by ``validate``, so the result is built without re-validation.
+It is C-ordered and shares no memory with a binding.  When every term ends
+in a step product with no output transpose and the rank is at least 1, the
+result is that fresh product (scaled or summed), which ``execute`` freezes
+in place.  A lone factor that is neither traced, multiplied nor scaled can
+be a view of its binding, so it is copied.  Every other result (a
+transposed term, a rank-0 result, a traced or scaled lone factor) goes
+through ``_result``, which copies a view that is not C-ordered into C
+order and freezes the array.
 Bindings are never mutated, so evaluation is safe to run concurrently.
 """
 
@@ -81,16 +88,18 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
     components.
     """
     try:
-        checks, largest, terms, lone, (dim, result_slots, weight) = plan._replay
+        checks, largest, terms, lone, fresh, (dim, result_slots, weight) = plan._replay
     except AttributeError:
         raise ShapeError(
             f"plan must be a ContractionPlan, got {type(plan).__name__}"
         ) from None
+    arrays = []
     try:
         for name, signature in checks:
             t = bindings.get(name)
             if type(t) is not TensorObject or (t.dim, t.slots, t.weight) != signature:
                 _check_binding(plan.mode, name, signature, bindings)
+            arrays.append(t.components)
     except AttributeError:
         # only bindings.get raises it: t is read once its type is known
         raise ShapeError(
@@ -104,8 +113,8 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
     total: np.ndarray | None = None
     for factors, steps, output_axes, coefficient in terms:
         items = []
-        for name, index, traces in factors:
-            arr = bindings[name].components
+        for at, index, traces in factors:
+            arr = arrays[at]
             if index is not None:
                 arr = arr[index]
             for a, b in traces:
@@ -119,12 +128,12 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
                 left = left.transpose(left_perm)
             if right_perm is not None:
                 right = right.transpose(right_perm)
-            if left.shape != left_shape:
+            if left_shape is not None:
                 left = left.reshape(left_shape)
-            if right.shape != right_shape:
+            if right_shape is not None:
                 right = right.reshape(right_shape)
             product = left.dot(right)
-            if product.shape != result_shape:
+            if result_shape is not None:
                 product = product.reshape(result_shape)
             items[left_at] = product
         arr = items[0]
@@ -133,6 +142,10 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
         if coefficient != 1.0:
             arr = arr * coefficient
         total = arr if total is None else total + arr
+    if fresh:
+        # a step product, scaled or summed: C-ordered and held by no one else
+        total.setflags(False)
+        return TensorObject(dim, result_slots, weight, total)
     if lone:
         # indexing and transposing do not copy, so a lone factor, neither
         # traced, multiplied nor scaled, is still a view of its binding;

@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..errors import AddressingError, ConventionError, ShapeError
 from ..objects import (
@@ -71,15 +71,15 @@ class Mode(enum.Enum):
 Signature = tuple[int, tuple[Variance, ...], int]  # (dim, slots, weight)
 
 
-@dataclass(frozen=True)
-class FactorPlan:
+class FactorPlan(NamedTuple):
     """One factor occurrence lowered against its binding.
 
     ``index`` pins the fixed digits by basic indexing: ``value - 1`` in a
     pinned slot, ``slice(None)`` in every other one, or ``()`` when no
     digit is fixed.  ``traces`` are the axis pairs contracted inside the
     factor, numbered after slicing and after the earlier traces.
-    ``open_letters`` name the axes that remain, in order.
+    ``open_letters`` name the axes that remain, in order.  A named tuple,
+    for the reason ``ScheduleStep`` gives.
     """
 
     name: str
@@ -88,8 +88,7 @@ class FactorPlan:
     open_letters: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
+class ScheduleStep(NamedTuple):
     """Contract working items ``left`` and ``right`` (left < right) as one
     matrix product.
 
@@ -105,7 +104,10 @@ class ScheduleStep:
     ``(1, 1)``.  The product, reshaped to ``result_shape``, replaces
     position ``left`` and position ``right`` is removed.  ``cost``, the
     multiply-add estimate dim ** |letter union|, is derived from the two
-    shapes, a 1-D side counting as its length.
+    shapes, a 1-D side counting as its length.  A named tuple, not a frozen
+    dataclass: a compile miss builds one per step of each schedule it
+    tries, and a frozen dataclass's ``__init__``, one ``object.__setattr__``
+    per field, costs about three times as much.
     """
 
     left: int
@@ -149,8 +151,9 @@ class ContractionPlan:
 
     The plan derives its replay once, at construction: one flat tuple of
     plain values holding everything ``execute`` reads, so ``execute`` walks
-    none of the plan's objects.  A plan made by ``dataclasses.replace`` or
-    by unpickling goes through the constructor and derives its own.
+    none of the plan's objects and re-tests none of the facts the plan
+    fixes.  A plan made by ``dataclasses.replace`` or by unpickling goes
+    through the constructor and derives its own.
     """
 
     mode: Mode
@@ -160,14 +163,21 @@ class ContractionPlan:
     free_letters: tuple[str, ...]
     signatures: Mapping[str, Signature]
     terms: tuple[TermPlan, ...]
-    # (checks, largest, terms, lone, (dim, result_slots, weight)):
+    # (checks, largest, terms, lone, fresh, (dim, result_slots, weight)):
     #   checks: (name, signature) per referenced name;
     #   largest: the largest step product of any term;
     #   terms: (factors, steps, output_axes, coefficient) per term, each
-    #     factor (name, index or None, traces) and each step the fields of
-    #     its ScheduleStep in order;
+    #     factor (its binding's position in checks, index or None, traces)
+    #     and each step the fields of its ScheduleStep in order, with None
+    #     for a left, right or result shape that the reshape would not
+    #     change: a working item's shape is (dim,) * its letter count, and
+    #     a product's is left_shape[:-1] + right_shape[1:];
     #   lone: whether the result can be a view of a binding (one term, a
-    #     lone untraced factor, coefficient 1)
+    #     lone untraced factor, coefficient 1), so execute copies it;
+    #   fresh: whether the result is a step product that no binding holds,
+    #     already C-ordered (rank >= 1, and every term ends in a step with
+    #     no output transpose), so execute freezes it in place; a result
+    #     neither lone nor fresh goes through objects._result
     _replay: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,27 +185,40 @@ class ContractionPlan:
             object.__setattr__(
                 self, "signatures", MappingProxyType(dict(self.signatures))
             )
+        names = tuple(self.signatures)
+        dim = self.dim
         terms = self.terms
+        replay_terms = []
+        largest = 0
+        fresh = self.result_slots != ()
+        for t in terms:
+            factors, shapes = [], []
+            for f in t.factors:
+                factors.append((names.index(f.name), f.index or None, f.traces))
+                shapes.append((dim,) * len(f.open_letters))
+            steps = []
+            for (left, right, left_perm, left_shape,
+                 right_perm, right_shape, result_shape) in t.steps:
+                steps.append((
+                    left, right,
+                    left_perm, None if shapes[left] == left_shape else left_shape,
+                    right_perm, None if shapes.pop(right) == right_shape else right_shape,
+                    None if left_shape[:-1] + right_shape[1:] == result_shape
+                    else result_shape,
+                ))
+                shapes[left] = result_shape
+            replay_terms.append((tuple(factors), tuple(steps), t.output_axes, t.coefficient))
+            largest = max(largest, t.largest_intermediate)
+            fresh = fresh and steps != [] and t.output_axes is None
         first = terms[0]
         object.__setattr__(self, "_replay", (
             tuple(self.signatures.items()),
-            max([t.largest_intermediate for t in terms]),
-            tuple([
-                (
-                    tuple([(f.name, f.index or None, f.traces) for f in t.factors]),
-                    tuple([
-                        (s.left, s.right, s.left_perm, s.left_shape,
-                         s.right_perm, s.right_shape, s.result_shape)
-                        for s in t.steps
-                    ]),
-                    t.output_axes,
-                    t.coefficient,
-                )
-                for t in terms
-            ]),
+            largest,
+            tuple(replay_terms),
             len(terms) == 1 and not first.steps and first.coefficient == 1.0
             and not first.factors[0].traces,
-            (self.dim, self.result_slots, self.weight),
+            fresh,
+            (dim, self.result_slots, self.weight),
         ))
 
     def __reduce__(self) -> tuple:

@@ -9,7 +9,9 @@ refuses assignment and deletion, and the backing array is marked read-only.
 Two builders apply that storage rule.  ``new_object`` is the one for caller
 data: it validates and always copies its input, so an object never shares
 memory with the caller's array.  ``_result`` is the one for an array the
-library has just computed: it freezes that array in place.
+library has just computed: it freezes that array in place.  ``execute``
+freezes a result its plan knows to be a fresh C-ordered product itself,
+without the ``np.asarray`` that ``_result`` runs.
 ``matrix_object`` reads a square array-like into one fresh copy of its own
 and freezes that through ``_result``.  Pickling and copying rebuild through
 ``new_object``.  Every operation is a pure function, so values can be
@@ -174,7 +176,11 @@ def new_object(
         if s is not UP and s is not DOWN:
             require_signature(dim, slots, weight)
     rank = len(slots)
-    size = require_storable(dim, rank)
+    # require_storable's test inline, on the same bounded power; it
+    # decides and words every refusal
+    size = dim ** rank if dim <= MAX_COMPONENTS and rank <= MAX_RANK else MAX_COMPONENTS + 1
+    if size > MAX_COMPONENTS:
+        size = require_storable(dim, rank)
     # the reader's fast path inline, so a float64 ndarray pays no extra call
     fast = type(components) is np.ndarray and components.dtype is _FLOAT64
     arr = components.copy() if fast else _read_array(components, "components")
@@ -343,15 +349,29 @@ def is_index_value(v: object) -> bool:
 
 def require_storable(dim: int, rank: int) -> int:
     """``dim ** rank``; ShapeError when it exceeds the dense storage cap or
-    ``rank`` exceeds the slot cap (at dim >= 2 the storage cap binds first)."""
-    size = dim ** rank
-    if size > MAX_COMPONENTS:
+    ``rank`` exceeds the slot cap.
+
+    The storage cap binds first, so the slot cap alone refuses at dim 1.
+    The power is computed only with dim and rank within both caps, so it
+    never exceeds ``MAX_COMPONENTS ** MAX_RANK``.  Past either cap at
+    dim >= 2 the power is past the storage cap, since ``MAX_COMPONENTS``
+    is below ``2 ** (MAX_RANK + 1)``, and that refusal names the rank, not
+    a power that can be too long for Python to format.
+    """
+    if dim <= MAX_COMPONENTS and rank <= MAX_RANK:
+        size = dim ** rank
+        if size > MAX_COMPONENTS:
+            raise ShapeError(
+                f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
+            )
+        return size
+    if dim > 1 and rank > 0:
         raise ShapeError(
-            f"dense storage cap exceeded: dim**rank = {size} > {MAX_COMPONENTS}"
+            f"dense storage cap exceeded: dim**rank > {MAX_COMPONENTS} at rank {rank}"
         )
     if rank > MAX_RANK:
         raise ShapeError(f"rank {rank} exceeds the slot cap of {MAX_RANK}")
-    return size
+    return 1
 
 
 def require_vector(x: object, dim: int, what: str = "vector") -> np.ndarray:

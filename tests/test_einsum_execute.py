@@ -360,6 +360,60 @@ def test_dim_one_runs_the_same_replay():
         _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
 
 
+_DECISION_SLOTS = {"a": (UP, DOWN), "b": (UP, DOWN, DOWN), "g": (DOWN, DOWN),
+                   "h": (UP, UP), "u": (UP,), "v": (DOWN,), "w": (DOWN,),
+                   "x": (UP,), "y": (UP,)}
+
+
+# Per statement: each term's steps as the reshapes the replay keeps at dim 3
+# and at dim 1 (left, right, product; None where the shape would not
+# change), then whether the result is a lone factor (copied) and whether it
+# is a fresh step product (frozen in place).
+@pytest.mark.parametrize("text, at_three, at_one, lone, fresh", [
+    # mat-vec: no reshape, fresh result
+    ("y^r = a^r_s x^s", [[(None, None, None)]], [[(None, None, None)]], False, True),
+    # outer product: both operands reshaped
+    ("t^r_s = u^r v_s", [[((3, 1), (1, 3), None)]], [[((1, 1), (1, 1), None)]],
+     False, True),
+    # right operand and product reshaped
+    ("H^r_{st} = a^r_u b^u_{st}", [[(None, (3, 9), (3, 3, 3))]],
+     [[(None, (1, 1), (1, 1, 1))]], False, True),
+    # the left reshape is a no-op only at dim 1
+    ("t^{rs}_u = h^{rs} w_u", [[((9, 1), (1, 3), (3, 3, 3))]],
+     [[(None, (1, 1), (1, 1, 1))]], False, True),
+    # transposed target: not fresh
+    ("T^{sr} = x^r y^s", [[((3, 1), (1, 3), None)]], [[((1, 1), (1, 1), None)]],
+     False, False),
+    # rank-0 result: not fresh
+    ("s = x^r w_r", [[(None, None, None)]], [[(None, None, None)]], False, False),
+    # a lone factor: copied
+    ("y^r = x^r", [[]], [[]], True, False),
+    # two terms, each ending in a step: fresh
+    ("y^r = 2 * a^r_s x^s + a^r_s y^s", [[(None, None, None)]] * 2,
+     [[(None, None, None)]] * 2, False, True),
+    # two terms, one without a step: not fresh
+    ("w^r = a^r_s x^s + x^r", [[(None, None, None)], []], [[(None, None, None)], []],
+     False, False),
+])
+def test_the_plan_decides_reshapes_and_result_ownership(text, at_three, at_one, lone, fresh):
+    for dim, steps in ((3, at_three), (1, at_one)):
+        bind = {n: _obj(dim, slots, seed=k) for k, (n, slots) in enumerate(_DECISION_SLOTS.items())}
+        plan = validate(parse(text), bind)
+        _, _, terms, got_lone, got_fresh, _ = plan._replay
+        assert [[(step[3], step[5], step[6]) for step in term[1]] for term in terms] == steps
+        assert (got_lone, got_fresh) == (lone, fresh)
+        _assert_replay_matches_tensordot(plan, bind)
+
+
+def test_each_binding_is_read_once_by_position():
+    bind = {"g": _obj(3, (DOWN, DOWN), seed=60), "x": _obj(3, (UP,), seed=61)}
+    plan = validate(parse("s = g_{rs} x^r x^s"), bind)
+    checks, _, ((factors, _, _, _),), _, _, _ = plan._replay
+    assert [name for name, _ in checks] == ["g", "x"]
+    assert [at for at, _, _ in factors] == [0, 1, 1]
+    _assert_replay_matches_tensordot(plan, bind)
+
+
 def test_a_step_of_exactly_the_cap_runs(monkeypatch):
     bind = {"x": new_object(3, (UP,), 0, [1.0, 2.0, 3.0]),
             "y": new_object(3, (DOWN,), 0, [1.0, 1.0, 1.0])}

@@ -11,7 +11,13 @@ from indicial import objects
 from indicial.determinants import determinant, inverse, singularity_threshold
 from indicial.einsum import execute, parse, validate
 from indicial.errors import AddressingError, ConventionError, ShapeError
-from indicial.frames import compose, frame_from_matrix, transform, transform_basis
+from indicial.frames import (
+    compose,
+    frame_from_matrix,
+    identity_frame,
+    transform,
+    transform_basis,
+)
 from indicial.metric import (
     cross,
     levi_civita_tensor,
@@ -373,6 +379,38 @@ def test_more_slots_than_the_rank_cap_are_refused():
     # at dim 2 the storage cap binds first, from rank 24
     with pytest.raises(ShapeError, match="dense storage cap exceeded"):
         zeros(2, (UP,) * 33)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: new_object(10**135, (UP,) * 32, 0, []),
+    lambda: zeros(10**135, (UP,) * 32),
+    lambda: new_object(2, (UP,) * 20000, 0, []),
+    lambda: identity_frame(10**3000),
+    lambda: validate(parse("y^{abcdefghijklmnopqrstuvwxyz} = x^{abcdefghijklmnopqrstuvwxyz}"),
+                     {"x": (10**200, (UP,) * 26, 0)}),
+    lambda: new_object(10**9, (UP,) * 100_000, 0, []),
+], ids=["new_object", "zeros", "rank-20000", "identity_frame", "validate", "rank-100000"])
+def test_a_power_too_long_to_format_is_refused_by_the_storage_cap(build):
+    # dim**rank has more digits than Python formats (4300): the refusal
+    # names the rank instead, and the power is never built
+    with pytest.raises(ShapeError,
+                       match=r"^dense storage cap exceeded: dim\*\*rank > 10000000 at rank \d+$"):
+        build()
+
+
+def test_the_storage_cap_formats_a_power_only_within_both_caps():
+    assert objects.require_storable(2, 23) == 2**23
+    assert objects.require_storable(10**7, 1) == 10**7
+    assert objects.require_storable(10**5000, 0) == 1
+    assert objects.require_storable(1, 32) == 1
+    # a rank-0 object stores one component at any dim
+    assert new_object(10**50, (), 0, 2.0).as_scalar() == 2.0
+    for dim, rank, power in ((3163, 2, 10004569), (2, 24, 2**24), (2, 32, 2**32)):
+        with pytest.raises(ShapeError, match=f"^dense storage cap exceeded: dim\\*\\*rank = {power} > 10000000$"):
+            objects.require_storable(dim, rank)
+    for dim, rank in ((2, 33), (10**7 + 1, 1), (10**5000, 33)):
+        with pytest.raises(ShapeError, match=f"^dense storage cap exceeded: dim\\*\\*rank > 10000000 at rank {rank}$"):
+            objects.require_storable(dim, rank)
 
 
 def test_symmetrize():
