@@ -1,11 +1,11 @@
 """Evaluate a ContractionPlan against concrete bindings.
 
-The plan holds every numpy argument and derives its replay once, at
-construction: one flat tuple of plain values (see ``ContractionPlan``).  On
-its way to a result ``execute`` reads nothing else, so it walks none of the
-plan's objects; it only replays the tuple: index and trace each factor, run
-each step as one matrix product whose operand permutations and shapes the
-plan fixed, transpose and scale each term, sum the terms.  A trace is
+The plan holds every numpy argument as plain tuples, built once when each
+term is scheduled, and keeps them in its replay (see ``ContractionPlan``).
+On its way to a result ``execute`` reads nothing else, so it walks none of
+the plan's objects; it only replays the tuple: index and trace each factor,
+run each step as one matrix product whose operand permutations and shapes
+the plan fixed, transpose and scale each term, sum the terms.  A trace is
 ``objects._trace``, the reduction ``np.trace`` runs, without its Python
 wrapper; ``contract`` traces through it too.  The product is
 ``ndarray.dot``, the product numpy's own pairwise tensor contraction ends in
@@ -16,11 +16,10 @@ dispatch makes the same call for a ``(k,)`` vector as for the ``(k, 1)``
 column or ``(1, k)`` row numpy's contraction builds, so the bytes are
 unchanged.  What the plan fixes is decided when the plan is built, not
 tested per call: a reshape that would not change an operand's or a
-product's shape is absent from the replay (the plan keeps every shape, since
-a step's ``cost`` reads them), each factor names its binding by position, and
-the replay says how the result is owned.  The bindings are checked inline
-against the plan's signatures, each read once, and only a mismatch calls
-``_check_binding``, which words the failure.  A plan rescheduled by
+product's shape is absent from the replay, each factor names its binding by
+position, and the replay says how the result is owned.  The bindings are
+checked inline against the plan's signatures, each read once, and only a
+mismatch calls ``_check_binding``, which words the failure.  A plan rescheduled by
 ``order_contractions`` is a new plan with its own replay, so it runs in its
 new order, and a plan whose schedule has a step product beyond the dense
 storage cap is refused before anything is allocated.  The result signature
@@ -111,7 +110,7 @@ def execute(plan: ContractionPlan, bindings: dict[str, TensorObject]) -> TensorO
             f"{largest} > {MAX_COMPONENTS} components"
         )
     total: np.ndarray | None = None
-    for factors, steps, output_axes, coefficient in terms:
+    for factors, steps, output_axes, coefficient, _ in terms:
         items = []
         for at, index, traces in factors:
             arr = arrays[at]

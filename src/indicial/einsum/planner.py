@@ -3,19 +3,23 @@
 ``validate`` checks a statement against the bound signatures and lowers it
 into a ContractionPlan holding only what execution reads: per factor, the
 index tuple that pins fixed digits and the axis pairs to trace; per term,
-the pairwise schedule and the transpose into target order.  Each step is
-lowered to one matrix product: the permutation that moves each operand's
-shared letters inward and the shapes ``(d**m, d**k)`` and ``(d**k, d**n)``
-are fixed here, together with the result shape.  A side that shares letters
-but keeps none is the 1-D vector ``(d**k,)``: numpy's BLAS dispatch makes
-the same call for it as for the ``(1, d**k)`` row or ``(d**k, 1)`` column
-that ``np.tensordot`` builds, so the bytes still equal that contraction's.
-The term records its largest step product so that execution can refuse one
-beyond the dense storage cap before it allocates.  The default schedule
-contracts left to right; ``order_contractions`` reschedules greedily, always
-merging the pair with the smallest result first (ties broken by position),
-and keeps a term's given schedule when that one is cheaper, which never
-changes values, only cost.
+the pairwise schedule and the transpose into target order.  Each term's
+steps are built once, where the term is scheduled, as the plain tuples
+``execute`` replays.  Each step is lowered to one matrix product: the
+permutation that moves each operand's shared letters inward and the shapes
+``(d**m, d**k)`` and ``(d**k, d**n)`` are fixed here, together with the
+result shape, and a reshape that would not change a shape is left out.  A
+side that shares letters but keeps none is the 1-D vector ``(d**k,)``:
+numpy's BLAS dispatch makes the same call for it as for the ``(1, d**k)``
+row or ``(d**k, 1)`` column that ``np.tensordot`` builds, so the bytes
+still equal that contraction's.  Each term also records what rescheduling
+reads: its factors' open letters, its costs and its largest step product,
+which execution also reads, to refuse a step beyond the dense storage cap
+before it allocates.  The default schedule contracts left to right;
+``order_contractions`` reschedules greedily, always merging the pair with
+the smallest result first (ties broken by position), and keeps a term's
+given schedule when that one is cheaper, which never changes values, only
+cost.
 
 Both stages memoize, as ``parse`` does, in caches of ``CACHE_SIZE``
 entries: ``validate`` on the statement, the mode and the signatures of the
@@ -42,10 +46,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from ..errors import AddressingError, ConventionError, ShapeError
 from ..objects import (
@@ -71,89 +74,19 @@ class Mode(enum.Enum):
 Signature = tuple[int, tuple[Variance, ...], int]  # (dim, slots, weight)
 
 
-class FactorPlan(NamedTuple):
-    """One factor occurrence lowered against its binding.
-
-    ``index`` pins the fixed digits by basic indexing: ``value - 1`` in a
-    pinned slot, ``slice(None)`` in every other one, or ``()`` when no
-    digit is fixed.  ``traces`` are the axis pairs contracted inside the
-    factor, numbered after slicing and after the earlier traces.
-    ``open_letters`` name the axes that remain, in order.  A named tuple,
-    for the reason ``ScheduleStep`` gives.
-    """
-
-    name: str
-    index: tuple[int | slice, ...]
-    traces: tuple[tuple[int, int], ...]
-    open_letters: tuple[str, ...]
-
-
-class ScheduleStep(NamedTuple):
-    """Contract working items ``left`` and ``right`` (left < right) as one
-    matrix product.
-
-    ``left_perm`` moves the left item's shared letters last and
-    ``right_perm`` moves the right item's shared letters first, in the same
-    order (None when the item is already in that order).  The operands are
-    then reshaped to ``left_shape`` ``(d**m, d**k)`` and ``right_shape``
-    ``(d**k, d**n)``, except that a side sharing ``k > 0`` letters and
-    keeping none is the 1-D vector ``(d**k,)``, which numpy's BLAS dispatch
-    takes as it takes a ``(1, d**k)`` row or a ``(d**k, 1)`` column, so the
-    bytes are those of the 2-D product.  An outer product has ``k = 0``, so
-    its inner axis has length 1, and a side that shares and keeps nothing is
-    ``(1, 1)``.  The product, reshaped to ``result_shape``, replaces
-    position ``left`` and position ``right`` is removed.  ``cost``, the
-    multiply-add estimate dim ** |letter union|, is derived from the two
-    shapes, a 1-D side counting as its length.  A named tuple, not a frozen
-    dataclass: a compile miss builds one per step of each schedule it
-    tries, and a frozen dataclass's ``__init__``, one ``object.__setattr__``
-    per field, costs about three times as much.
-    """
-
-    left: int
-    right: int
-    left_perm: tuple[int, ...] | None
-    left_shape: tuple[int, ...]
-    right_perm: tuple[int, ...] | None
-    right_shape: tuple[int, ...]
-    result_shape: tuple[int, ...]
-
-    @property
-    def cost(self) -> int:
-        # the inner axis is the last of left_shape and the first of right_shape
-        return math.prod(self.left_shape) * math.prod(self.right_shape[1:])
-
-
-@dataclass(frozen=True)
-class TermPlan:
-    """``output_axes`` transposes the last working item into target order
-    (None when it is already in it).  ``largest_intermediate`` counts the
-    components of the largest step product (0 when there is no step)."""
-
-    coefficient: float
-    factors: tuple[FactorPlan, ...]
-    steps: tuple[ScheduleStep, ...]
-    output_axes: tuple[int, ...] | None
-    largest_intermediate: int
-    prep_cost: int
-    naive_cost: int
-
-    @property
-    def scheduled_cost(self) -> int:
-        return self.prep_cost + sum(s.cost for s in self.steps)
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionPlan:
     """A lowered statement.  Plans are shared, so ``signatures`` is read-only
     (a plain mapping passed in is copied and wrapped) and a plan compares
     and hashes by identity.
 
-    The plan derives its replay once, at construction: one flat tuple of
-    plain values holding everything ``execute`` reads, so ``execute`` walks
-    none of the plan's objects and re-tests none of the facts the plan
-    fixes.  A plan made by ``dataclasses.replace`` or by unpickling goes
-    through the constructor and derives its own.
+    ``terms`` is the plan's one representation of its schedule: plain
+    tuples, built where each term is scheduled, that ``execute`` replays as
+    they are.  The replay holds the same term tuples beside the few facts
+    ``execute`` reads of the plan itself, so ``execute`` walks none of the
+    plan's objects and re-tests none of the facts the plan fixes.  A plan
+    made by ``dataclasses.replace`` or by unpickling goes through the
+    constructor and derives its own replay.
     """
 
     mode: Mode
@@ -162,16 +95,22 @@ class ContractionPlan:
     weight: int
     free_letters: tuple[str, ...]
     signatures: Mapping[str, Signature]
-    terms: tuple[TermPlan, ...]
+    # (factors, steps, output_axes, coefficient, schedule) per term:
+    #   factors: (its binding's position in signatures, index or None,
+    #     traces) per factor;
+    #   steps: (left, right, left_perm, left_shape, right_perm, right_shape,
+    #     result_shape) per step, with None for a perm that is the identity
+    #     and for a shape that the reshape would not change: a working
+    #     item's shape is (dim,) * its letter count, and a product's is
+    #     left_shape[:-1] + right_shape[1:];
+    #   schedule: (letters, prep_cost, naive_cost, cost, largest), what
+    #     order_contractions reads: each factor's open letters, the cost of
+    #     the traces, of the naive loop and of the steps, and the largest
+    #     step product (0 when there is no step)
+    terms: tuple[tuple, ...]
     # (checks, largest, terms, lone, fresh, (dim, result_slots, weight)):
     #   checks: (name, signature) per referenced name;
     #   largest: the largest step product of any term;
-    #   terms: (factors, steps, output_axes, coefficient) per term, each
-    #     factor (its binding's position in checks, index or None, traces)
-    #     and each step the fields of its ScheduleStep in order, with None
-    #     for a left, right or result shape that the reshape would not
-    #     change: a working item's shape is (dim,) * its letter count, and
-    #     a product's is left_shape[:-1] + right_shape[1:];
     #   lone: whether the result can be a view of a binding (one term, a
     #     lone untraced factor, coefficient 1), so execute copies it;
     #   fresh: whether the result is a step product that no binding holds,
@@ -185,40 +124,21 @@ class ContractionPlan:
             object.__setattr__(
                 self, "signatures", MappingProxyType(dict(self.signatures))
             )
-        names = tuple(self.signatures)
-        dim = self.dim
         terms = self.terms
-        replay_terms = []
         largest = 0
         fresh = self.result_slots != ()
-        for t in terms:
-            factors, shapes = [], []
-            for f in t.factors:
-                factors.append((names.index(f.name), f.index or None, f.traces))
-                shapes.append((dim,) * len(f.open_letters))
-            steps = []
-            for (left, right, left_perm, left_shape,
-                 right_perm, right_shape, result_shape) in t.steps:
-                steps.append((
-                    left, right,
-                    left_perm, None if shapes[left] == left_shape else left_shape,
-                    right_perm, None if shapes.pop(right) == right_shape else right_shape,
-                    None if left_shape[:-1] + right_shape[1:] == result_shape
-                    else result_shape,
-                ))
-                shapes[left] = result_shape
-            replay_terms.append((tuple(factors), tuple(steps), t.output_axes, t.coefficient))
-            largest = max(largest, t.largest_intermediate)
-            fresh = fresh and steps != [] and t.output_axes is None
-        first = terms[0]
+        for _, steps, output_axes, _, schedule in terms:
+            largest = max(largest, schedule[4])
+            fresh = fresh and steps != () and output_axes is None
+        factors, steps, _, coefficient, _ = terms[0]
         object.__setattr__(self, "_replay", (
             tuple(self.signatures.items()),
             largest,
-            tuple(replay_terms),
-            len(terms) == 1 and not first.steps and first.coefficient == 1.0
-            and not first.factors[0].traces,
+            terms,
+            len(terms) == 1 and steps == () and coefficient == 1.0
+            and factors[0][2] == (),
             fresh,
-            (dim, self.result_slots, self.weight),
+            (self.dim, self.result_slots, self.weight),
         ))
 
     def __reduce__(self) -> tuple:
@@ -231,11 +151,17 @@ class ContractionPlan:
 
     @property
     def total_cost(self) -> int:
-        return sum(t.scheduled_cost for t in self.terms)
+        return sum([prep + cost for *_, (_, prep, _, cost, _) in self.terms])
 
     @property
     def naive_cost(self) -> int:
-        return sum(t.naive_cost for t in self.terms)
+        return sum([naive for *_, (_, _, naive, _, _) in self.terms])
+
+    @property
+    def largest_intermediate(self) -> int:
+        """The components of the largest step product of any term, which
+        ``execute`` refuses beyond the dense storage cap (0 with no step)."""
+        return self._replay[1]
 
 
 def _signature(name: str, value: object) -> Signature:
@@ -246,8 +172,10 @@ def _signature(name: str, value: object) -> Signature:
         raise ShapeError(
             f"signature for {name!r} must be a TensorObject or (dim, slots, weight)"
         ) from None
-    # the rules and messages of new_object: no coercion of 3.7, "3" or True
+    # the rules and messages of new_object: no coercion of 3.7, "3" or True,
+    # and no signature past the storage cap, whose costs would be huge ints
     require_signature(dim, slots, weight)
+    require_storable(dim, len(slots))
     return (dim, slots, weight)
 
 
@@ -257,13 +185,17 @@ def _lower_factor(
     mode: Mode,
     dim: int,
     occurrences: dict[str, list[Variance]],
-) -> tuple[FactorPlan, int]:
-    """Lower one factor against its bound slots; return its plan and the
-    cost of its self-contractions.
+) -> tuple[tuple | None, tuple[tuple[int, int], ...], tuple[str, ...], int]:
+    """Lower one factor against its bound slots; return its index, its
+    traces, its open letters and the cost of its self-contractions.
 
     Each written letter's variance is appended to ``occurrences``, in
-    written order.  A digit pins its slot, and a letter written twice in the
-    factor is traced, leftmost pair first.
+    written order.  A digit pins its slot: the index holds ``value - 1`` in
+    a pinned slot and ``slice(None)`` in every other one, and is None when
+    no digit is written.  A letter written twice in the factor is traced,
+    leftmost pair first: the traces are axis pairs numbered after slicing
+    and after the earlier traces.  The open letters name the axes that
+    remain, in order.
     """
     indices = factor.indices
     if len(indices) != len(slots):
@@ -281,7 +213,7 @@ def _lower_factor(
     if mode is Mode.STRICT and tuple([spec.variance for spec in indices]) != slots:
         indices = _in_slot_order(factor, slots)
     letters = [spec.letter for spec in indices]
-    index: tuple[int | slice, ...] = ()
+    index = None
     if not "".join(letters).isalpha():  # a digit pins a slot
         for spec in factor.indices:
             if spec.is_fixed and int(spec.letter) > dim:
@@ -303,7 +235,7 @@ def _lower_factor(
             traces.append((a, b))
             cost += dim ** len(letters)
             del letters[b], letters[a]
-    return FactorPlan(factor.name, index, tuple(traces), tuple(letters)), cost
+    return index, tuple(traces), tuple(letters), cost
 
 
 def _in_slot_order(factor: FactorRef, slots: tuple[Variance, ...]) -> list:
@@ -354,8 +286,9 @@ def _resolve(
 ) -> tuple[tuple[str, Signature], ...]:
     """The signature of each referenced name, by first appearance.
 
-    Raises the binding errors: an unbound or malformed name, or a dim that
-    differs from the first factor's.
+    Raises the binding errors: an unbound or malformed name (a signature
+    past the storage cap among them), or a dim that differs from the first
+    factor's.
     """
     try:
         names = statement.names
@@ -407,21 +340,25 @@ def _lower(
 ) -> ContractionPlan:
     # every check reads only the statement, the mode and these signatures
     signatures = dict(key)
+    names = list(signatures)
     dim = key[0][1][0]
 
-    lowered: list[tuple[float, tuple[FactorPlan, ...], int, int]] = []
+    lowered = []
     term_free: list[dict[str, Variance]] = []
     term_weights: list[int] = []
 
     for term in statement.terms:
         # letter -> written variance of each occurrence
         occurrences: dict[str, list[Variance]] = {}
-        factor_plans = []
+        factors, letters = [], []
         prep_cost = weight = 0
         for factor in term.factors:
             _, slots, w = signatures[factor.name]
-            fp, cost = _lower_factor(factor, slots, mode, dim, occurrences)
-            factor_plans.append(fp)
+            index, traces, open_letters, cost = _lower_factor(
+                factor, slots, mode, dim, occurrences
+            )
+            factors.append((names.index(factor.name), index, traces))
+            letters.append(open_letters)
             prep_cost += cost
             weight += w
 
@@ -440,9 +377,8 @@ def _lower(
                     f"summed index {letter!r} must appear once as an upper and "
                     f"once as a lower index, got {v1.value} and {v2.value}"
                 )
-        lowered.append(
-            (term.coefficient, tuple(factor_plans), prep_cost, dim ** len(occurrences))
-        )
+        lowered.append((tuple(factors), term.coefficient, tuple(letters),
+                        prep_cost, dim ** len(occurrences)))
         term_free.append(free)
         term_weights.append(weight)
 
@@ -497,9 +433,12 @@ def _lower(
     require_storable(dim, len(free_letters))
 
     terms = []
-    for coeff, factors, prep, naive in lowered:
-        schedule = _schedule(factors, free_letters, dim, _first_pair)
-        terms.append(TermPlan(coeff, factors, *schedule, prep, naive))
+    for factors, coefficient, letters, prep, naive in lowered:
+        steps, output_axes, cost, largest = _schedule(
+            letters, free_letters, dim, _first_pair
+        )
+        terms.append((factors, steps, output_axes, coefficient,
+                      (letters, prep, naive, cost, largest)))
     return ContractionPlan(
         mode, dim, result_slots, term_weights[0], free_letters,
         MappingProxyType(signatures), tuple(terms),
@@ -531,16 +470,32 @@ def _perm(letters: tuple[str, ...], order: tuple[str, ...]) -> tuple[int, ...] |
 
 
 def _schedule(
-    factors: tuple[FactorPlan, ...],
+    letters: tuple[tuple[str, ...], ...],
     free_letters: tuple[str, ...],
     dim: int,
     pick: Callable[[list[tuple[str, ...]], int], tuple[int, int]],
-) -> tuple[tuple[ScheduleStep, ...], tuple[int, ...] | None, int]:
-    """Contract the pairs ``pick`` chooses; return the steps, the output
-    transpose and the largest step product."""
-    items = [f.open_letters for f in factors]
+) -> tuple[tuple[tuple, ...], tuple[int, ...] | None, int, int]:
+    """Contract the pairs ``pick`` chooses among factors with open
+    ``letters``; return the replay's steps, the output transpose, the cost
+    of the steps and the largest step product.
+
+    Each step contracts working items ``left`` and ``right`` (left < right)
+    as one matrix product.  ``left_perm`` moves the left item's shared
+    letters last and ``right_perm`` moves the right item's shared letters
+    first, in the same order (None when the item is already in that order).
+    The operands are then reshaped to ``(d**m, d**k)`` and ``(d**k, d**n)``,
+    except that a side sharing ``k > 0`` letters and keeping none is the 1-D
+    vector ``(d**k,)``, which numpy's BLAS dispatch takes as it takes a
+    ``(1, d**k)`` row or a ``(d**k, 1)`` column, so the bytes are those of
+    the 2-D product.  An outer product has ``k = 0``, so its inner axis has
+    length 1, and a side that shares and keeps nothing is ``(1, 1)``.  The
+    product, reshaped to the result's ``(d,) * (m + n)``, replaces position
+    ``left`` and position ``right`` is removed.  A step costs
+    ``dim ** |letter union|`` multiply-adds.
+    """
+    items = list(letters)
     steps = []
-    largest = 0
+    cost = largest = 0
     while len(items) > 1:
         i, j = pick(items, dim)
         left, right = items[i], items[j]
@@ -555,16 +510,20 @@ def _schedule(
         left_shape = (dim ** len(kept_left), inner) if kept_left or not shared else (inner,)
         right_shape = (inner, dim ** len(kept_right)) if kept_right or not shared else (inner,)
         result = kept_left + kept_right
-        steps.append(ScheduleStep(
+        result_shape = (dim,) * len(result)
+        steps.append((
             i, j,
-            _perm(left, kept_left + shared), left_shape,
-            _perm(right, shared + kept_right), right_shape,
-            (dim,) * len(result),
+            _perm(left, kept_left + shared),
+            None if left_shape == (dim,) * len(left) else left_shape,
+            _perm(right, shared + kept_right),
+            None if right_shape == (dim,) * len(right) else right_shape,
+            None if left_shape[:-1] + right_shape[1:] == result_shape else result_shape,
         ))
+        cost += dim ** (len(left) + len(kept_right))
         largest = max(largest, dim ** len(result))
         items[i] = result
         del items[j]
-    return tuple(steps), _perm(items[0], free_letters), largest
+    return tuple(steps), _perm(items[0], free_letters), cost, largest
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -584,27 +543,23 @@ def order_contractions(plan: ContractionPlan) -> ContractionPlan:
     """
     if not isinstance(plan, ContractionPlan):
         raise ShapeError(f"plan must be a ContractionPlan, got {type(plan).__name__}")
-    free_letters, dim = plan.free_letters, plan.dim
-    terms = []
-    for term in plan.terms:
-        if len(term.factors) > 2:
-            steps, output_axes, largest = _schedule(
-                term.factors, free_letters, dim, _smallest_pair
+    terms = plan.terms
+    for k, (factors, steps, _, coefficient, schedule) in enumerate(plan.terms):
+        if len(factors) > 2:
+            letters, prep, naive, cost, largest = schedule
+            greedy, output_axes, greedy_cost, greedy_largest = _schedule(
+                letters, plan.free_letters, plan.dim, _smallest_pair
             )
-            if (steps, output_axes) != (term.steps, term.output_axes):
-                greedy = TermPlan(
-                    term.coefficient, term.factors, steps, output_axes, largest,
-                    term.prep_cost, term.naive_cost,
-                )
-                term = min(greedy, term, key=_schedule_rank)
-        terms.append(term)
-    if all(new is old for new, old in zip(terms, plan.terms)):
+            # equal steps make equal items, so an equal output transpose
+            if greedy != steps and (greedy_largest > MAX_COMPONENTS, greedy_cost) <= (
+                largest > MAX_COMPONENTS, cost
+            ):
+                term = (factors, greedy, output_axes, coefficient,
+                        (letters, prep, naive, greedy_cost, greedy_largest))
+                terms = terms[:k] + (term,) + terms[k + 1:]
+    if terms is plan.terms:
         return plan
     return ContractionPlan(
-        plan.mode, dim, plan.result_slots, plan.weight, free_letters,
-        plan.signatures, tuple(terms),
+        plan.mode, plan.dim, plan.result_slots, plan.weight, plan.free_letters,
+        plan.signatures, terms,
     )
-
-
-def _schedule_rank(term: TermPlan) -> tuple[bool, int]:
-    return term.largest_intermediate > MAX_COMPONENTS, term.scheduled_cost

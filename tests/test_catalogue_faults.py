@@ -186,7 +186,8 @@ def _matrices_read_transposed(real):
 def _scheduler_keeps_written_output_axes(real):
     def order(plan):
         new = real(plan)
-        return replace(new, terms=tuple(replace(n, output_axes=o.output_axes)
+        # a term is (factors, steps, output_axes, coefficient, schedule)
+        return replace(new, terms=tuple(n[:2] + o[2:3] + n[3:]
                                         for n, o in zip(new.terms, plan.terms)))
     return order
 
@@ -437,7 +438,7 @@ ROWS = [
          "eq25 ex58"),
     # the statement path: the names the catalogue binds itself
     _row("execute: coefficients dropped", exercises, "execute",
-         _terms_edited(lambda terms: tuple(replace(t, coefficient=1.0) for t in terms)),
+         _terms_edited(lambda terms: tuple(t[:3] + (1.0,) + t[4:] for t in terms)),
          "einsum-oracle"),
     _row("execute: the first term only", exercises, "execute",
          _terms_edited(lambda terms: terms[:1]),

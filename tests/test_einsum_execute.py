@@ -177,8 +177,8 @@ def test_corpus_against_naive_oracle():
             got = execute(p, bindings)
             assert np.max(np.abs(got.components - expected)) <= 1e-12 * scale, text
         # the naive cost really is the number of loop iterations
-        for term_plan, count in zip(plan.terms, counts):
-            assert term_plan.naive_cost == count, text
+        for (*_, (_, _, naive, _, _)), count in zip(plan.terms, counts):
+            assert naive == count, text
 
 
 def test_oracle_agrees_in_orthogonal_mode():
@@ -196,30 +196,49 @@ def _tensordot_execute(plan, bindings):
     """``execute`` written with one ``np.tensordot`` per step: the reference.
 
     It derives each step's axes from the factors' letters and reads only
-    ``left`` and ``right`` from the schedule, so none of the plan's
-    permutations or shapes reach it.
+    the positions ``left`` and ``right`` from each step, so none of the
+    plan's permutations or shapes reach it.
     """
+    names = list(plan.signatures)
     total = None
-    for term in plan.terms:
-        items, letters = [], []
-        for fp in term.factors:
-            arr = bindings[fp.name].components[fp.index]
-            for a, b in fp.traces:
+    for factors, steps, _, coefficient, (letters, *_) in plan.terms:
+        items, letters = [], list(letters)
+        for at, index, traces in factors:
+            arr = bindings[names[at]].components
+            if index is not None:
+                arr = arr[index]
+            for a, b in traces:
                 arr = np.trace(arr, axis1=a, axis2=b)
             items.append(arr)
-            letters.append(fp.open_letters)
-        for step in term.steps:
-            left, right = letters[step.left], letters.pop(step.right)
+        for at_left, at_right, *_ in steps:
+            left, right = letters[at_left], letters.pop(at_right)
             shared = [l for l in left if l in right]
             axes = ([left.index(l) for l in shared], [right.index(l) for l in shared])
-            other = items.pop(step.right)
-            items[step.left] = np.tensordot(items[step.left], other, axes=axes)
-            letters[step.left] = tuple(l for l in left + right if l not in shared)
+            other = items.pop(at_right)
+            items[at_left] = np.tensordot(items[at_left], other, axes=axes)
+            letters[at_left] = tuple(l for l in left + right if l not in shared)
         arr = np.transpose(items[0], [letters[0].index(l) for l in plan.free_letters])
-        if term.coefficient != 1.0:
-            arr = arr * term.coefficient
+        if coefficient != 1.0:
+            arr = arr * coefficient
         total = arr if total is None else total + arr
     return np.array(total, dtype=np.float64)
+
+
+def _step_shapes(plan):
+    """``(left, right, result)`` shapes of each step of the first term, a
+    shape the replay leaves out (None) read as the one the operand has."""
+    _, steps, _, _, (letters, *_) = plan.terms[0]
+    shapes = [(plan.dim,) * len(l) for l in letters]
+    out = []
+    for left, right, _, left_shape, _, right_shape, result_shape in steps:
+        right_item = shapes.pop(right)
+        left_shape = shapes[left] if left_shape is None else left_shape
+        right_shape = right_item if right_shape is None else right_shape
+        if result_shape is None:
+            result_shape = left_shape[:-1] + right_shape[1:]
+        shapes[left] = result_shape
+        out.append((left_shape, right_shape, result_shape))
+    return out
 
 
 def _assert_replay_matches_tensordot(plan, bindings):
@@ -259,9 +278,9 @@ def test_replay_is_byte_identical_to_tensordot_at_dims_one_and_five():
 def test_outer_product_is_one_product_over_a_unit_inner_axis():
     bind = {"u": _obj(3, (UP,), seed=40), "v": _obj(3, (DOWN,), seed=41)}
     plan = validate(parse("t^r_s = u^r v_s"), bind)
-    (step,) = plan.terms[0].steps
-    assert (step.left_shape, step.right_shape, step.result_shape) == ((3, 1), (1, 3), (3, 3))
-    assert step.left_perm is None and step.right_perm is None
+    assert _step_shapes(plan) == [((3, 1), (1, 3), (3, 3))]
+    ((_, _, left_perm, _, right_perm, _, _),) = plan.terms[0][1]
+    assert left_perm is None and right_perm is None
     _assert_replay_matches_tensordot(plan, bind)
     assert np.array_equal(execute(plan, bind).components,
                           np.multiply.outer(bind["u"].components, bind["v"].components))
@@ -273,8 +292,7 @@ def test_rank_zero_factors_multiply_as_one_by_one_products():
     bind = {"x": _obj(3, (DOWN,), seed=42), "m": _obj(3, (UP, DOWN), seed=43),
             "v": _obj(3, (UP,), seed=44)}
     plan = validate(parse("t^r = x_2 m^s_s v^r"), bind)
-    assert [(s.left_shape, s.right_shape, s.result_shape) for s in plan.terms[0].steps] == [
-        ((1, 1), (1, 1), ()), ((1, 1), (1, 3), (3,))]
+    assert _step_shapes(plan) == [((1, 1), (1, 1), ()), ((1, 1), (1, 3), (3,))]
     _assert_replay_matches_tensordot(plan, bind)
     for text in ("s = x_2 m^s_s", "s = x_1 x_3", "s = -2 * x_2 m^1_3 + m^r_r"):
         _assert_replay_matches_tensordot(validate(parse(text), bind), bind)
@@ -294,8 +312,7 @@ def test_a_side_that_keeps_no_letter_is_one_dimensional():
     for text, shapes in [("y^r = a^r_s x^s", ((3, 3), (3,), (3,))),
                          ("s = x^r w_r", ((3,), (3,), ())),
                          ("y_s = x^r g_{rs}", ((3,), (3, 3), (3,)))]:
-        (step,) = validate(parse(text), bind).terms[0].steps
-        assert (step.left_shape, step.right_shape, step.result_shape) == shapes, text
+        assert _step_shapes(validate(parse(text), bind)) == [shapes], text
     texts = [
         "y^r = a^r_s x^s", "s = x^r w_r", "y_s = x^r g_{rs}", "s = g_{rs} x^r x^s",
         # strided operands: a column pinned by a digit, a middle slot pinned
@@ -316,11 +333,11 @@ def test_a_side_that_keeps_no_letter_is_one_dimensional():
 def test_single_factor_transpose_has_no_step_and_copies():
     g = _obj(3, (DOWN, DOWN), seed=45)
     plan = validate(parse("w_{ts} = g_{st}"), {"g": g})
-    term = plan.terms[0]
-    assert term.steps == () and term.output_axes == (1, 0)
+    _, steps, output_axes, _, _ = plan.terms[0]
+    assert steps == () and output_axes == (1, 0)
     _assert_replay_matches_tensordot(plan, {"g": g})
     same = validate(parse("w_{st} = g_{st}"), {"g": g})
-    assert same.terms[0].output_axes is None
+    assert same.terms[0][2] is None
     got = execute(same, {"g": g})
     assert got.components.tobytes() == g.components.tobytes()
     assert not np.shares_memory(got.components, g.components)
@@ -347,7 +364,7 @@ def test_coefficient_only_terms_scale_one_number():
     bind = {"x": _obj(3, (DOWN,), seed=47), "m": _obj(3, (UP, DOWN), seed=46)}
     for text in ("t = 2 * x_2", "t = -0.5 * m^r_r", "t = 3 * x_1 + 0.5 * m^2_1 - x_3"):
         plan = validate(parse(text), bind)
-        assert all(term.steps == () for term in plan.terms)
+        assert all(steps == () for _, steps, *_ in plan.terms)
         _assert_replay_matches_tensordot(plan, bind)
     got = execute(validate(parse("t = -0.5 * x_2"), bind), bind)
     assert got.as_scalar() == -0.5 * bind["x"].components[1]
@@ -408,7 +425,7 @@ def test_the_plan_decides_reshapes_and_result_ownership(text, at_three, at_one, 
 def test_each_binding_is_read_once_by_position():
     bind = {"g": _obj(3, (DOWN, DOWN), seed=60), "x": _obj(3, (UP,), seed=61)}
     plan = validate(parse("s = g_{rs} x^r x^s"), bind)
-    checks, _, ((factors, _, _, _),), _, _, _ = plan._replay
+    checks, _, ((factors, _, _, _, _),), _, _, _ = plan._replay
     assert [name for name, _ in checks] == ["g", "x"]
     assert [at for at, _, _ in factors] == [0, 1, 1]
     _assert_replay_matches_tensordot(plan, bind)
@@ -418,7 +435,7 @@ def test_a_step_of_exactly_the_cap_runs(monkeypatch):
     bind = {"x": new_object(3, (UP,), 0, [1.0, 2.0, 3.0]),
             "y": new_object(3, (DOWN,), 0, [1.0, 1.0, 1.0])}
     plan = validate(parse("s = x^a x^b y_a y_b"), bind)
-    assert plan.terms[0].largest_intermediate == 9
+    assert plan.largest_intermediate == 9
     monkeypatch.setattr(executor, "MAX_COMPONENTS", 9)
     assert execute(plan, bind).as_scalar() == 36.0
     monkeypatch.setattr(executor, "MAX_COMPONENTS", 8)
@@ -433,7 +450,7 @@ def test_intermediate_beyond_the_storage_cap_is_rejected_before_allocating():
     bind = {"x": x, "y": y}
     plan = validate(parse("s = x^a x^b x^c x^d x^e x^f x^g x^h "
                           "y_a y_b y_c y_d y_e y_f y_g y_h"), bind)
-    assert plan.terms[0].largest_intermediate == 9**8
+    assert plan.largest_intermediate == 9**8
     tracemalloc.start()
     try:
         with pytest.raises(ShapeError, match="dense storage cap exceeded"):
@@ -444,17 +461,21 @@ def test_intermediate_beyond_the_storage_cap_is_rejected_before_allocating():
     assert peak < 1 << 20
     # greedy order pairs each x with its y: no step holds more than 9 values
     greedy = order_contractions(plan)
-    assert greedy.terms[0].largest_intermediate == 1
+    assert greedy.largest_intermediate == 1
     assert execute(greedy, bind).as_scalar() == pytest.approx((9 * 0.5 * 0.25) ** 8, rel=1e-12)
 
 
 def test_largest_intermediate_is_the_biggest_step_product():
     sigs = {"a": (4, (UP, DOWN), 0), "u": (4, (UP,), 0), "w": (4, (DOWN,), 0)}
     plan = validate(parse("t^{rs} = u^r u^s w_k u^k"), sigs)
-    assert [s.result_shape for s in plan.terms[0].steps] == [(4, 4), (4, 4, 4), (4, 4)]
-    assert plan.terms[0].largest_intermediate == 64
-    assert order_contractions(plan).terms[0].largest_intermediate == 16
-    assert validate(parse("y^r = u^r"), sigs).terms[0].largest_intermediate == 0
+    assert [result for _, _, result in _step_shapes(plan)] == [(4, 4), (4, 4, 4), (4, 4)]
+    assert plan.largest_intermediate == 64
+    assert order_contractions(plan).largest_intermediate == 16
+    assert validate(parse("y^r = u^r"), sigs).largest_intermediate == 0
+    # per plan: the largest step of any term
+    two = validate(parse("t^{rs} = a^r_k u^k u^s + u^r u^s w_k u^k"), sigs)
+    assert [term[4][4] for term in two.terms] == [16, 64]
+    assert two.largest_intermediate == 64
 
 
 @pytest.mark.parametrize("mode, bind, message", [

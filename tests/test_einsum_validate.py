@@ -44,9 +44,10 @@ def test_strict_buckets_match_per_variance():
     # written upper index binds the upper slot regardless of written order
     plan = validate(parse("t = e_{rst} x_1^r x_2^s x_3^t"),
                     {"e": (3, (DOWN, DOWN, DOWN), -1), "x": (3, (UP, DOWN), 0)})
-    fp = plan.terms[0].factors[1]  # first x
-    assert fp.index == (slice(None), 0)  # lower slot 1 pinned to value 1
-    assert fp.open_letters == ("r",)  # upper slot 0 carries the letter
+    factors, _, _, _, (letters, *_) = plan.terms[0]
+    _, index, _ = factors[1]  # first x
+    assert index == (slice(None), 0)  # lower slot 1 pinned to value 1
+    assert letters[1] == ("r",)  # upper slot 0 carries the letter
 
 
 def test_orthogonal_is_positional():
@@ -70,7 +71,8 @@ def test_strict_dummy_needs_opposite_variances():
         validate(parse("t = a_{rr}"), {"a": G2})
     # mixed pair is fine: a trace
     plan = validate(parse("t = m^r_r"), {"m": X2})
-    assert plan.terms[0].prep_cost == 9
+    _, _, _, _, (_, prep_cost, *_) = plan.terms[0]
+    assert prep_cost == 9
 
 
 def test_free_letters_must_match_across_terms():
@@ -161,7 +163,8 @@ def test_dim_mismatch():
 
 def test_fixed_digit_bounds():
     plan = validate(parse("t = x_3^r v_r"), {"x": (3, (UP, DOWN), 0), "v": V_DOWN})
-    assert plan.terms[0].factors[0].index == (slice(None), 2)
+    (_, index, _), _ = plan.terms[0][0]
+    assert index == (slice(None), 2)
     with pytest.raises(AddressingError):
         validate(parse("t = x_4^r v_r"), {"x": (3, (UP, DOWN), 0), "v": V_DOWN})
 
@@ -179,6 +182,26 @@ def test_result_beyond_the_storage_cap_is_rejected_before_execution():
     assert plan.result_slots == ()
 
 
+def test_a_signature_past_the_storage_cap_is_refused_before_lowering(monkeypatch):
+    # a (dim, slots, weight) triple that no object could have is refused by
+    # the resolver, as new_object refuses it, before lowering computes a
+    # naive cost of dim ** (number of letters)
+    def lowered(*args):
+        raise AssertionError("the statement was lowered")
+
+    monkeypatch.setattr(planner, "_lower", lowered)
+    letters, huge = "abcdefghijklmnopqrstuvwxyz", 10**4000
+    for text, sigs, rank in [
+        (f"y^{{{letters}}} = x^{{{letters}}}", {"x": (huge, (UP,) * 26, 0)}, 26),
+        ("s = x^a y_a", {"x": (huge, (UP,), 0), "y": (huge, (DOWN,), 0)}, 1),
+    ]:
+        with pytest.raises(ShapeError) as exc:
+            validate(parse(text), sigs)
+        assert str(exc.value) == (
+            f"dense storage cap exceeded: dim**rank > 10000000 at rank {rank}"
+        )
+
+
 def test_naive_cost_counts_distinct_letters():
     plan = validate(
         parse("t = a_{rst} x^r y^s z^t"),
@@ -186,7 +209,8 @@ def test_naive_cost_counts_distinct_letters():
          "z": (3, (UP,), 0)},
     )
     assert plan.naive_cost == 27
-    assert plan.terms[0].naive_cost == 27
+    _, _, _, _, (_, _, naive_cost, *_) = plan.terms[0]
+    assert naive_cost == 27
 
 
 def test_default_schedule_is_left_to_right():
@@ -194,8 +218,8 @@ def test_default_schedule_is_left_to_right():
         parse("w^r_s = a^r_m b^m_n c^n_s"),
         {"a": (8, (UP, DOWN), 0), "b": (8, (UP, DOWN), 0), "c": (8, (UP, DOWN), 0)},
     )
-    steps = plan.terms[0].steps
-    assert [(s.left, s.right) for s in steps] == [(0, 1), (0, 1)]
+    _, steps, *_ = plan.terms[0]
+    assert [s[:2] for s in steps] == [(0, 1), (0, 1)]  # (left, right)
     assert plan.total_cost == 2 * 8**3
     assert plan.naive_cost == 8**4
 
@@ -211,11 +235,11 @@ def test_order_contractions_prefers_small_results():
     plan = validate(parse("s = a_{rm} u^r v^m w_k z^k"), bindings)
     ordered = order_contractions(plan)
     # the w_k z^k pair collapses to a scalar first
-    first = ordered.terms[0].steps[0]
-    assert (first.left, first.right) == (3, 4)
+    first = ordered.terms[0][1][0]
+    assert first[:2] == (3, 4)
     assert ordered.total_cost < plan.total_cost
     # untouched input plan keeps its left-to-right steps
-    assert [(s.left, s.right) for s in plan.terms[0].steps] == [(0, 1)] * 4
+    assert [s[:2] for s in plan.terms[0][1]] == [(0, 1)] * 4
 
 
 def test_order_contractions_keeps_a_cheaper_written_schedule():
@@ -229,6 +253,17 @@ def test_order_contractions_keeps_a_cheaper_written_schedule():
     assert ordered.terms[0] == plan.terms[0]
 
 
+def test_a_cost_tie_goes_to_the_greedy_schedule():
+    # at dim 2 both schedules cost 28 multiply-adds, with no step near the cap
+    sigs = {"A": (2, (DOWN,), 0), "B": (2, (UP, UP), 0),
+            "C": (2, (UP, UP, DOWN, DOWN), 0), "D": (2, (UP,), 0)}
+    plan = validate(parse("t^{bd} = A_c B^{ae} C^{bc}_{ae} D^d"), sigs)
+    ordered = order_contractions(plan)
+    assert ordered.total_cost == plan.total_cost == 28
+    assert [s[:2] for s in plan.terms[0][1]] == [(0, 1)] * 3
+    assert [s[:2] for s in ordered.terms[0][1]] == [(0, 3), (1, 2), (0, 1)]
+
+
 def test_a_schedule_with_a_step_beyond_the_cap_ranks_last(monkeypatch):
     # left to right costs 1250 with a 125-component step; greedy costs 3150
     # with no step above 25 components
@@ -237,7 +272,7 @@ def test_a_schedule_with_a_step_beyond_the_cap_ranks_last(monkeypatch):
     assert order_contractions(plan).total_cost == 1250
     monkeypatch.setattr(planner, "MAX_COMPONENTS", 100)
     capped = order_contractions.__wrapped__(plan)  # past the memo
-    assert (capped.total_cost, capped.terms[0].largest_intermediate) == (3150, 25)
+    assert (capped.total_cost, capped.largest_intermediate) == (3150, 25)
 
 
 def test_a_schedule_with_a_step_of_exactly_the_cap_ranks_by_cost(monkeypatch):
@@ -294,22 +329,24 @@ def test_order_contractions_never_raises_the_cost():
 
 
 def test_a_step_costs_dim_to_the_number_of_its_letters():
-    # cost is read off the step shapes, so no shape may change a cost, a
-    # total_cost or a choice of order_contractions
+    # a term's schedule cost is the sum of its steps' costs, each read off
+    # the letters the step's positions name, so no shape may change a cost,
+    # a total_cost or a choice of order_contractions
     rng = np.random.default_rng(1913)
     cases = [random_statement(rng)[:2] for _ in range(300)]
     cases += [_random_pattern(rng) for _ in range(300)]
     for text, sigs in cases:
         plan = validate(parse(text), sigs)
         for p in (plan, order_contractions(plan)):
-            for term in p.terms:
-                letters = [fp.open_letters for fp in term.factors]
-                for step in term.steps:
-                    left, right = letters[step.left], letters.pop(step.right)
-                    assert step.cost == p.dim ** len(set(left) | set(right)), text
-                    letters[step.left] = tuple(
+            for _, steps, _, _, (letters, _, _, cost, _) in p.terms:
+                letters, want = list(letters), 0
+                for at_left, at_right, *_ in steps:
+                    left, right = letters[at_left], letters.pop(at_right)
+                    want += p.dim ** len(set(left) | set(right))
+                    letters[at_left] = tuple(
                         l for l in left + right if (l in left) != (l in right)
                     )
+                assert cost == want, text
 
 
 def test_ordering_is_letter_independent():
@@ -319,36 +356,37 @@ def test_ordering_is_letter_independent():
     }
     one = order_contractions(validate(parse("t = a_{mn} b^m c^n"), sigs))
     two = order_contractions(validate(parse("t = p_{uv} q^u r^v"), sigs))
-    assert [
-        (s.left, s.right, s.cost) for s in one.terms[0].steps
-    ] == [(s.left, s.right, s.cost) for s in two.terms[0].steps]
+    # the same replay and the same costs; only the letters differ
+    (*replay_one, (_, *costs_one)), = one.terms
+    (*replay_two, (_, *costs_two)), = two.terms
+    assert (replay_one, costs_one) == (replay_two, costs_two)
 
 
 def test_traces_are_numbered_after_slicing():
     plan = validate(parse("y_s = q^{2r}_{rs}"), {"q": (3, (UP, UP, DOWN, DOWN), 0)})
-    fp = plan.terms[0].factors[0]
-    assert fp.index == (1, slice(None), slice(None), slice(None))
-    assert fp.traces == ((0, 1),)  # slots 1 and 2 become axes 0 and 1
-    assert fp.open_letters == ("s",)
+    ((_, index, traces),), *_, (letters, _, _, _, _) = plan.terms[0]
+    assert index == (1, slice(None), slice(None), slice(None))
+    assert traces == ((0, 1),)  # slots 1 and 2 become axes 0 and 1
+    assert letters == (("s",),)
 
 
 def test_double_self_trace():
     plan = validate(parse("s = m^{rs}_{rs}"), {"m": (3, (UP, UP, DOWN, DOWN), 0)})
-    fp = plan.terms[0].factors[0]
-    assert fp.index == ()
-    assert fp.traces == ((0, 2), (0, 1))
-    assert fp.open_letters == ()
-    assert plan.terms[0].prep_cost == 3**4 + 3**2
+    ((_, index, traces),), *_, (letters, prep_cost, _, _, _) = plan.terms[0]
+    assert index is None
+    assert traces == ((0, 2), (0, 1))
+    assert letters == ((),)
+    assert prep_cost == 3**4 + 3**2
 
 
 def test_output_axes_put_the_result_in_target_order():
     sigs = {"u": (3, (UP,), 0), "c": (3, (UP, DOWN), 0), "z": (3, (UP,), 0)}
     plan = validate(parse("y^{ba} = u^a c^b_k z^k"), sigs)
     ordered = order_contractions(plan)
-    assert [(s.left, s.right) for s in plan.terms[0].steps] == [(0, 1), (0, 1)]
-    assert [(s.left, s.right) for s in ordered.terms[0].steps] == [(1, 2), (0, 1)]
+    assert [s[:2] for s in plan.terms[0][1]] == [(0, 1), (0, 1)]
+    assert [s[:2] for s in ordered.terms[0][1]] == [(1, 2), (0, 1)]
     for p in (plan, ordered):
-        assert p.terms[0].output_axes == (1, 0)
+        assert p.terms[0][2] == (1, 0)
 
 
 def test_modes_survive_pickle_and_copy_as_themselves():
@@ -362,15 +400,19 @@ def test_modes_survive_pickle_and_copy_as_themselves():
 def _reschedule_every_term(plan):
     """``order_contractions`` as it was before a term of fewer than three
     factors was kept: every term rescheduled and ranked, and a new plan."""
+    def rank(term):
+        prep_cost, _, cost, largest = term[4][1:]
+        return largest > planner.MAX_COMPONENTS, prep_cost + cost
+
     terms = []
     for term in plan.terms:
-        steps, output_axes, largest = planner._schedule(
-            term.factors, plan.free_letters, plan.dim, planner._smallest_pair
+        factors, _, _, coefficient, (letters, prep_cost, naive_cost, _, _) = term
+        steps, output_axes, cost, largest = planner._schedule(
+            letters, plan.free_letters, plan.dim, planner._smallest_pair
         )
-        greedy = dataclasses.replace(
-            term, steps=steps, output_axes=output_axes, largest_intermediate=largest
-        )
-        terms.append(min(greedy, term, key=planner._schedule_rank))
+        greedy = (factors, steps, output_axes, coefficient,
+                  (letters, prep_cost, naive_cost, cost, largest))
+        terms.append(min(greedy, term, key=rank))
     return dataclasses.replace(plan, terms=tuple(terms))
 
 
@@ -389,9 +431,9 @@ def test_a_term_of_fewer_than_three_factors_keeps_its_one_schedule():
                 want.total_cost, want.naive_cost), text
             assert ordered.terms == want.terms, text
             for term, old in zip(ordered.terms, plan.terms):
-                if len(old.factors) < 3:
+                if len(old[0]) < 3:
                     assert term is old, text
-            if all(len(t.factors) < 3 for t in plan.terms):
+            if all(len(t[0]) < 3 for t in plan.terms):
                 short += 1
                 assert ordered is plan, text
     assert short > 100
@@ -411,7 +453,7 @@ def test_a_term_the_greedy_rule_gives_back_unchanged_is_kept():
                     assert term is old, text
             if ordered.terms == plan.terms:
                 assert ordered is plan, text
-                kept += any(len(t.factors) > 2 for t in plan.terms)
+                kept += any(len(t[0]) > 2 for t in plan.terms)
     assert kept > 100
     mixed, vec = (3, (UP, DOWN), 0), (3, (UP,), 0)
     for text, sigs in [
@@ -419,7 +461,7 @@ def test_a_term_the_greedy_rule_gives_back_unchanged_is_kept():
         ("t = E_{rst} X^r Y^s Z^t", {"E": (3, (DOWN,) * 3, 0), **dict.fromkeys("XYZ", vec)}),
     ]:
         plan = validate(parse(text), sigs)
-        assert len(plan.terms[0].factors) > 2 and order_contractions(plan) is plan, text
+        assert len(plan.terms[0][0]) > 2 and order_contractions(plan) is plan, text
 
 
 @pytest.mark.parametrize("statement, signatures, kind", [
