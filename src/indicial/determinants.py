@@ -29,7 +29,14 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import SingularityError
-from .objects import MIXED_SLOTS, TensorObject, _result, _scale, matrix_object, require_signature
+from .objects import (
+    MIXED_SLOTS,
+    TensorObject,
+    _fresh_result,
+    _scale,
+    matrix_object,
+    require_signature,
+)
 from .symbols import _signed_permutations
 
 # |det| <= SINGULARITY_FACTOR * max|entry| ** dim, or beyond float64, counts as singular
@@ -161,7 +168,7 @@ def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
     that the product with t is weight-0; an array-like reads as weight 0.
     """
     t = matrix_object(t, MIXED_SLOTS, "inverse")
-    return _result(t.dim, MIXED_SLOTS, -t.weight, _checked_inverse(t.components, t.dim))
+    return _fresh_result(t.dim, MIXED_SLOTS, -t.weight, _checked_inverse(t.components, t.dim))
 
 
 def _invertible_rows(rng: np.random.Generator, dim: int, min_det: float = 0.1) -> np.ndarray:

@@ -9,6 +9,21 @@ contract with c and lower slots with gamma.
 (see ``determinants``), under ``inverse``'s singularity rule, and takes
 det(gamma) from the same kernel as ``determinant``: the same bits as the
 public functions, without re-checking c for each of them.
+
+The product rule: a product whose operands have at most two axes calls
+``ndarray.dot``, which makes the same BLAS call as ``@`` with the same bits
+without the ``matmul`` ufunc's dispatch (about half the per-call cost on a
+4 x 4 pair).  That covers the residual, both products of ``compose``,
+``transform_basis``, and ``transform``'s per-slot products for an object of
+rank 2 or less, which ``transform`` decides once per call.  An object of
+rank 3 or more keeps ``@``: ``dot`` on a stack leaves BLAS and changes the
+bits at dim 4 and up, and a 2-D reshape keeps them but costs more than the
+ufunc.  Dim 1 keeps ``@`` as well, since there ``dot`` multiplies the two
+entries as scalars and keeps a -0.0 that ``@``'s one-term sum turns into
+0.0; only the residual, gamma c = 1 up to rounding, ignores the sign.  With
+numpy 2 an overflow in a ``dot`` product warns "overflow encountered in
+dot", where ``@`` words it "in matmul".  Gamma and the composed matrices,
+fresh from LAPACK or BLAS, are frozen in place (``_fresh_result``).
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from .objects import (
     MIXED_SLOTS,
     UP,
     TensorObject,
+    _fresh_result,
     _identity,
     _identity_object,
     _result,
@@ -36,7 +52,7 @@ from .objects import (
 _FRAME_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     """An invertible change of coordinates.
 
@@ -49,14 +65,26 @@ class Frame:
     gamma: TensorObject
     det_gamma: float
 
+    def __init__(
+        self, dim: int, c: TensorObject, gamma: TensorObject, det_gamma: float
+    ) -> None:
+        # the state the generated __init__ leaves, in field order, written to
+        # the instance dict instead of through object.__setattr__ per field
+        d = self.__dict__
+        d["dim"] = dim
+        d["c"] = c
+        d["gamma"] = gamma
+        d["det_gamma"] = det_gamma
+
 
 def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     """Build a Frame from the new-from-old matrix, rejecting singular input."""
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     # raises SingularityError for a degenerate mixing
     g = _checked_inverse(c.components, c.dim)
-    # max |gamma c - 1|, in place on the fresh product
-    r = g @ c.components
+    # max |gamma c - 1|, in place on the fresh product; at dim 1, where
+    # ``dot`` would keep the sign of a zero product, gamma c is about 1
+    r = g.dot(c.components)
     r -= _identity(c.dim)
     residual = _scale(r)
     # written so that a NaN residual fails it too
@@ -65,7 +93,7 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
             f"frame matrix is too ill-conditioned to invert reliably "
             f"(residual {residual:.3e})"
         )
-    gamma = _result(c.dim, MIXED_SLOTS, -c.weight, g)
+    gamma = _fresh_result(c.dim, MIXED_SLOTS, -c.weight, g)
     return Frame(c.dim, c, gamma, _checked_det(_det(g, c.dim)))
 
 
@@ -105,16 +133,18 @@ def compose(first: Frame, second: Frame) -> Frame:
     if first.dim != second.dim:
         raise ShapeError(f"dim mismatch: {first.dim} vs {second.dim}")
     det_gamma = _checked_det(first.det_gamma * second.det_gamma)
-    if first.dim == 1 and not abs(
-        second.c.components.item() * first.c.components.item()
-    ) < math.inf:
-        raise SingularityError("composed frame matrix is outside float64")
-    c = second.c.components @ first.c.components
-    gamma = first.gamma.components @ second.gamma.components
+    if first.dim == 1:
+        if not abs(second.c.components.item() * first.c.components.item()) < math.inf:
+            raise SingularityError("composed frame matrix is outside float64")
+        c = second.c.components @ first.c.components
+        gamma = first.gamma.components @ second.gamma.components
+    else:
+        c = second.c.components.dot(first.c.components)
+        gamma = first.gamma.components.dot(second.gamma.components)
     return Frame(
         first.dim,
-        _result(first.dim, MIXED_SLOTS, 0, c),
-        _result(first.dim, MIXED_SLOTS, 0, gamma),
+        _fresh_result(first.dim, MIXED_SLOTS, 0, c),
+        _fresh_result(first.dim, MIXED_SLOTS, 0, gamma),
         det_gamma,
     )
 
@@ -167,9 +197,20 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
     # so the bits are the same without the wrapper's per-call cost.
     c_t = f.c.components.T
     g = f.gamma.components
-    for k, variance in enumerate(t.slots):
-        m = c_t if variance is UP else g
-        arr = (arr.swapaxes(k, -1) @ m).swapaxes(k, -1)
+    if t.rank > 2 or t.dim == 1:
+        # the product rule (see the module docstring): a stack, or dim 1
+        for k, variance in enumerate(t.slots):
+            m = c_t if variance is UP else g
+            arr = (arr.swapaxes(k, -1) @ m).swapaxes(k, -1)
+    else:
+        # rank 2 or less: slot 0 moved last is the view arr.T, and slot 1
+        # is last already, so no swapaxes call is needed
+        for k, variance in enumerate(t.slots):
+            m = c_t if variance is UP else g
+            if k:
+                arr = arr.dot(m)
+            else:
+                arr = arr.T.dot(m).T
     if t.weight != 0:
         arr = arr * factor
     return _result(t.dim, t.slots, t.weight, arr)
@@ -187,7 +228,10 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     det, scale = _det_and_scale(rows, f.dim)
     if _is_singular(det, scale, f.dim):
         raise SingularityError("basis vectors are linearly dependent")
-    new_rows = f.gamma.components.T @ rows
+    if f.dim == 1:
+        new_rows = f.gamma.components.T @ rows
+    else:
+        new_rows = f.gamma.components.T.dot(rows)
     return [_result(f.dim, (UP,), 0, row) for row in new_rows]
 
 

@@ -4,7 +4,13 @@ The metric is a symmetric rank-(2,0) object g with a cached inverse.  The
 Levi-Civita tensor (dim 3) rescales the permutation symbol by sqrt(det g),
 which makes the cross and triple products below frame-covariant formulas.
 The inverse and the leading minors are numpy's LAPACK gufuncs called
-without the ``np.linalg`` wrapper (see ``determinants``), with the same bits.
+without the ``np.linalg`` wrapper (see ``determinants``), with the same bits;
+the inverse, a fresh array, is frozen in place (``_fresh_result``).
+Raising and lowering, ``inner`` and ``cross`` follow the product rule of
+``frames``: ``ndarray.dot`` for operands of at most two axes (an object of
+rank 2 or less) from dim 2 up, ``@`` for a stack and at dim 1, with ``@``'s
+bits either way, and numpy 2 words an overflow "in dot" instead of "in
+matmul".  ``metric_from_basis``'s Gram product keeps ``@``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .objects import (
     TensorObject,
     Variance,
     _check_slot,
+    _fresh_result,
     _identity,
     _identity_object,
     _result,
@@ -42,13 +49,20 @@ MINOR_TOL = 1e-12
 _STACKED_MINORS_MAX_DIM = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Metric:
     """A symmetric positive-definite metric and its cached inverse."""
 
     g: TensorObject
     g_inv: TensorObject
     det_g: float
+
+    def __init__(self, g: TensorObject, g_inv: TensorObject, det_g: float) -> None:
+        # as Frame's: the generated __init__'s state, written to the instance dict
+        d = self.__dict__
+        d["g"] = g
+        d["g_inv"] = g_inv
+        d["det_g"] = det_g
 
     @property
     def dim(self) -> int:
@@ -84,7 +98,7 @@ def metric_from_tensor(g: TensorObject | Sequence[Sequence[float]]) -> Metric:
         raise DefinitenessError(
             f"metric is not positive-definite: leading minors {minors}"
         )
-    g_inv = _result(g.dim, (UP, UP), 0, _inv(m))
+    g_inv = _fresh_result(g.dim, (UP, UP), 0, _inv(m))
     return Metric(g, g_inv, minors[-1])
 
 
@@ -159,7 +173,14 @@ def _move_index(
     # the slot, moved last, times matrix.T: sum it against the matrix's column
     # axis.  ndarray.swapaxes is the method np.swapaxes ends in, so the bits
     # are the same without the wrapper's per-call cost.
-    arr = (t.components.swapaxes(slot, -1) @ matrix.T).swapaxes(slot, -1)
+    if t.rank > 2 or t.dim == 1:
+        # the product rule (see the module docstring): a stack, or dim 1
+        arr = (t.components.swapaxes(slot, -1) @ matrix.T).swapaxes(slot, -1)
+    elif slot:
+        # rank 2 or less, as in ``transform``: slot 1 is last already
+        arr = t.components.dot(matrix.T)
+    else:
+        arr = t.components.T.dot(matrix.T).T
     slots = t.slots[:slot] + (after,) + t.slots[slot + 1 :]
     return _result(t.dim, slots, t.weight, arr)
 
@@ -168,7 +189,9 @@ def inner(x: TensorObject, y: TensorObject, m: Metric) -> float:
     """Scalar product g_rs x^r y^s of two contravariant vectors."""
     xv = require_vector(x, m.dim)
     yv = require_vector(y, m.dim)
-    return float(xv @ m.g.components @ yv)
+    if m.dim == 1:
+        return float(xv @ m.g.components @ yv)
+    return float(xv.dot(m.g.components).dot(yv))
 
 
 def levi_civita_tensor(m: Metric, variance: Variance) -> TensorObject:
@@ -190,8 +213,8 @@ def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
     the ordinary cross product of g x and g y, divided by sqrt(det g)."""
     if m.dim != 3:
         raise ShapeError(f"cross product is dim-3 only, got metric dim {m.dim}")
-    a1, a2, a3 = (m.g.components @ require_vector(x, 3)).tolist()
-    b1, b2, b3 = (m.g.components @ require_vector(y, 3)).tolist()
+    a1, a2, a3 = m.g.components.dot(require_vector(x, 3)).tolist()
+    b1, b2, b3 = m.g.components.dot(require_vector(y, 3)).tolist()
     root = math.sqrt(m.det_g)
     z = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
     return _result(3, (UP,), x.weight + y.weight, [v / root for v in z])

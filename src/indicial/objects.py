@@ -6,15 +6,19 @@ values are 1-based at the API surface; slot positions are 0-based.  Both
 accept any integer, numpy integers included, except a bool.  Objects
 are immutable: ``TensorObject`` stores its four fields in ``__slots__`` and
 refuses assignment and deletion, and the backing array is marked read-only.
-Two builders apply that storage rule.  ``new_object`` is the one for caller
-data: it validates and always copies its input, so an object never shares
-memory with the caller's array.  ``_result`` is the one for an array the
-library has just computed: it freezes that array in place.  ``execute``
-freezes a result its plan knows to be a fresh C-ordered product itself,
-without the ``np.asarray`` that ``_result`` runs.
-``matrix_object`` reads a square array-like into one fresh copy of its own
-and freezes that through ``_result``.  Pickling and copying rebuild through
-``new_object``.  Every operation is a pure function, so values can be
+Three builders apply that storage rule.  ``new_object`` is the one for
+caller data: it validates and always copies its input, so an object never
+shares memory with the caller's array.  ``_result`` is the one for an array
+the library has just computed: it freezes that array in place, after an
+``np.asarray`` that makes a view C-ordered.  ``_fresh_result`` freezes, as
+it is, an array known to be fresh and C-ordered: a LAPACK inverse, a 2-D
+BLAS product, or the one private copy that ``matrix_object`` reads a square
+array-like into.  ``execute`` freezes a fresh product of its plan the same
+way, inline.  Pickling and copying rebuild through ``new_object``.  The
+geometry modules multiply operands of at most two axes with
+``ndarray.dot`` from dim 2 up, the same BLAS call and bits as ``@`` at
+about half the per-call cost, and keep ``@`` for stacks and at dim 1 (see
+``frames``).  Every operation is a pure function, so values can be
 shared freely across threads.  The geometry modules share three rules from
 here: ``_read_array`` (every array a caller passes), ``_read_number`` (a
 real number, read as ``float(value)``) and ``_scale`` (max |entry|).
@@ -212,6 +216,17 @@ def _result(
     return TensorObject(dim, slots, weight, arr)
 
 
+def _fresh_result(
+    dim: int, slots: tuple[Variance, ...], weight: int, arr: np.ndarray
+) -> TensorObject:
+    """An object holding ``arr``, a C-ordered ndarray that the library has
+    just allocated and that nothing else holds (a LAPACK or BLAS output, or
+    a private copy): frozen in place, without ``_result``'s ``np.asarray``,
+    which would hand such an array back as itself."""
+    arr.setflags(False)
+    return TensorObject(dim, slots, weight, arr)
+
+
 def _read_array(x: object, what: str) -> np.ndarray:
     """A caller's array-like as float64: an exact float64 ndarray as itself,
     else a fresh C-ordered array.  ShapeError when it is non-numeric or ragged,
@@ -251,7 +266,7 @@ def matrix_object(
         require_signature(dim, slots, 0)  # words the rejection of 0 x 0
     require_storable(dim, 2)
     # the reader hands a float64 ndarray back as itself: copy the caller's array
-    return _result(dim, slots, 0, arr.copy() if arr is x else arr)
+    return _fresh_result(dim, slots, 0, arr.copy() if arr is x else arr)
 
 
 def require_signature(dim: object, slots: tuple, weight: object) -> None:
@@ -349,14 +364,17 @@ def is_index_value(v: object) -> bool:
 
 def require_storable(dim: int, rank: int) -> int:
     """``dim ** rank``; ShapeError when it exceeds the dense storage cap or
-    ``rank`` exceeds the slot cap.
+    ``rank`` exceeds the slot cap, or when ``dim`` exceeds the storage cap.
 
     The storage cap binds first, so the slot cap alone refuses at dim 1.
     The power is computed only with dim and rank within both caps, so it
     never exceeds ``MAX_COMPONENTS ** MAX_RANK``.  Past either cap at
     dim >= 2 the power is past the storage cap, since ``MAX_COMPONENTS``
     is below ``2 ** (MAX_RANK + 1)``, and that refusal names the rank, not
-    a power that can be too long for Python to format.
+    a power that can be too long for Python to format.  A dim past the
+    storage cap is refused at rank 0 as well, although such an object would
+    store one component: no object of rank 1 or more can have that dim, and
+    a message that formats it could be too long for Python to format.
     """
     if dim <= MAX_COMPONENTS and rank <= MAX_RANK:
         size = dim ** rank
@@ -371,7 +389,7 @@ def require_storable(dim: int, rank: int) -> int:
         )
     if rank > MAX_RANK:
         raise ShapeError(f"rank {rank} exceeds the slot cap of {MAX_RANK}")
-    return 1
+    raise ShapeError(f"dense storage cap exceeded: dim > {MAX_COMPONENTS} at rank 0")
 
 
 def require_vector(x: object, dim: int, what: str = "vector") -> np.ndarray:

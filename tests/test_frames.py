@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from indicial.frames import (
     transform_basis,
     verify_transform_law,
 )
+from indicial.metric import metric_from_basis, metric_from_tensor, orthonormal_metric
 from indicial.minkowski import boost
 from indicial.objects import (
     DOWN,
@@ -361,3 +366,53 @@ def test_random_frame_is_reproducible_and_conditioned():
 def test_compose_refuses_frames_of_different_dims():
     with pytest.raises(ShapeError, match="dim mismatch: 2 vs 3"):
         compose(identity_frame(2), identity_frame(3))
+
+
+_RECORD_PRODUCERS = {
+    "frame_from_matrix": lambda: frame_from_matrix([[2.0, 1.0], [0.5, 3.0]]),
+    "identity_frame": lambda: identity_frame(3),
+    "inverse_frame": lambda: inverse_frame(frame_from_matrix([[2.0, 1.0], [0.5, 3.0]])),
+    "compose": lambda: compose(
+        random_frame(np.random.default_rng(3), 4), random_frame(np.random.default_rng(4), 4)
+    ),
+    "random_frame": lambda: random_frame(np.random.default_rng(5), 5),
+    "metric_from_tensor": lambda: metric_from_tensor([[2.0, 0.5], [0.5, 1.0]]),
+    "metric_from_basis": lambda: metric_from_basis(
+        [new_object(3, (UP,), 0, row) for row in [[1.0, 0, 0], [1, 2, 0], [0, 1, 3]]]
+    ),
+    "orthonormal_metric": lambda: orthonormal_metric(4),
+}
+
+
+@pytest.mark.parametrize("produce", _RECORD_PRODUCERS.values(), ids=_RECORD_PRODUCERS)
+def test_every_frame_and_metric_producer_returns_a_complete_frozen_record(produce):
+    """Frame and Metric write their fields straight to the instance dict:
+    each record holds exactly its fields, in field order, and behaves as a
+    frozen dataclass under replace, pickle, copy, weak references and
+    assignment or deletion."""
+    rec = produce()
+    names = [f.name for f in dataclasses.fields(rec)]
+    values = {name: getattr(rec, name) for name in names}
+    assert list(rec.__dict__) == names
+    for built in (type(rec)(*values.values()), type(rec)(**values)):
+        assert built.__dict__ == values and list(built.__dict__) == names
+        assert all(built.__dict__[name] is values[name] for name in names)
+        assert built == rec
+    for twin in (dataclasses.replace(rec), pickle.loads(pickle.dumps(rec)),
+                 copy.copy(rec), copy.deepcopy(rec)):
+        assert type(twin) is type(rec) and twin is not rec and twin == rec
+        assert list(twin.__dict__) == names
+    last = names[-1]
+    changed = dataclasses.replace(rec, **{last: -1.0})
+    assert getattr(changed, last) == -1.0 and changed != rec
+    assert all(getattr(changed, name) is values[name] for name in names[:-1])
+    ref = weakref.ref(rec)
+    assert ref() is rec
+    for name in names + ["other"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rec, name)
+    assert rec.__dict__ == values
+    del rec
+    assert ref() is None

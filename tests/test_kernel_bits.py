@@ -13,7 +13,11 @@ RuntimeWarnings are errors here (pyproject), so a warning one side raises
 the other must raise too.  The LAPACK gufuncs that the kernels call without
 the ``np.linalg`` wrapper are pinned to ``np.linalg.inv`` and
 ``np.linalg.det`` directly, so a numpy whose wrapper starts to do more
-fails here.
+fails here.  The products of the transformation law, raising and lowering,
+``inner``, ``cross``, ``triple`` and ``transform_basis`` are pinned to
+references that multiply with ``@`` per slot, so the ``ndarray.dot`` the
+kernels call on operands of at most two axes must give ``@``'s bits, and
+warn where it warns.
 """
 
 from __future__ import annotations
@@ -32,9 +36,16 @@ from indicial.determinants import (
     inverse,
     singularity_threshold,
 )
-from indicial.errors import DefinitenessError, SingularityError
-from indicial.frames import Frame, compose, frame_from_matrix, transform_basis
-from indicial.metric import metric_from_tensor
+from indicial.errors import ConventionError, DefinitenessError, SingularityError
+from indicial.frames import Frame, compose, frame_from_matrix, transform, transform_basis
+from indicial.metric import (
+    cross,
+    inner,
+    lower_index,
+    metric_from_tensor,
+    raise_index,
+    triple,
+)
 from indicial.minkowski import is_lorentz
 from indicial.objects import DOWN, UP, new_object
 
@@ -327,3 +338,162 @@ def test_is_lorentz_matches_the_sixteen_case_loop():
         assert is_lorentz(c) is want, c
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def ref_power(det_gamma: float, weight: int) -> float:
+    """det(gamma) ** weight for weights -2..2, one product per factor."""
+    base = det_gamma if weight > 0 else 1.0 / det_gamma
+    return base * base if abs(weight) == 2 else base
+
+
+def ref_transform(arr, ups, c, gamma, det_gamma, weight) -> np.ndarray:
+    """The weighted law with ``@`` per slot at every rank: an upper slot,
+    moved last, times c.T, a lower one times gamma."""
+    if weight != 0:
+        factor = ref_power(det_gamma, weight)
+        if not abs(factor) < math.inf or (factor == 0.0 and arr.any()):
+            raise SingularityError
+    for k, up in enumerate(ups):
+        arr = (arr.swapaxes(k, -1) @ (c.T if up else gamma)).swapaxes(k, -1)
+    if weight != 0:
+        arr = arr * factor
+    return np.asarray(arr)
+
+
+def ref_move_index(arr, ups, slot, matrix, up_before) -> np.ndarray:
+    if ups[slot] is not up_before:
+        raise ConventionError
+    return (arr.swapaxes(slot, -1) @ matrix.T).swapaxes(slot, -1)
+
+
+def ref_inner(x, y, g) -> float:
+    return float(x @ g @ y)
+
+
+def ref_cross(x, y, g, det_g) -> np.ndarray:
+    a1, a2, a3 = (g @ x).tolist()
+    b1, b2, b3 = (g @ y).tolist()
+    root = math.sqrt(det_g)
+    z = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    return np.array([v / root for v in z])
+
+
+def ref_transform_basis(rows, gamma) -> tuple[np.ndarray, ...]:
+    if ref_singular(rows):
+        raise SingularityError
+    return tuple(gamma.T @ rows)
+
+
+def _entries(pool: list[np.ndarray], rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    """A (d,) * rank array of corpus entries: rows and whole matrices of
+    ``pool``, stacked for ranks 3 and 4."""
+    m = pool[rng.integers(len(pool))]
+    if rank == 0:
+        return np.array(m[0, 0])
+    if rank == 1:
+        return m[rng.integers(d)].copy()
+    if rank == 2:
+        return m.copy()
+    return np.stack([_entries(pool, rng, d, rank - 1) for _ in range(d)])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_transform_and_transform_basis_match_the_per_slot_matmul_law(dim):
+    """Ranks 0-4, so that both sides of the kernel's rank test run, and
+    weights -2..2, under frames and objects drawn from the corpus."""
+    rng = np.random.default_rng(1700 + dim)
+    pool = _matrices(rng, dim, 200)
+    frames = []
+    for m in pool:
+        try:
+            frames.append(frame_from_matrix(m))
+        except SingularityError:
+            pass
+    assert len(frames) > 50
+    outcomes = set()
+    for k in range(300 if dim < 5 else 150):
+        f = frames[rng.integers(len(frames))]
+        rank, weight = k % 5, (k // 5) % 5 - 2
+        ups = tuple(bool(u) for u in rng.integers(0, 2, rank))
+        arr = _entries(pool, rng, dim, rank)
+        t = new_object(dim, tuple(UP if u else DOWN for u in ups), weight, arr)
+        got = _outcome(lambda: transform(t, f).components)
+        want = _outcome(ref_transform, arr, ups, f.c.components, f.gamma.components,
+                        f.det_gamma, weight)
+        assert _same(got, want), (arr, ups, weight, f)
+        outcomes.add(got[0] if got[0] == "ok" else got[1])
+    # overflowing products warn at every dim; det(gamma) powers leave
+    # float64 at the small dims
+    assert outcomes >= {"ok", RuntimeWarning}
+    for m in pool:
+        f = frames[rng.integers(len(frames))]
+        basis = [new_object(dim, (UP,), 0, row) for row in m]
+        got = _outcome(lambda: tuple(e.components for e in transform_basis(f, basis)))
+        assert _same(got, _outcome(ref_transform_basis, m, f.gamma.components)), m
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_raising_lowering_and_inner_match_the_matmul_references(dim):
+    rng = np.random.default_rng(1800 + dim)
+    metrics = []
+    for m in _metric_inputs(rng, dim, 200):
+        try:
+            metrics.append(metric_from_tensor(m))
+        except DefinitenessError:
+            pass
+    assert len(metrics) > 20
+    pool = _matrices(rng, dim, 100)
+    for k in range(240 if dim < 5 else 120):
+        met = metrics[rng.integers(len(metrics))]
+        rank = k % 4 + 1
+        slot = int(rng.integers(rank))
+        ups = tuple(bool(u) for u in rng.integers(0, 2, rank))
+        arr = _entries(pool, rng, dim, rank)
+        t = new_object(dim, tuple(UP if u else DOWN for u in ups), 0, arr)
+        for fn, matrix, up_before in (
+            (lower_index, met.g.components, True),
+            (raise_index, met.g_inv.components, False),
+        ):
+            got = _outcome(lambda: fn(t, slot, met).components)
+            want = _outcome(ref_move_index, arr, ups, slot, matrix, up_before)
+            assert _same(got, want), (fn.__name__, arr, ups, slot)
+        x, y = (_entries(pool, rng, dim, 1) for _ in range(2))
+        got = _outcome(inner, new_object(dim, (UP,), 0, x), new_object(dim, (UP,), 0, y), met)
+        assert _same(got, _outcome(ref_inner, x, y, met.g.components)), (x, y)
+
+
+def test_cross_and_triple_match_the_matmul_references():
+    rng = np.random.default_rng(1900)
+    metrics = []
+    for m in _metric_inputs(rng, 3, 200):
+        try:
+            metrics.append(metric_from_tensor(m))
+        except DefinitenessError:
+            pass
+    pool = _matrices(rng, 3, 200)
+    for _ in range(600):
+        met = metrics[rng.integers(len(metrics))]
+        g, det_g = met.g.components, met.det_g
+        x, y, z = (_entries(pool, rng, 3, 1) for _ in range(3))
+        vx, vy, vz = (new_object(3, (UP,), 0, v) for v in (x, y, z))
+        got = _outcome(lambda: cross(vx, vy, met).components)
+        assert _same(got, _outcome(ref_cross, x, y, g, det_g)), (x, y)
+        got = _outcome(triple, vx, vy, vz, met)
+        want = _outcome(lambda: ref_inner(ref_cross(x, y, g, det_g), z, g))
+        assert _same(got, want), (x, y, z)
+
+
+def test_products_at_dim_1_keep_the_signed_zeros_of_matmul():
+    """At dim 1 ``ndarray.dot`` multiplies the two entries as scalars and
+    keeps a -0.0 (or an underflow to -0.0) that ``@``'s one-term sum turns
+    into 0.0, so every kernel keeps ``@`` there.  A frame from
+    ``frame_from_matrix`` never composes to a zero entry; a Frame built
+    field by field can."""
+    one, zero = _mixed(np.array([[1.0]])), _mixed(np.array([[-0.0]]))
+    f = Frame(1, zero, zero, 1.0)
+    g = Frame(1, one, one, 1.0)
+    for h in (compose(f, g), compose(g, f)):
+        assert _bits(_frame_parts(h)) == _bits((np.array([[0.0]]), np.array([[0.0]]), 1.0))
+    tiny = frame_from_matrix([[1e300]])
+    basis = [new_object(1, (UP,), 0, [-1e-100])]
+    assert _bits(transform_basis(tiny, basis)[0].components) == _bits(np.array([0.0]))

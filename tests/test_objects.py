@@ -401,16 +401,30 @@ def test_a_power_too_long_to_format_is_refused_by_the_storage_cap(build):
 def test_the_storage_cap_formats_a_power_only_within_both_caps():
     assert objects.require_storable(2, 23) == 2**23
     assert objects.require_storable(10**7, 1) == 10**7
-    assert objects.require_storable(10**5000, 0) == 1
+    assert objects.require_storable(10**7, 0) == 1
     assert objects.require_storable(1, 32) == 1
-    # a rank-0 object stores one component at any dim
-    assert new_object(10**50, (), 0, 2.0).as_scalar() == 2.0
+    assert new_object(10**7, (), 0, 2.0).as_scalar() == 2.0
     for dim, rank, power in ((3163, 2, 10004569), (2, 24, 2**24), (2, 32, 2**32)):
         with pytest.raises(ShapeError, match=f"^dense storage cap exceeded: dim\\*\\*rank = {power} > 10000000$"):
             objects.require_storable(dim, rank)
     for dim, rank in ((2, 33), (10**7 + 1, 1), (10**5000, 33)):
         with pytest.raises(ShapeError, match=f"^dense storage cap exceeded: dim\\*\\*rank > 10000000 at rank {rank}$"):
             objects.require_storable(dim, rank)
+
+
+@pytest.mark.parametrize("dim", [10**7 + 1, 10**50, 10**5000], ids=["1e7+1", "1e50", "1e5000"])
+def test_a_dim_past_the_storage_cap_is_refused_at_rank_0_without_formatting_it(dim):
+    # one component would fit, but no object of rank 1 or more can have this
+    # dim, and a message that formatted it (repr, a dim mismatch) would raise
+    # a bare ValueError past Python's 4300 digits
+    message = r"^dense storage cap exceeded: dim > 10000000 at rank 0$"
+    for build in (
+        lambda: objects.require_storable(dim, 0),
+        lambda: new_object(dim, (), 0, 1.0),
+        lambda: zeros(dim, ()),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            build()
 
 
 def test_symmetrize():
