@@ -7,8 +7,12 @@ pairs of permutations, which share every factor but the last two and have
 opposite signs: the shared prefix product is formed once per pair, and the
 two completions are added and subtracted in the order of a loop over single
 permutations, so every product and partial sum is the same IEEE value and
-integer matrices keep exact determinants.  Larger dimensions use an O(d^3)
-elimination path, which agrees with the reference sum on small matrices.
+integer matrices keep exact determinants.  At dims 2-4 that sum is one
+straight-line function per dim, generated once from the one sign table
+(``_permutation_pairs``): a sign of +-1.0 becomes an addition or a
+subtraction and a 1.0 pad factor drops, both exact, so the floats are
+those of the loop.  Larger dimensions use an O(d^3) elimination path,
+which agrees with the reference sum on small matrices.
 
 Inverses, determinants at dim >= 5 (and the metric's leading minors) are
 numpy's LAPACK gufuncs, called as ``np.linalg.inv`` and ``np.linalg.det``
@@ -21,9 +25,8 @@ bits, without the wrapper's per-call cost.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -43,7 +46,6 @@ from .symbols import _signed_permutations
 SINGULARITY_FACTOR = 1e-12
 
 
-@functools.lru_cache(maxsize=None)  # called with dims 2..4 only
 def _permutation_pairs(d: int) -> tuple[tuple[float, int, int, int, int, int, int], ...]:
     """``(sign, p0, p1, a, b, c, e)`` for each adjacent pair of
     ``_signed_permutations(d)``, as indices into the row-major entries with
@@ -66,6 +68,49 @@ def _permutation_pairs(d: int) -> tuple[tuple[float, int, int, int, int, int, in
     return tuple(pairs)
 
 
+def _unrolled_sum(d: int) -> Callable[[list[float]], float]:
+    """The straight-line signed-permutation sum over the d * d row-major
+    entries of a list, generated from ``_permutation_pairs(d)``.
+
+    The loop it unrolls starts at 0.0 and adds ``s * (p * x * y)`` and
+    subtracts ``s * (p * z * w)`` per pair, where ``p`` is the prefix product
+    padded with 1.0.  Here ``s * v`` with ``s = +-1.0`` is written as an
+    addition or subtraction of ``v`` and ``1.0 * x`` as ``x``, both exact, so
+    every product and partial sum is the loop's, in the loop's order.  For
+    ``d = 3`` the function reads::
+
+        def _sum3(flat):
+            x0, x1, x2, x3, x4, x5, x6, x7, x8 = flat
+            t = 0.0 + x0 * x4 * x8 - x0 * x7 * x5
+            t = t - x3 * x1 * x8 + x3 * x7 * x2
+            t = t + x6 * x1 * x5 - x6 * x4 * x2
+            return t
+
+    and at ``d = 4`` each pair first sets ``p`` to its two-entry prefix.
+    """
+    pad = d * d
+    names = [f"x{i}" for i in range(d * d)]
+    lines = [f"def _sum{d}(flat):", f"    {', '.join(names)} = flat"]
+    total = "0.0"
+    for sign, p0, p1, a, b, c, e in _permutation_pairs(d):
+        prefix = [names[i] for i in (p0, p1) if i != pad]
+        if len(prefix) == 2:
+            lines.append(f"    p = {prefix[0]} * {prefix[1]}")
+            prefix = ["p"]
+        first = " * ".join([*prefix, names[a], names[b]])
+        second = " * ".join([*prefix, names[c], names[e]])
+        add, sub = ("+", "-") if sign > 0 else ("-", "+")
+        lines.append(f"    t = {total} {add} {first} {sub} {second}")
+        total = "t"
+    lines.append("    return t")
+    namespace: dict[str, object] = {}
+    exec("\n".join(lines), namespace)  # the text holds only names and operators
+    return namespace[f"_sum{d}"]  # type: ignore[return-value]
+
+
+_UNROLLED_SUMS = {d: _unrolled_sum(d) for d in (2, 3, 4)}
+
+
 def _permutation_sum(flat: list[float], d: int) -> float:
     """The signed-permutation sum over the row-major entries of a d x d
     matrix (d <= 4), in Python floats: the same IEEE products as numpy
@@ -73,15 +118,7 @@ def _permutation_sum(flat: list[float], d: int) -> float:
     RuntimeWarning."""
     if d == 1:
         return 0.0 + flat[0]  # the sum starts at 0.0, which turns -0.0 into 0.0
-    flat = flat + [1.0]
-    total = 0.0
-    for s, p0, p1, a, b, c, e in _permutation_pairs(d):
-        # a single permutation's product starts at 1.0 and 1.0 * x is x, so p
-        # is its running product before the last two factors; the partner's
-        # sign is -s, and a - s * y is a + (-s) * y bit for bit
-        p = flat[p0] * flat[p1]
-        total = total + s * (p * flat[a] * flat[b]) - s * (p * flat[c] * flat[e])
-    return total
+    return _UNROLLED_SUMS[d](flat)
 
 
 def _inv(m: np.ndarray) -> np.ndarray:

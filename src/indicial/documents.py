@@ -27,8 +27,10 @@ the same float64 (``-0.0`` kept; exponents spelled ``1e300``, ``2.5e-7``),
 so reading a written document with ``json`` reproduces the exact values.
 The text is compact: ``{"dim":2,"slots":["up"],"weight":0,...}``.  orjson
 writes NaN and Infinity as ``null``, so every component is checked finite
-first, and it writes integers in [-2**63, 2**64) only, so a ``dim`` or
-``weight`` outside that range is refused with a ``DocumentError``.
+first (a small array by one Python sum of its floats, which is finite only
+when every term is), and it writes integers in [-2**63, 2**64) only, so a
+``dim`` or ``weight`` outside that range is refused with a
+``DocumentError``.
 
 Loading reads the file as bytes and decodes them with ``orjson.loads`` when
 they hold fewer than ``_ORJSON_MAX_OPENERS`` (14,000) ``[`` bytes, each
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from itertools import chain
 from typing import Callable, Iterable, TypeVar
@@ -160,6 +163,9 @@ def parse_tensor_document(obj: object) -> TensorObject:
 # the integers orjson writes: int64 and uint64
 _EMITTABLE_INT_MIN = -(2**63)
 _EMITTABLE_INT_MAX = 2**64 - 1
+# up to this many components a Python sum of the floats is the cheaper
+# finite test (0.6 against 1.2 us at 27; even at about 64)
+_SUM_CHECK_MAX_SIZE = 64
 
 
 def format_tensor_document(t: TensorObject) -> str:
@@ -169,10 +175,17 @@ def format_tensor_document(t: TensorObject) -> str:
     import orjson
 
     components = t.components
-    finite = np.isfinite(components)
-    if not _all_reduce(finite, None):
-        bad = components[~finite]
-        raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}")
+    # a finite sum has only finite terms, so a small array passes on one
+    # Python sum; a non-finite sum (of a non-finite component, or of finite
+    # ones that overflow) or a large array takes numpy's test
+    if not (
+        components.size <= _SUM_CHECK_MAX_SIZE
+        and math.isfinite(sum(components.ravel().tolist()))
+    ):
+        finite = np.isfinite(components)
+        if not _all_reduce(finite, None):
+            bad = components[~finite]
+            raise DocumentError(f"cannot emit non-finite component {float(bad[0])!r}")
     for key, value in (("dim", t.dim), ("weight", t.weight)):
         if not _EMITTABLE_INT_MIN <= value <= _EMITTABLE_INT_MAX:
             raise DocumentError(f'cannot emit "{key}" {value}: outside the 64-bit integer range')

@@ -8,7 +8,10 @@ contract with c and lower slots with gamma.
 ``frame_from_matrix`` inverts c with numpy's LAPACK gufunc called directly
 (see ``determinants``), under ``inverse``'s singularity rule, and takes
 det(gamma) from the same kernel as ``determinant``: the same bits as the
-public functions, without re-checking c for each of them.
+public functions, without re-checking c for each of them.  Up to dim 4
+both determinants are the unrolled permutation sum, in Python floats, and
+the residual max |gamma c - 1| is read from one list of the product; above
+dim 4, where a list costs more than numpy's reduction, it stays in numpy.
 
 The product rule: a product whose operands have at most two axes calls
 ``ndarray.dot``, which makes the same BLAS call as ``@`` with the same bits
@@ -82,11 +85,22 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     # raises SingularityError for a degenerate mixing
     g = _checked_inverse(c.components, c.dim)
-    # max |gamma c - 1|, in place on the fresh product; at dim 1, where
-    # ``dot`` would keep the sign of a zero product, gamma c is about 1
+    # max |gamma c - 1|, NaN if an entry is NaN; at dim 1, where ``dot``
+    # would keep the sign of a zero product, gamma c is about 1
     r = g.dot(c.components)
-    r -= _identity(c.dim)
-    residual = _scale(r)
+    if c.dim <= 4:
+        # from one list of the fresh product: subtracting 1.0 on the diagonal
+        # is the IEEE subtraction of ``r - I``; Python's max skips a NaN that
+        # is not first, but any NaN makes the sum NaN (as does inf - inf)
+        r = r.ravel().tolist()
+        for i in range(0, len(r), c.dim + 1):
+            r[i] -= 1.0
+        residual = max(map(abs, r))
+        if math.isnan(sum(r)) and any(map(math.isnan, r)):
+            residual = math.nan
+    else:
+        r -= _identity(c.dim)
+        residual = _scale(r)
     # written so that a NaN residual fails it too
     if not residual <= _FRAME_CHECK_TOL:
         raise SingularityError(

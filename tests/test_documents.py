@@ -165,6 +165,29 @@ def test_non_finite_components_cannot_be_emitted():
         format_tensor_document(t)
 
 
+@pytest.mark.parametrize("shape", [(2,), (4, 4, 4), (9, 9), (5, 5, 5)])
+def test_finite_check_on_both_sides_of_the_sum_size(shape):
+    """Up to 64 components the emitter's finite test is a Python sum, above
+    it numpy's: both accept finite data whose sum overflows and name the
+    first non-finite component in C order."""
+    def emit(arr):
+        return format_tensor_document(new_object(shape[0], (UP,) * len(shape), 0, arr))
+
+    arr = np.ones(shape)
+    arr.flat[:2] = 1e308  # finite, but the sum overflows at the second term
+    assert np.array_equal(parse_tensor_document(json.loads(emit(arr))).components, arr)
+    for tail, named in [
+        ((1.0, math.nan), "nan"),
+        ((1.0, -math.inf), "-inf"),
+        ((math.inf, math.nan), "inf"),
+        ((math.inf, -math.inf), "inf"),  # a NaN sum without a NaN component
+    ]:
+        arr = np.ones(shape)
+        arr.flat[-2:] = tail
+        with pytest.raises(DocumentError, match=f"^cannot emit non-finite component {named}$"):
+            emit(arr)
+
+
 @pytest.mark.parametrize(
     "dim, weight, key, value",
     [(1, 2**64, "weight", 2**64), (2**64, 0, "dim", 2**64),

@@ -154,6 +154,30 @@ def test_frame_with_nan_residual_is_rejected(monkeypatch):
         frame_from_matrix(np.eye(3))
 
 
+@pytest.mark.parametrize("diagonal", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_frame_with_one_nan_in_gamma_is_rejected_as_nan(monkeypatch, dim, diagonal):
+    """A NaN at any position of gamma fills its row of gamma c with NaN, which
+    Python's max skips past the first entry; the residual must read NaN
+    whether the rest of it passes (gamma = 1) or not (gamma = 2)."""
+    for i, j in itertools.product(range(dim), repeat=2):
+        gamma = diagonal * np.eye(dim)
+        gamma[i, j] = np.nan
+        monkeypatch.setattr(frames, "_checked_inverse", lambda m, d: gamma.copy())
+        with pytest.raises(SingularityError, match="residual nan"):
+            frame_from_matrix(np.eye(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_frame_residual_with_both_infinities_and_no_nan_reads_inf(monkeypatch, dim):
+    # gamma c overflows to +inf and -inf, whose sum is NaN without a NaN entry
+    gamma = np.eye(dim)
+    gamma[0, 0], gamma[1, 1] = 1e308, -1e308
+    monkeypatch.setattr(frames, "_checked_inverse", lambda m, d: gamma.copy())
+    with pytest.raises(SingularityError, match="residual inf"), np.errstate(over="ignore"):
+        frame_from_matrix(2.0 * np.eye(dim))
+
+
 
 def test_frame_whose_det_gamma_overflows_is_singular():
     # det(c) = 1e-320 clears the singularity cutoff, det(gamma) = 1e320 is inf;
