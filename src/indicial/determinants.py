@@ -31,11 +31,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import SingularityError
+from .errors import ShapeError, SingularityError
 from .objects import (
     MIXED_SLOTS,
     TensorObject,
     _fresh_result,
+    _read_number,
     _scale,
     matrix_object,
     require_signature,
@@ -210,8 +211,17 @@ def inverse(t: TensorObject | Sequence[Sequence[float]]) -> TensorObject:
 
 def _invertible_rows(rng: np.random.Generator, dim: int, min_det: float = 0.1) -> np.ndarray:
     """Test sampler: dim x dim uniform [-1, 1] entries, redrawn until
-    ``abs(det) >= min_det``."""
+    ``abs(det) >= min_det`` (read by ``_read_number``).  ShapeError before
+    the first draw for a NaN ``min_det`` or one at or above Hadamard's bound
+    ``dim ** (dim / 2)``, the largest |det| with entries in [-1, 1], which
+    is compared in logarithms since it overflows float64 from dim 256."""
     require_signature(dim, (), 0)  # a 0 x 0 draw would never pass
+    min_det = _read_number(min_det, "min_det")
+    if math.isnan(min_det) or (min_det > 0.0 and math.log(min_det) >= math.log(dim) * dim / 2):
+        raise ShapeError(
+            f"min_det must be a number below {dim} ** ({dim} / 2), the largest "
+            f"|det| of a {dim} x {dim} matrix with entries in [-1, 1]; got {min_det!r}"
+        )
     while True:
         rows = rng.uniform(-1.0, 1.0, size=(dim, dim))
         if abs(_det(rows, dim)) >= min_det:

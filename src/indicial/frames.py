@@ -12,21 +12,9 @@ public functions, without re-checking c for each of them.  Up to dim 4
 both determinants are the unrolled permutation sum, in Python floats, and
 the residual max |gamma c - 1| is read from one list of the product; above
 dim 4, where a list costs more than numpy's reduction, it stays in numpy.
-
-The product rule: a product whose operands have at most two axes calls
-``ndarray.dot``, which makes the same BLAS call as ``@`` with the same bits
-without the ``matmul`` ufunc's dispatch (about half the per-call cost on a
-4 x 4 pair).  That covers the residual, both products of ``compose``,
-``transform_basis``, and ``transform``'s per-slot products for an object of
-rank 2 or less, which ``transform`` decides once per call.  An object of
-rank 3 or more keeps ``@``: ``dot`` on a stack leaves BLAS and changes the
-bits at dim 4 and up, and a 2-D reshape keeps them but costs more than the
-ufunc.  Dim 1 keeps ``@`` as well, since there ``dot`` multiplies the two
-entries as scalars and keeps a -0.0 that ``@``'s one-term sum turns into
-0.0; only the residual, gamma c = 1 up to rounding, ignores the sign.  With
-numpy 2 an overflow in a ``dot`` product warns "overflow encountered in
-dot", where ``@`` words it "in matmul".  Gamma and the composed matrices,
-fresh from LAPACK or BLAS, are frozen in place (``_fresh_result``).
+Every product goes through ``objects._matmul`` or ``_slot_product``, with
+``@``'s bits.  Gamma and the composed matrices, fresh from LAPACK or BLAS,
+are frozen in place (``_fresh_result``).
 """
 
 from __future__ import annotations
@@ -46,9 +34,13 @@ from .objects import (
     _fresh_result,
     _identity,
     _identity_object,
+    _matmul,
+    _read_number,
     _result,
     _scale,
+    _slot_product,
     matrix_object,
+    require_signature,
     require_vector,
 )
 
@@ -85,9 +77,8 @@ def frame_from_matrix(c: TensorObject | Sequence[Sequence[float]]) -> Frame:
     c = matrix_object(c, MIXED_SLOTS, "frame matrix")
     # raises SingularityError for a degenerate mixing
     g = _checked_inverse(c.components, c.dim)
-    # max |gamma c - 1|, NaN if an entry is NaN; at dim 1, where ``dot``
-    # would keep the sign of a zero product, gamma c is about 1
-    r = g.dot(c.components)
+    # max |gamma c - 1|, NaN if an entry is NaN
+    r = _matmul(g, c.components)
     if c.dim <= 4:
         # from one list of the fresh product: subtracting 1.0 on the diagonal
         # is the IEEE subtraction of ``r - I``; Python's max skips a NaN that
@@ -147,14 +138,11 @@ def compose(first: Frame, second: Frame) -> Frame:
     if first.dim != second.dim:
         raise ShapeError(f"dim mismatch: {first.dim} vs {second.dim}")
     det_gamma = _checked_det(first.det_gamma * second.det_gamma)
-    if first.dim == 1:
-        if not abs(second.c.components.item() * first.c.components.item()) < math.inf:
-            raise SingularityError("composed frame matrix is outside float64")
-        c = second.c.components @ first.c.components
-        gamma = first.gamma.components @ second.gamma.components
-    else:
-        c = second.c.components.dot(first.c.components)
-        gamma = first.gamma.components.dot(second.gamma.components)
+    c1, c2 = first.c.components, second.c.components
+    if first.dim == 1 and not abs(c2.item() * c1.item()) < math.inf:
+        raise SingularityError("composed frame matrix is outside float64")
+    c = _matmul(c2, c1)
+    gamma = _matmul(first.gamma.components, second.gamma.components)
     return Frame(
         first.dim,
         _fresh_result(first.dim, MIXED_SLOTS, 0, c),
@@ -205,26 +193,12 @@ def transform(t: TensorObject, f: Frame) -> TensorObject:
                 f"det(gamma) ** {t.weight} with det(gamma) = {f.det_gamma}"
             )
     arr = t.components
-    # x-bar^r = c^r_s x^s: an upper slot, moved last, times c.T;
-    # a-bar_r = gamma^s_r a_s: a lower slot, moved last, times gamma.
-    # ndarray.swapaxes is the method np.swapaxes ends in, on the same view,
-    # so the bits are the same without the wrapper's per-call cost.
+    # x-bar^r = c^r_s x^s: an upper slot times c.T;
+    # a-bar_r = gamma^s_r a_s: a lower slot times gamma.
     c_t = f.c.components.T
     g = f.gamma.components
-    if t.rank > 2 or t.dim == 1:
-        # the product rule (see the module docstring): a stack, or dim 1
-        for k, variance in enumerate(t.slots):
-            m = c_t if variance is UP else g
-            arr = (arr.swapaxes(k, -1) @ m).swapaxes(k, -1)
-    else:
-        # rank 2 or less: slot 0 moved last is the view arr.T, and slot 1
-        # is last already, so no swapaxes call is needed
-        for k, variance in enumerate(t.slots):
-            m = c_t if variance is UP else g
-            if k:
-                arr = arr.dot(m)
-            else:
-                arr = arr.T.dot(m).T
+    for k, variance in enumerate(t.slots):
+        arr = _slot_product(arr, k, c_t if variance is UP else g)
     if t.weight != 0:
         arr = arr * factor
     return _result(t.dim, t.slots, t.weight, arr)
@@ -242,10 +216,7 @@ def transform_basis(f: Frame, basis: Sequence[TensorObject]) -> list[TensorObjec
     det, scale = _det_and_scale(rows, f.dim)
     if _is_singular(det, scale, f.dim):
         raise SingularityError("basis vectors are linearly dependent")
-    if f.dim == 1:
-        new_rows = f.gamma.components.T @ rows
-    else:
-        new_rows = f.gamma.components.T.dot(rows)
+    new_rows = _matmul(f.gamma.components.T, rows)
     return [_result(f.dim, (UP,), 0, row) for row in new_rows]
 
 
@@ -260,10 +231,16 @@ def verify_transform_law(
 
     Forward: new must equal the transform of old at the given weight.
     Backward: old must equal the transform of new under the inverse frame
-    at the same weight.  True only when both hold within tol.
+    at the same weight.  True only when both hold within tol.  ShapeError
+    for a weight that is not an int, as ``new_object`` words it, and for a
+    non-finite tol; a negative tol asks for an exact match.
     """
     if old.dim != new.dim or old.slots != new.slots or old.weight != new.weight:
         raise ShapeError(f"signature mismatch: {old!r} vs {new!r}")
+    require_signature(old.dim, (), weight)
+    tol = _read_number(tol, "tol")
+    if not math.isfinite(tol):
+        raise ShapeError(f"tol must be finite, got {tol!r}")
     forward = transform(TensorObject(old.dim, old.slots, weight, old.components), f)
     backward = transform(
         TensorObject(new.dim, new.slots, weight, new.components), inverse_frame(f)

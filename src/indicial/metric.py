@@ -6,11 +6,8 @@ which makes the cross and triple products below frame-covariant formulas.
 The inverse and the leading minors are numpy's LAPACK gufuncs called
 without the ``np.linalg`` wrapper (see ``determinants``), with the same bits;
 the inverse, a fresh array, is frozen in place (``_fresh_result``).
-Raising and lowering, ``inner`` and ``cross`` follow the product rule of
-``frames``: ``ndarray.dot`` for operands of at most two axes (an object of
-rank 2 or less) from dim 2 up, ``@`` for a stack and at dim 1, with ``@``'s
-bits either way, and numpy 2 words an overflow "in dot" instead of "in
-matmul".  ``metric_from_basis``'s Gram product keeps ``@``.
+Raising and lowering, ``inner`` and ``cross`` multiply through
+``objects._matmul`` and ``_slot_product``, with ``@``'s bits.
 """
 
 from __future__ import annotations
@@ -34,8 +31,10 @@ from .objects import (
     _fresh_result,
     _identity,
     _identity_object,
+    _matmul,
     _result,
     _scale,
+    _slot_product,
     matrix_object,
     new_object,
     require_vector,
@@ -170,17 +169,7 @@ def _move_index(
         raise ConventionError(
             f"slot {slot} is {t.slots[slot].value}, expected {before.value}"
         )
-    # the slot, moved last, times matrix.T: sum it against the matrix's column
-    # axis.  ndarray.swapaxes is the method np.swapaxes ends in, so the bits
-    # are the same without the wrapper's per-call cost.
-    if t.rank > 2 or t.dim == 1:
-        # the product rule (see the module docstring): a stack, or dim 1
-        arr = (t.components.swapaxes(slot, -1) @ matrix.T).swapaxes(slot, -1)
-    elif slot:
-        # rank 2 or less, as in ``transform``: slot 1 is last already
-        arr = t.components.dot(matrix.T)
-    else:
-        arr = t.components.T.dot(matrix.T).T
+    arr = _slot_product(t.components, slot, matrix.T)
     slots = t.slots[:slot] + (after,) + t.slots[slot + 1 :]
     return _result(t.dim, slots, t.weight, arr)
 
@@ -189,9 +178,7 @@ def inner(x: TensorObject, y: TensorObject, m: Metric) -> float:
     """Scalar product g_rs x^r y^s of two contravariant vectors."""
     xv = require_vector(x, m.dim)
     yv = require_vector(y, m.dim)
-    if m.dim == 1:
-        return float(xv @ m.g.components @ yv)
-    return float(xv.dot(m.g.components).dot(yv))
+    return float(_matmul(_matmul(xv, m.g.components), yv))
 
 
 def levi_civita_tensor(m: Metric, variance: Variance) -> TensorObject:
@@ -213,8 +200,8 @@ def cross(x: TensorObject, y: TensorObject, m: Metric) -> TensorObject:
     the ordinary cross product of g x and g y, divided by sqrt(det g)."""
     if m.dim != 3:
         raise ShapeError(f"cross product is dim-3 only, got metric dim {m.dim}")
-    a1, a2, a3 = m.g.components.dot(require_vector(x, 3)).tolist()
-    b1, b2, b3 = m.g.components.dot(require_vector(y, 3)).tolist()
+    a1, a2, a3 = _matmul(m.g.components, require_vector(x, 3)).tolist()
+    b1, b2, b3 = _matmul(m.g.components, require_vector(y, 3)).tolist()
     root = math.sqrt(m.det_g)
     z = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
     return _result(3, (UP,), x.weight + y.weight, [v / root for v in z])

@@ -14,14 +14,12 @@ the library has just computed: it freezes that array in place, after an
 it is, an array known to be fresh and C-ordered: a LAPACK inverse, a 2-D
 BLAS product, or the one private copy that ``matrix_object`` reads a square
 array-like into.  ``execute`` freezes a fresh product of its plan the same
-way, inline.  Pickling and copying rebuild through ``new_object``.  The
-geometry modules multiply operands of at most two axes with
-``ndarray.dot`` from dim 2 up, the same BLAS call and bits as ``@`` at
-about half the per-call cost, and keep ``@`` for stacks and at dim 1 (see
-``frames``).  Every operation is a pure function, so values can be
-shared freely across threads.  The geometry modules share three rules from
-here: ``_read_array`` (every array a caller passes), ``_read_number`` (a
-real number, read as ``float(value)``) and ``_scale`` (max |entry|).
+way, inline.  Pickling and copying rebuild through ``new_object``.  Every
+operation is a pure function, so values can be shared freely across
+threads.  The geometry modules share five rules from here: ``_read_array``
+(every array a caller passes), ``_read_number`` (a real number, read as
+``float(value)``), ``_scale`` (max |entry|), and ``_matmul`` and
+``_slot_product`` (every product they form, with ``@``'s bits).
 """
 
 from __future__ import annotations
@@ -435,6 +433,32 @@ def _scale(m: np.ndarray) -> float:
     """max |entry|, NaN if an entry is NaN: the reduction ``ndarray.max``
     runs, without its Python wrapper."""
     return float(_max_reduce(np.abs(m), None))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with its bits, for operands of at most two axes: the one
+    product rule of the geometry modules.  From dim 2 up it calls
+    ``a.dot(b)``, the same BLAS call without the ``matmul`` ufunc's dispatch
+    (about half the per-call cost on a 4 x 4 pair).  ``@`` stays where
+    ``dot`` differs: on a stack ``dot`` leaves BLAS and changes the bits at
+    dim 4 and up (see ``_slot_product``), and at dim 1 it keeps a -0.0 that
+    ``@``'s one-term sum returns as 0.0.  With numpy 2 an overflow in
+    ``dot`` warns "overflow encountered in dot", not "in matmul"."""
+    if len(b) == 1:
+        return a @ b
+    return a.dot(b)
+
+
+def _slot_product(arr: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
+    """Axis ``k`` of ``arr`` summed against the rows of the square ``m`` and
+    left in place: ``(arr.swapaxes(k, -1) @ m).swapaxes(k, -1)``, with its
+    bits under ``_matmul``'s rule."""
+    if arr.ndim > 2 or len(m) == 1:
+        return (arr.swapaxes(k, -1) @ m).swapaxes(k, -1)
+    # axis 1 is last already, and axis 0 moved last is the view arr.T
+    if k:
+        return arr.dot(m)
+    return arr.T.dot(m).T
 
 
 def _trace(arr: np.ndarray, a: int, b: int) -> np.ndarray | np.float64:

@@ -308,6 +308,29 @@ def test_verify_transform_law_both_directions():
         verify_transform_law(t, zeros(3, (UP, UP), weight=2), f, weight=2)
 
 
+@pytest.mark.parametrize("weight", [1.5, "1", None, True, np.float64(1.0)])
+def test_verify_transform_law_refuses_a_weight_that_is_not_an_int(weight):
+    t = new_object(2, (UP,), 0, [1.0, 2.0])
+    with pytest.raises(ShapeError, match="weight must be an integer"):
+        verify_transform_law(t, t, identity_frame(2), weight)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+def test_verify_transform_law_refuses_a_tolerance_that_is_not_finite(tol):
+    # np.allclose would warn "One of rtol or atol is not valid"
+    t = new_object(2, (UP,), 0, [1.0, 2.0])
+    with pytest.raises(ShapeError, match="tol must be finite"):
+        verify_transform_law(t, t, identity_frame(2), 0, tol=tol)
+
+
+def test_verify_transform_law_reads_a_negative_tolerance_as_an_exact_match():
+    t = new_object(2, (UP,), 0, [1.0, 2.0])
+    near = new_object(2, (UP,), 0, [1.0, 2.0 + 1e-15])
+    assert verify_transform_law(t, t, identity_frame(2), 0, tol=-1.0)
+    assert not verify_transform_law(t, near, identity_frame(2), 0, tol=-1.0)
+
+
 def test_verify_transform_law_at_a_weight_other_than_the_objects():
     # c = diag(2, 1, 1): det(gamma) = 1/2 scales the weight-1 law
     f = frame_from_matrix(np.diag([2.0, 1.0, 1.0]))

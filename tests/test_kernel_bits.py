@@ -488,7 +488,7 @@ def test_products_at_dim_1_keep_the_signed_zeros_of_matmul():
     keeps a -0.0 (or an underflow to -0.0) that ``@``'s one-term sum turns
     into 0.0, so every kernel keeps ``@`` there.  A frame from
     ``frame_from_matrix`` never composes to a zero entry; a Frame built
-    field by field can."""
+    field by field can.  Each product below is -0.0 under ``dot``."""
     one, zero = _mixed(np.array([[1.0]])), _mixed(np.array([[-0.0]]))
     f = Frame(1, zero, zero, 1.0)
     g = Frame(1, one, one, 1.0)
@@ -497,3 +497,14 @@ def test_products_at_dim_1_keep_the_signed_zeros_of_matmul():
     tiny = frame_from_matrix([[1e300]])
     basis = [new_object(1, (UP,), 0, [-1e-100])]
     assert _bits(transform_basis(tiny, basis)[0].components) == _bits(np.array([0.0]))
+    two = frame_from_matrix([[2.0]])
+    met = metric_from_tensor([[2.0]])
+    up, down = (new_object(1, (v,), 0, [-0.0]) for v in (UP, DOWN))
+    for got in (
+        transform(up, two).components,
+        transform(down, two).components,
+        lower_index(up, 0, met).components,
+        raise_index(down, 0, met).components,
+    ):
+        assert _bits(got) == _bits(np.array([0.0]))
+    assert _bits(inner(up, new_object(1, (UP,), 0, [1.0]), met)) == _bits(0.0)

@@ -337,3 +337,41 @@ def test_the_random_helpers_refuse_a_bad_dim_before_drawing(helper, dim):
     # a 0 x 0 draw would pass no determinant test: the sampler checks first
     with pytest.raises(ShapeError, match="dim must be a positive integer"):
         helper(np.random.default_rng(0), dim)
+
+
+class _NoDraws:
+    """A generator stub: a draw raises, so a helper that would redraw
+    forever fails at once."""
+
+    class Drew(Exception):
+        pass
+
+    def uniform(self, *args, **kwargs):
+        raise self.Drew
+
+
+@pytest.mark.parametrize("dim, min_det", [
+    (2, float("nan")), (2, 5.0), (2, 2.0), (2, float("inf")), (1, 1.0), (3, "6"),
+    (200, 1e308), (300, float("inf")), pytest.param(300, 10**400, id="300-10**400"),
+])
+@pytest.mark.parametrize("helper", [random_frame, random_metric])
+def test_the_random_helpers_refuse_an_unreachable_min_det_before_drawing(helper, dim, min_det):
+    # Hadamard's bound: |det| <= dim ** (dim / 2) with entries in [-1, 1];
+    # 10**400 reads as inf
+    with pytest.raises(ShapeError, match="min_det must be a number below"):
+        helper(_NoDraws(), dim, min_det=min_det)
+
+
+@pytest.mark.parametrize("dim, min_det", [
+    (2, 1.999), (1, 0.999), (3, "0.5"), (3, -1.0), (300, 1e308),
+])
+@pytest.mark.parametrize("helper", [random_frame, random_metric])
+def test_the_random_helpers_draw_for_a_min_det_below_the_bound(helper, dim, min_det):
+    # 300 ** 150 is beyond float64, so the bound is compared in logarithms
+    with pytest.raises(_NoDraws.Drew):
+        helper(_NoDraws(), dim, min_det=min_det)
+
+
+def test_the_random_helpers_refuse_a_min_det_that_is_not_a_number():
+    with pytest.raises(ShapeError, match="min_det must be a real number"):
+        random_frame(_NoDraws(), 2, min_det=None)
